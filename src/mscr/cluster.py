@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 
@@ -234,19 +234,15 @@ class Cluster:
         spec = self.params.field
         plan = repair.plan_repair(pattern, self.params)
 
+        k = self.params.k
         phase1_arrays = []
         for helper, newcomer, _ in plan.phase1_edges:
             probe = [e.value for e in repair.probe_vector(self.params, newcomer)]
             data = self.node_data[helper - 1]
-            acc = np.zeros(self.nblocks, dtype=spec.dtype)
-            for l, c in enumerate(probe):
-                if c:
-                    acc ^= spec.scale_array(c, data[:, l])
-            phase1_arrays.append(acc)
+            phase1_arrays += _apply_rows(spec, [probe], [data[:, l] for l in range(k)])
 
         rows, report = _linear_repair_map(plan, self.params)
         outs = _apply_rows(spec, rows, phase1_arrays)
-        k = self.params.k
         for idx, nc in enumerate(plan.newcomers):
             self.node_data[nc - 1] = np.stack(
                 [outs[idx * k + t] for t in range(k)], axis=1)
@@ -294,7 +290,6 @@ class Scenario:
     data: bytes
     steps: list[frozenset[int]]
     verify_mode: str = "exact"
-    source: dict = field(default_factory=dict)
 
     @staticmethod
     def from_document(doc: dict, base_dir: str | Path = ".") -> "Scenario":
@@ -305,12 +300,14 @@ class Scenario:
                 code_params = params_mod.load(base / ref)
             else:
                 code_params = params_mod.from_document(ref)
-        else:
+        elif "k" in doc:
             degree = int(doc.get("field", {}).get("degree", 8))
             poly_text = doc.get("field", {}).get("reduction_poly")
             spec = FieldSpec(degree, int(poly_text, 16) if poly_text else None)
             code_params = params_mod.generate(int(doc["k"]), spec,
                                               seed=int(doc.get("seed", 0)))
+        else:
+            raise ValueError("scenario names neither 'k' nor 'params'")
         data_doc = doc["data"]
         if "path" in data_doc:
             data = (base / data_doc["path"]).read_bytes()
@@ -321,7 +318,7 @@ class Scenario:
         verify = doc.get("verify", "exact")
         if verify not in ("exact", "mds_also"):
             raise ValueError(f"unknown verify mode {verify!r}")
-        return Scenario(code_params, data, steps, verify, source=doc)
+        return Scenario(code_params, data, steps, verify)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -340,18 +337,6 @@ class StepReport:
     optimal: bool
     error: str | None = None
 
-    def to_document(self) -> dict:
-        return {
-            "failed": list(self.failed),
-            "kind": self.kind,
-            "rows": self.rows,
-            "optimal_gamma": self.optimal_gamma,
-            "blocks": self.blocks,
-            "exact": self.exact,
-            "optimal": self.optimal,
-            "error": self.error,
-        }
-
 
 @dataclass
 class ScenarioResult:
@@ -360,11 +345,7 @@ class ScenarioResult:
     ok: bool
 
     def to_document(self) -> dict:
-        return {
-            "steps": [s.to_document() for s in self.steps],
-            "extracted_ok": self.extracted_ok,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def _conservation_holds(cluster: Cluster, data: bytes) -> bool:

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 from .codec import NodeContent
 from .galois import FieldElement
-from .linalg import Matrix, SingularMatrix, solve_vector
+from .linalg import Matrix, SingularMatrix, dot, solve_vector
 from .params import CodeParams
 
 __all__ = [
@@ -112,10 +112,6 @@ class FailurePattern:
             raise UnsupportedPattern(
                 f"mixed failure set {sorted(failed)} of size {len(failed)} is not repairable")
         return FailurePattern(failed, kind, k)
-
-    @property
-    def r(self) -> int:
-        return len(self.failed)
 
     @property
     def mixed_pair(self) -> tuple[int, int]:
@@ -222,12 +218,7 @@ def plan_repair(pattern: FailurePattern, params: CodeParams) -> RepairPlan:
 def phase1_symbol(helper: NodeContent, newcomer_id: int,
                   params: CodeParams) -> FieldElement:
     """One phase-1 symbol: probe of the newcomer dotted with the helper vector."""
-    probe = probe_vector(params, newcomer_id)
-    spec = params.field
-    acc = 0
-    for pv, hv in zip(probe, helper.vector):
-        acc ^= spec.mul_int(pv.value, hv.value)
-    return FieldElement(acc, spec)
+    return dot(probe_vector(params, newcomer_id), helper.vector)
 
 
 def phase1_messages(plan: RepairPlan, helpers: Mapping[int, NodeContent],
@@ -266,17 +257,20 @@ def _tally(plan: RepairPlan, phase1: Sequence[Phase1Message],
 
 @dataclass(frozen=True)
 class _GroupSide:
-    """One orientation of the group-repair symmetry.
+    """One orientation of the code's primal/dual symmetry.
 
     Parity-node repair runs on (U, P, V_hat, delta, epsilon) with raw
     inner products coming from the systematic side; systematic-node repair
     is the mirror image on (V, Q, U_hat, delta', epsilon') with raw inner
-    products coming from the parity side.
+    products coming from the parity side.  Mixed-pair repair also needs the
+    other side's basis (dual) and the inverse of the mixing matrix (unmix).
     """
 
     probes: Matrix
     mix: Matrix
     hat: Matrix
+    dual: Matrix
+    unmix: Matrix
     delta: FieldElement
     epsilon: FieldElement
     raw_node: Callable[[int], int]    # 1-based basis index -> node id
@@ -286,7 +280,7 @@ class _GroupSide:
 
 def _parity_side(params: CodeParams) -> _GroupSide:
     k = params.k
-    return _GroupSide(params.u, params.p, params.v_hat,
+    return _GroupSide(params.u, params.p, params.v_hat, params.v, params.q,
                       params.delta, params.epsilon,
                       raw_node=lambda l: l,
                       coded_node=lambda j: k + j,
@@ -295,7 +289,7 @@ def _parity_side(params: CodeParams) -> _GroupSide:
 
 def _systematic_side(params: CodeParams) -> _GroupSide:
     k = params.k
-    return _GroupSide(params.v, params.q, params.u_hat,
+    return _GroupSide(params.v, params.q, params.u_hat, params.u, params.p,
                       params.delta_prime, params.epsilon_prime,
                       raw_node=lambda l: k + l,
                       coded_node=lambda j: j,
@@ -382,18 +376,32 @@ def repair_systematic_group(plan: RepairPlan, phase1: Sequence[Phase1Message],
 # -- mixed systematic + parity pair ------------------------------------------------
 
 
-def _leading_coeff(params: CodeParams, a: int, b: int) -> FieldElement:
-    """epsilon - (epsilon + delta) * p_ab * q_ba."""
-    p_ab = params.p.at(a - 1, b - 1)
-    q_ba = params.q.at(b - 1, a - 1)
-    return params.epsilon - (params.epsilon + params.delta) * p_ab * q_ba
+def _leading_coeff(side: _GroupSide, s: int, t: int) -> FieldElement:
+    """epsilon - (epsilon + delta) * mix_st * unmix_ts."""
+    return (side.epsilon - (side.epsilon + side.delta)
+            * side.mix.at(s - 1, t - 1) * side.unmix.at(t - 1, s - 1))
 
 
-def _leading_coeff_dual(params: CodeParams, a: int, b: int) -> FieldElement:
-    p_ab = params.p.at(a - 1, b - 1)
-    q_ba = params.q.at(b - 1, a - 1)
-    return (params.epsilon_prime
-            - (params.epsilon_prime + params.delta_prime) * q_ba * p_ab)
+def _mixed_matrix(params: CodeParams, side: _GroupSide, s: int, t: int) -> Matrix:
+    """The k x k system newcomer raw_node(s) solves when coded_node(t) also failed.
+
+    Row 1 is c0 probe_t^t + delta mix_st dual_s^t, the remaining rows are
+    delta probe_j^t + epsilon mix_sj dual_s^t for j != t.
+    """
+    k = params.k
+    c0 = _leading_coeff(side, s, t)
+    probe_t = side.probes.col(t - 1)
+    dual_s = side.dual.col(s - 1)
+    m_st = side.mix.at(s - 1, t - 1)
+    rows = [[c0 * probe_t[x] + side.delta * m_st * dual_s[x] for x in range(k)]]
+    for j in range(1, k + 1):
+        if j == t:
+            continue
+        probe_j = side.probes.col(j - 1)
+        m_sj = side.mix.at(s - 1, j - 1)
+        rows.append([side.delta * probe_j[x] + side.epsilon * m_sj * dual_s[x]
+                     for x in range(k)])
+    return Matrix.from_rows(rows)
 
 
 def mixed_repair_matrix(params: CodeParams, a: int, b: int) -> Matrix:
@@ -402,38 +410,7 @@ def mixed_repair_matrix(params: CodeParams, a: int, b: int) -> Matrix:
     Row 1 is (epsilon - (epsilon+delta) p_ab q_ba) u_b^t + delta p_ab v_a^t,
     the remaining rows are delta u_j^t + epsilon p_aj v_a^t for j != b.
     """
-    k = params.k
-    c0 = _leading_coeff(params, a, b)
-    p_ab = params.p.at(a - 1, b - 1)
-    u_b = params.u.col(b - 1)
-    v_a = params.v.col(a - 1)
-    rows = [[c0 * u_b[t] + params.delta * p_ab * v_a[t] for t in range(k)]]
-    for j in range(1, k + 1):
-        if j == b:
-            continue
-        u_j = params.u.col(j - 1)
-        p_aj = params.p.at(a - 1, j - 1)
-        rows.append([params.delta * u_j[t] + params.epsilon * p_aj * v_a[t]
-                     for t in range(k)])
-    return Matrix.from_rows(rows)
-
-
-def _mixed_repair_matrix_dual(params: CodeParams, a: int, b: int) -> Matrix:
-    """The k x k system newcomer k+b solves against y_b (mirror image)."""
-    k = params.k
-    c0 = _leading_coeff_dual(params, a, b)
-    q_ba = params.q.at(b - 1, a - 1)
-    u_b = params.u.col(b - 1)
-    v_a = params.v.col(a - 1)
-    rows = [[c0 * v_a[t] + params.delta_prime * q_ba * u_b[t] for t in range(k)]]
-    for i in range(1, k + 1):
-        if i == a:
-            continue
-        v_i = params.v.col(i - 1)
-        q_bi = params.q.at(b - 1, i - 1)
-        rows.append([params.delta_prime * v_i[t]
-                     + params.epsilon_prime * q_bi * u_b[t] for t in range(k)])
-    return Matrix.from_rows(rows)
+    return _mixed_matrix(params, _parity_side(params), a, b)
 
 
 def check_mixed_matrix(params: CodeParams, a: int, b: int) -> bool:
@@ -451,7 +428,7 @@ def sherman_morrison_scalar(params: CodeParams, a: int, b: int) -> FieldElement:
     case split is handled by :func:`sherman_morrison_check`).
     """
     k = params.k
-    c0 = _leading_coeff(params, a, b)
+    c0 = _leading_coeff(_parity_side(params), a, b)
     if not c0:
         raise ValueError("leading diagonal entry is zero; scalar branch inapplicable")
     p_ab = params.p.at(a - 1, b - 1)
@@ -475,7 +452,7 @@ def sherman_morrison_check(params: CodeParams, a: int, b: int) -> bool:
     stacked over delta * u_j^t (j != b), which is tested directly; otherwise
     the Sherman-Morrison scalar decides.
     """
-    c0 = _leading_coeff(params, a, b)
+    c0 = _leading_coeff(_parity_side(params), a, b)
     if not c0:
         if not params.delta or not params.p.at(a - 1, b - 1):
             return False
@@ -501,82 +478,44 @@ def repair_mixed_pair(plan: RepairPlan, phase1: Sequence[Phase1Message],
           = delta' u_b^t z'_a + (epsilon' - (epsilon'+delta') q_ba p_ab) v_a^t y_b.
 
     Each newcomer subtracts its known phase-1 terms and solves its k x k
-    mixed-repair system.
+    mixed-repair system.  The two halves are one computation in the two
+    orientations of :class:`_GroupSide`: newcomer a solves on the parity
+    side with (s, t) = (a, b), newcomer k+b on the systematic side with
+    (s, t) = (b, a).
     """
     if plan.pattern.kind != MixedPair:
         raise ValueError(f"plan is for {plan.pattern.kind}, not {MixedPair}")
-    k, spec = params.k, params.field
+    k = params.k
     a, b = plan.pattern.mixed_pair
-    nc_a, nc_b = a, k + b
     msgs = _index_messages(plan, phase1)
+    phase2, pair = [], []
+    for side, s, t in ((_parity_side(params), a, b), (_systematic_side(params), b, a)):
+        solver, sender = side.raw_node(s), side.coded_node(t)
+        raw = [l for l in range(1, k + 1) if l != s]
+        coded = [j for j in range(1, k + 1) if j != t]
+        mix_col = {j: [side.mix.at(l - 1, j - 1) for l in raw] for j in range(1, k + 1)}
 
-    va_x = {i: msgs[(i, nc_a)] for i in range(1, k + 1) if i != a}
-    va_y = {j: msgs[(k + j, nc_a)] for j in range(1, k + 1) if j != b}
-    ub_x = {i: msgs[(i, nc_b)] for i in range(1, k + 1) if i != a}
-    ub_y = {j: msgs[(k + j, nc_b)] for j in range(1, k + 1) if j != b}
+        # The sender combines its own phase-1 symbols only.
+        sent_raw = [msgs[(side.raw_node(l), sender)] for l in raw]
+        sent_coded = [msgs[(side.coded_node(j), sender)] for j in coded]
+        lead = (side.delta + side.epsilon) * side.unmix.at(t - 1, s - 1)
+        symbol = (dot([side.unmix.at(j - 1, s - 1) for j in coded], sent_coded)
+                  + lead * dot(mix_col[t], sent_raw))
+        phase2.append(Phase2Message(sender, solver, symbol))
 
-    p, q = params.p, params.q
-    d, e = params.delta, params.epsilon
-    dp, ep = params.delta_prime, params.epsilon_prime
-    p_ab = p.at(a - 1, b - 1)
-    q_ba = q.at(b - 1, a - 1)
-
-    to_a = spec.zero
-    for j in range(1, k + 1):
-        if j != b:
-            to_a = to_a + q.at(j - 1, a - 1) * ub_y[j]
-    for i in range(1, k + 1):
-        if i != a:
-            to_a = to_a + (d + e) * q_ba * p.at(i - 1, b - 1) * ub_x[i]
-
-    to_b = spec.zero
-    for j in range(1, k + 1):
-        if j != a:
-            to_b = to_b + p.at(j - 1, b - 1) * va_x[j]
-    for i in range(1, k + 1):
-        if i != b:
-            to_b = to_b + (dp + ep) * p_ab * q.at(i - 1, a - 1) * va_y[i]
-
-    phase2 = [Phase2Message(nc_b, nc_a, to_a), Phase2Message(nc_a, nc_b, to_b)]
-
-    # Newcomer a: peel the known x_l terms off, then invert its system.
-    rhs_a = [to_a]
-    for l in range(1, k + 1):
-        if l != a:
-            rhs_a[0] = rhs_a[0] - d * p.at(l - 1, b - 1) * va_x[l]
-    for j in range(1, k + 1):
-        if j == b:
-            continue
-        val = va_y[j]
-        for l in range(1, k + 1):
-            if l != a:
-                val = val - e * p.at(l - 1, j - 1) * va_x[l]
-        rhs_a.append(val)
-    try:
-        x_a = solve_vector(mixed_repair_matrix(params, a, b), rhs_a)
-    except SingularMatrix as exc:
-        raise NonsingularityFailure(f"mixed system for (a={a}, b={b}) singular") from exc
-
-    # Newcomer k+b: the mirror image against y_b.
-    rhs_b = [to_b]
-    for l in range(1, k + 1):
-        if l != b:
-            rhs_b[0] = rhs_b[0] - dp * q.at(l - 1, a - 1) * ub_y[l]
-    for i in range(1, k + 1):
-        if i == a:
-            continue
-        val = ub_x[i]
-        for l in range(1, k + 1):
-            if l != b:
-                val = val - ep * q.at(l - 1, i - 1) * ub_y[l]
-        rhs_b.append(val)
-    try:
-        y_b = solve_vector(_mixed_repair_matrix_dual(params, a, b), rhs_b)
-    except SingularMatrix as exc:
-        raise NonsingularityFailure(f"dual mixed system for (a={a}, b={b}) singular") from exc
-
-    pair = (NodeContent(nc_a, tuple(x_a)), NodeContent(nc_b, tuple(y_b)))
-    return pair, phase2, _tally(plan, phase1, phase2, params)
+        # The solver peels the known raw-side terms off and inverts its system.
+        own_raw = [msgs[(side.raw_node(l), solver)] for l in raw]
+        own_coded = [msgs[(side.coded_node(j), solver)] for j in coded]
+        rhs = [symbol - side.delta * dot(mix_col[t], own_raw)]
+        rhs += [y - side.epsilon * dot(mix_col[j], own_raw)
+                for j, y in zip(coded, own_coded)]
+        try:
+            solved = solve_vector(_mixed_matrix(params, side, s, t), rhs)
+        except SingularMatrix as exc:
+            raise NonsingularityFailure(
+                f"mixed system of newcomer {solver} for (a={a}, b={b}) singular") from exc
+        pair.append(NodeContent(solver, tuple(solved)))
+    return tuple(pair), phase2, _tally(plan, phase1, phase2, params)
 
 
 def apply_repair(plan: RepairPlan, phase1: Sequence[Phase1Message],

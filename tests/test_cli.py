@@ -146,3 +146,26 @@ def test_simulate_empty_steps(tmp_path):
 def test_simulate_missing_scenario():
     rc = main(["simulate", "--scenario", "no-such-scenario"])
     assert rc == 1
+
+
+def test_encode_rejects_invalid_params(tmp_path, capsys):
+    doc = json.loads(_gen(tmp_path).read_text())
+    doc["delta"] = doc["epsilon"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"payload")
+    rc = main(["encode", "--params", str(bad), "--in", str(src),
+               "--out-dir", str(tmp_path / "shards")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "shards").exists()
+
+
+def test_simulate_scenario_without_k_or_params(tmp_path, capsys):
+    sc_file = tmp_path / "scenario.json"
+    sc_file.write_text(json.dumps({"data": {"random": {"bytes": 64, "seed": 2}},
+                                   "steps": [{"fail": [1]}]}))
+    rc = main(["simulate", "--scenario", str(sc_file)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")

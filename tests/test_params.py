@@ -2,9 +2,12 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mscr.galois import FieldSpec
-from mscr.linalg import CauchySpec, Matrix, cauchy, cauchy_inverse
+from mscr.linalg import (CauchySpec, Matrix, cauchy, cauchy_inverse,
+                         first_singular_minor)
 from mscr.params import (DegenerateConstants, GenerationExhausted, Violation,
                          _assemble, from_document, generate, load, save,
                          solve_dual_constants, to_document, validate)
@@ -140,9 +143,58 @@ def test_validate_reports_forced_zero_in_p(params63):
     grid[0][0] = 0
     bad = dataclasses.replace(params63, p=Matrix(params63.field, grid))
     conditions = {v.condition for v in validate(bad)}
-    assert "super_regular" in conditions
-    minors = [v.indices for v in validate(bad) if v.condition == "super_regular"]
-    assert minors == [((0,), (0,))]
+    assert "cauchy_form" in conditions
+    # The enumeration oracle still locates the singular 1x1 minor.
+    assert first_singular_minor(bad.p) == ((0,), (0,))
+
+
+# ---------------------------------------------------------------------------
+# validate() checks only that P is the Cauchy matrix of its generators; the
+# super-regularity this implies is checked here against the exhaustive
+# minor enumeration.  GF(2^4) is included because 2k distinct generators
+# nearly fill it.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def cauchy_specs(draw):
+    field = FieldSpec(draw(st.sampled_from([4, 8])))
+    k = draw(st.integers(2, 6))
+    vals = draw(st.lists(st.integers(0, field.order - 1),
+                         min_size=2 * k, max_size=2 * k, unique=True))
+    return CauchySpec(tuple(field.element(x) for x in vals[:k]),
+                      tuple(field.element(x) for x in vals[k:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cs=cauchy_specs())
+def test_cauchy_matrices_are_super_regular(cs):
+    assert first_singular_minor(cauchy(cs)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 6), degree=st.sampled_from([4, 8]), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_validate_rejects_any_changed_entry_of_p(k, degree, seed, data):
+    field = FieldSpec(degree)
+    params = generate(k, field, seed=seed)
+    i = data.draw(st.integers(0, k - 1))
+    j = data.draw(st.integers(0, k - 1))
+    grid = params.p.int_rows()
+    old = grid[i][j]
+    grid[i][j] = data.draw(st.integers(0, field.order - 1).filter(lambda x: x != old))
+    bad = dataclasses.replace(params, p=Matrix(field, grid))
+    violations = validate(bad)
+    assert violations
+    assert "cauchy_form" in {v.condition for v in violations}
+
+
+def test_validate_reports_k_outside_supported_range(gf256):
+    vals = random.Random(3).sample(range(gf256.order), 18)
+    cs = CauchySpec(tuple(gf256.element(x) for x in vals[:9]),
+                    tuple(gf256.element(x) for x in vals[9:]))
+    big = _assemble(gf256, 9, cs, Matrix.identity(gf256, 9),
+                    gf256.element(2), gf256.element(3), seed=0)
+    assert "k_range" in {v.condition for v in validate(big)}
 
 
 def test_validate_reports_degenerate_constants(params63):

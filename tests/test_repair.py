@@ -266,6 +266,48 @@ def test_mixed_pair_exchange_identity_dual(gf256):
             assert sent[(a, 3 + b)] == expect
 
 
+@pytest.mark.parametrize("k", [4, 5])
+def test_mixed_pair_exchange_identity_primal_wider_k(gf256, k):
+    # The k = 3 identity above, for every (a, b) at larger k.
+    rng = random.Random(160 + k)
+    for pseed in range(2):
+        p = generate(k, gf256, seed=170 + pseed, random_v=bool(pseed % 2))
+        for a in range(1, k + 1):
+            for b in range(1, k + 1):
+                block, parity, by_id = ground_truth(p, rng)
+                plan = plan_repair(FailurePattern.classify({a, k + b}, k), p)
+                msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
+                _, phase2, _ = repair_mixed_pair(plan, msgs, p)
+                sent = {(m.sender, m.receiver): m.symbol for m in phase2}
+                z_b = z_column(block.x, p.p, b)
+                c0 = (p.epsilon - (p.epsilon + p.delta)
+                      * p.p.at(a - 1, b - 1) * p.q.at(b - 1, a - 1))
+                expect = (p.delta * dot(p.v.col(a - 1), z_b)
+                          + c0 * dot(p.u.col(b - 1), block.x.col(a - 1)))
+                assert sent[(k + b, a)] == expect, (a, b)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_mixed_pair_exchange_identity_dual_wider_k(gf256, k):
+    # The k = 3 mirror-image identity above, for every (a, b) at larger k.
+    rng = random.Random(180 + k)
+    for pseed in range(2):
+        p = generate(k, gf256, seed=190 + pseed, random_v=bool(pseed % 2))
+        for a in range(1, k + 1):
+            for b in range(1, k + 1):
+                block, parity, by_id = ground_truth(p, rng)
+                plan = plan_repair(FailurePattern.classify({a, k + b}, k), p)
+                msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
+                _, phase2, _ = repair_mixed_pair(plan, msgs, p)
+                sent = {(m.sender, m.receiver): m.symbol for m in phase2}
+                zp_a = z_column(parity.y, p.q, a)
+                c0p = (p.epsilon_prime - (p.epsilon_prime + p.delta_prime)
+                       * p.q.at(b - 1, a - 1) * p.p.at(a - 1, b - 1))
+                expect = (p.delta_prime * dot(p.u.col(b - 1), zp_a)
+                          + c0p * dot(p.v.col(a - 1), parity.y.col(b - 1)))
+                assert sent[(a, k + b)] == expect, (a, b)
+
+
 def test_mixed_pair_all_combinations(params63, params_k4):
     rng = random.Random(64)
     for params in (params63, params_k4):
@@ -311,6 +353,29 @@ def test_mixed_matrix_rows(params63):
     expect_row0 = tuple(c0 * u_b[t] + p.delta * p.p.at(0, 1) * v_a[t]
                         for t in range(3))
     assert m.row(0) == expect_row0
+
+
+def test_mixed_matrix_rows_dual(params63, params_k4):
+    # Newcomer k+b's system against y_b: row 0 is c0' v_a + delta' q_ba u_b,
+    # then delta' v_i + epsilon' q_bi u_b for every i != a.
+    for p in (params63, params_k4):
+        k = p.k
+        for a in range(1, k + 1):
+            for b in range(1, k + 1):
+                m = repair_mod._mixed_matrix(p, repair_mod._systematic_side(p), b, a)
+                p_ab, q_ba = p.p.at(a - 1, b - 1), p.q.at(b - 1, a - 1)
+                c0p = p.epsilon_prime - (p.epsilon_prime + p.delta_prime) * q_ba * p_ab
+                u_b, v_a = p.u.col(b - 1), p.v.col(a - 1)
+                expect = [tuple(c0p * v_a[t] + p.delta_prime * q_ba * u_b[t]
+                                for t in range(k))]
+                for i in range(1, k + 1):
+                    if i == a:
+                        continue
+                    v_i, q_bi = p.v.col(i - 1), p.q.at(b - 1, i - 1)
+                    expect.append(tuple(p.delta_prime * v_i[t]
+                                        + p.epsilon_prime * q_bi * u_b[t]
+                                        for t in range(k)))
+                assert [m.row(r) for r in range(k)] == expect, (a, b)
 
 
 def test_determinant_and_rank_one_routes_agree(gf256):
