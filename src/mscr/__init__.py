@@ -12,9 +12,8 @@ from .linalg import (CauchySpec, DimensionMismatch, DuplicateGenerators,
                      is_super_regular)
 from .params import (CodeParams, DegenerateConstants, GenerationExhausted,
                      Violation, generate, solve_dual_constants, validate)
-from .codec import (DuplicateNodes, InconsistentContents, IndexOutOfRange,
-                    NodeContent, ParityBlock, SourceBlock, collect,
-                    dual_encode, encode, z_column)
+from .codec import (DuplicateNodes, IndexOutOfRange, NodeContent, ParityBlock,
+                    SourceBlock, collect, dual_encode, encode, z_column)
 from .repair import (BandwidthReport, FailurePattern, InvalidRegime,
                      MissingMessage, NonsingularityFailure, Phase1Message,
                      Phase2Message, RepairPlan, SolveFailure,

@@ -1,25 +1,27 @@
 """Command-line entry points: gen-params, encode, extract, simulate, validate-params.
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
+A bad manifest, shard or scenario exits 1 with one ``error:`` line.
+Manifest v2 adds to v1 the SHA-256 of each shard and of the params, which
+``extract`` checks before decoding (v1 has none to check).
 All runs are reproducible from the seeds recorded in the files they read.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import cluster as cluster_mod
-from . import codec, params as params_mod
+from . import params as params_mod
 from .galois import FieldSpec
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 def _parse_nodes(text: str) -> list[int]:
@@ -86,34 +88,37 @@ def cmd_gen_params(args, parser) -> int:
     return 0
 
 
-def _shard_name(node_id: int) -> str:
-    return f"node_{node_id:02d}.shard"
+def _params_sha256(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def cmd_encode(args) -> int:
     try:
         code_params = params_mod.load(args.params)
-    except ValueError as exc:
+        data = Path(args.infile).read_bytes()
+        c = cluster_mod.Cluster.ingest(data, code_params, keep_oracle=False)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    data = Path(args.infile).read_bytes()
-    c = cluster_mod.Cluster.ingest(data, code_params, keep_oracle=False)
+    doc = params_mod.to_document(code_params)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shards = {}
+    shards, digests = {}, {}
     for nid in range(1, code_params.n + 1):
-        name = _shard_name(nid)
-        (out_dir / name).write_bytes(c.node_symbols_bytes(nid))
+        name, payload = f"node_{nid:02d}.shard", c.node_symbols_bytes(nid)
+        (out_dir / name).write_bytes(payload)
         shards[str(nid)] = name
+        digests[str(nid)] = hashlib.sha256(payload).hexdigest()
     manifest = {
         "version": MANIFEST_VERSION,
         "k": code_params.k,
-        "field": {"degree": code_params.field.degree,
-                  "reduction_poly": f"0x{code_params.field.reduction_poly:x}"},
+        "field": doc["field"],
         "original_length": len(data),
         "block_count": c.nblocks,
         "symbols_per_node": c.nblocks * code_params.k,
         "shards": shards,
+        "sha256": digests,
+        "params_sha256": _params_sha256(doc),
     }
     (out_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -122,33 +127,49 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _read_shards(in_dir: Path, nodes: list[int], code_params):
+    """Read the shards of `nodes` and check them against the manifest (OSError/ValueError)."""
+    path, doc = in_dir / MANIFEST_NAME, params_mod.to_document(code_params)
+    fingerprint = _params_sha256(doc)
+    try:
+        m = json.loads(path.read_text())
+        same = (m["k"] == doc["k"] and m["field"] == doc["field"]
+                and m.get("params_sha256", fingerprint) == fingerprint)
+        files = {nid: (in_dir / m["shards"][str(nid)],
+                       m["sha256"][str(nid)] if "sha256" in m else None) for nid in nodes}
+        nblocks, length = int(m["block_count"]), int(m["original_length"])
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed manifest ({exc})") from None
+    if not same:
+        raise ValueError(f"params differ from the ones the shards in {in_dir} were encoded with")
+    size = nblocks * code_params.k * code_params.field.symbol_bytes
+    arrays = {}
+    for nid, (shard, digest) in files.items():
+        raw = shard.read_bytes()
+        if len(raw) != size:
+            raise ValueError(f"shard {shard} (node {nid}) has {len(raw)} bytes, not {size}")
+        if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
+            raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
+        arrays[nid] = cluster_mod.bytes_to_symbols(raw, code_params.field).reshape(
+            nblocks, code_params.k)
+    return arrays, length
+
+
 def cmd_extract(args, parser) -> int:
+    nodes = sorted(set(args.nodes))
     try:
         code_params = params_mod.load(args.params)
-    except ValueError as exc:
+        if len(nodes) != code_params.k:
+            parser.error(f"--nodes must name exactly k={code_params.k} distinct shards")
+        if any(not 1 <= nid <= code_params.n for nid in nodes):
+            parser.error(f"--nodes must be within 1..{code_params.n}")
+        arrays, length = _read_shards(Path(args.in_dir), nodes, code_params)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    in_dir = Path(args.in_dir)
-    manifest = json.loads((in_dir / MANIFEST_NAME).read_text())
-    nodes = args.nodes
-    if len(set(nodes)) != code_params.k:
-        parser.error(f"--nodes must name exactly k={code_params.k} distinct shards")
-    if any(not 1 <= nid <= code_params.n for nid in nodes):
-        parser.error(f"--nodes must be within 1..{code_params.n}")
-    spec = code_params.field
-    nblocks = int(manifest["block_count"])
-    arrays = {}
-    for nid in nodes:
-        raw = (in_dir / manifest["shards"][str(nid)]).read_bytes()
-        arrays[nid] = np.frombuffer(raw, dtype=spec.dtype).reshape(nblocks, code_params.k)
-    try:
-        data = cluster_mod.decode_nodes(arrays, code_params,
-                                        int(manifest["original_length"]))
-    except codec.InconsistentContents as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data = cluster_mod.decode_nodes(arrays, code_params, length)
     Path(args.out).write_bytes(data)
-    print(f"extracted {len(data)} bytes from nodes {sorted(set(nodes))}")
+    print(f"extracted {len(data)} bytes from nodes {nodes}")
     return 0
 
 
@@ -181,11 +202,10 @@ def _print_report(result: cluster_mod.ScenarioResult) -> None:
 
 def cmd_simulate(args) -> int:
     try:
-        scenario = _resolve_scenario(args.scenario)
+        result = cluster_mod.run_scenario(_resolve_scenario(args.scenario))
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = cluster_mod.run_scenario(scenario)
     if args.report:
         Path(args.report).write_text(
             json.dumps(result.to_document(), indent=2, sort_keys=True) + "\n")

@@ -63,6 +63,8 @@ class VerificationFailure(RuntimeError):
 
 def bytes_to_symbols(data: bytes, spec: FieldSpec) -> np.ndarray:
     width = spec.symbol_bytes
+    if spec.degree != 8 * width:  # some byte patterns would be no symbol
+        raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
     if len(data) % width:
         data = data + b"\x00" * (width - len(data) % width)
     return np.frombuffer(data, dtype=spec.dtype).copy()
@@ -94,8 +96,9 @@ def decode_nodes(arrays: dict[int, np.ndarray], params: CodeParams,
                  original_length: int) -> bytes:
     """Rebuild the byte stream from exactly k per-node symbol arrays.
 
-    Each array has shape (blocks, k).  The reconstruction is re-encoded and
-    compared against the inputs, mirroring the per-block residual check.
+    Each array has shape (blocks, k).  The decoder inverts a square
+    nonsingular matrix, so corrupt inputs decode without error: callers
+    check outside bytes first (the CLI compares shard digests).
     """
     k, spec = params.k, params.field
     ids = tuple(sorted(arrays))
@@ -109,21 +112,7 @@ def decode_nodes(arrays: dict[int, np.ndarray], params: CodeParams,
         decoder = codec.collection_matrix(ids, params).invert()
         inputs = [arrays[nid][:, coord] for nid in ids for coord in range(k)]
         vec = _apply_rows(spec, decoder.int_rows(), inputs)
-        xb = np.empty((nblocks, k, k), dtype=spec.dtype)
-        for r in range(k):
-            for c in range(k):
-                xb[:, r, c] = vec[r * k + c]
-        # Residual check: re-encoding must reproduce every provided vector.
-        enc = codec.encode_matrix(params).int_rows()
-        xin = [xb[:, r, c] for r in range(k) for c in range(k)]
-        yvec = _apply_rows(spec, enc, xin)
-        for nid in ids:
-            for coord in range(k):
-                got = (xb[:, coord, nid - 1] if nid <= k
-                       else yvec[coord * k + (nid - k - 1)])
-                if not np.array_equal(got, arrays[nid][:, coord]):
-                    raise codec.InconsistentContents(
-                        f"content of node {nid} is outside the code image")
+        xb = np.stack(vec, axis=1).reshape(nblocks, k, k)
 
     data = symbols_to_bytes(xb.reshape(nblocks * k * k), spec)
     return data[:original_length]
@@ -147,7 +136,7 @@ class Cluster:
     @classmethod
     def ingest(cls, data: bytes, params: CodeParams,
                keep_oracle: bool = True) -> "Cluster":
-        """Chunk, zero-pad, encode and place a byte stream on 2k nodes."""
+        """Chunk, zero-pad, encode and place a byte stream on 2k nodes (m = 8 or 16)."""
         k, spec = params.k, params.field
         symbols = bytes_to_symbols(data, spec)
         chunk = params.block_size

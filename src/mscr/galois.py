@@ -154,9 +154,8 @@ class FieldSpec:
         key = (degree, reduction_poly)
         if key not in _TABLE_CACHE:
             exp, log, gen = _build_tables(degree, reduction_poly)
-            dtype = np.uint8 if degree <= 8 else np.uint16
             _TABLE_CACHE[key] = (exp, log, gen,
-                                 np.array(exp, dtype=dtype),
+                                 np.array(exp, dtype=self.dtype),
                                  np.array(log, dtype=np.int32))
         self._exp, self._log, self.generator, self._exp_np, self._log_np = _TABLE_CACHE[key]
 
@@ -191,7 +190,7 @@ class FieldSpec:
 
     @property
     def symbol_bytes(self) -> int:
-        return 1 if self.degree <= 8 else 2
+        return np.dtype(self.dtype).itemsize
 
     # -- integer-symbol arithmetic (fast path) -------------------------------
 

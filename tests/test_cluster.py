@@ -162,6 +162,15 @@ def test_wide_symbol_field_end_to_end():
     assert c.extract({1, 2, 3}) == data
 
 
+@pytest.mark.parametrize("degree", [4, 12])
+def test_ingest_rejects_fields_that_do_not_fill_whole_bytes(degree):
+    from mscr.galois import FieldSpec
+    from mscr.params import generate
+    params = generate(3, FieldSpec(degree), seed=7)
+    with pytest.raises(ValueError, match="degree 8 or 16"):
+        Cluster.ingest(bytes(range(32)), params)
+
+
 def test_scenario_runs_and_is_deterministic(params63):
     doc = {
         "k": 3,
