@@ -142,7 +142,10 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
         raise ValueError(f"{path}: malformed manifest ({exc})") from None
     if not same:
         raise ValueError(f"params differ from the ones the shards in {in_dir} were encoded with")
-    size = nblocks * code_params.k * code_params.field.symbol_bytes
+    width = code_params.field.symbol_bytes
+    if length < 0 or nblocks != -(-length // (code_params.block_size * width)):
+        raise ValueError(f"{path}: original_length {length} does not fit block_count {nblocks}")
+    size = nblocks * code_params.k * width
     arrays = {}
     for nid, (shard, digest) in files.items():
         raw = shard.read_bytes()
@@ -150,8 +153,7 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
             raise ValueError(f"shard {shard} (node {nid}) has {len(raw)} bytes, not {size}")
         if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
             raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
-        arrays[nid] = cluster_mod.bytes_to_symbols(raw, code_params.field).reshape(
-            nblocks, code_params.k)
+        arrays[nid] = cluster_mod.node_symbols_from_bytes(raw, code_params)
     return arrays, length
 
 
@@ -203,7 +205,7 @@ def _print_report(result: cluster_mod.ScenarioResult) -> None:
 def cmd_simulate(args) -> int:
     try:
         result = cluster_mod.run_scenario(_resolve_scenario(args.scenario))
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.report:
@@ -216,7 +218,7 @@ def cmd_simulate(args) -> int:
 def cmd_validate_params(args) -> int:
     try:
         code_params = params_mod.load(args.params, check=False)
-    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: cannot load params: {exc}", file=sys.stderr)
         return 1
     violations = params_mod.validate(code_params)

@@ -1,13 +1,20 @@
 """Deterministic in-memory storage cluster simulator.
 
 A byte stream is zero-padded to whole chunks of k^2 symbols, each chunk is
-encoded independently, and node j's share of every chunk is kept as one
-numpy array of shape (blocks, k).  Multi-block operations reuse one plan
-or decoder across all blocks: the per-block protocol is linear in the
-symbols on the wire, so the simulator probes the scalar implementation
-with unit inputs once and then applies the resulting matrix to every block
-at once.  Results are bit-identical to running the per-block functions in
-a loop, which the test suite checks.
+encoded independently, and node j's share of every chunk is kept
+coordinate-major: one numpy array of shape (k, blocks) whose row l holds
+coordinate l of every block.  Shard bytes stay block-major (the k symbols
+of block 0, then block 1, ...); `node_symbols_bytes` and
+`node_symbols_from_bytes` convert between the two.
+
+Every operation is a fixed linear map applied to every block, and
+`apply_matrix` is the one kernel that applies it: ingest applies the
+encode matrix, extract the inverted collection matrix, and repair the
+phase-1 probes and then the map obtained by probing the scalar protocol
+with unit inputs.  Each stored node array is the output of its own rows of
+the map (or a copy), never a view that would pin a larger array.  Results
+are bit-identical to running the per-block functions in a loop, which the
+test suite checks.
 
 The oracle (a copy of the original node contents) exists for verification
 only; repair logic never sees it, and a production-mode cluster drops it.
@@ -71,51 +78,42 @@ def bytes_to_symbols(data: bytes, spec: FieldSpec) -> np.ndarray:
 
 
 def symbols_to_bytes(arr: np.ndarray, spec: FieldSpec) -> bytes:
-    return arr.astype(spec.dtype).tobytes()
+    return arr.astype(spec.dtype, copy=False).tobytes()
 
 
-def _apply_rows(spec: FieldSpec, rows: list[list[int]],
-                inputs: list[np.ndarray]) -> list[np.ndarray]:
-    """Apply a fixed matrix of field constants to per-block symbol arrays.
+def node_symbols_from_bytes(raw: bytes, params: CodeParams) -> np.ndarray:
+    """Inverse of `Cluster.node_symbols_bytes`: block-major bytes to (k, blocks)."""
+    return np.ascontiguousarray(bytes_to_symbols(raw, params.field).reshape(-1, params.k).T)
 
-    inputs[j] holds one symbol per block; output i is
-    xor_j rows[i][j] * inputs[j], vectorized over blocks.
+
+def apply_matrix(spec: FieldSpec, rows: list[list[int]], x: np.ndarray) -> np.ndarray:
+    """Apply a matrix of field constants to every column of a (cols, blocks) array.
+
+    Row i of the (len(rows), blocks) result is xor_j rows[i][j] * x[j].
     """
-    nblocks = inputs[0].shape[0] if inputs else 0
-    out = []
-    for row in rows:
-        acc = np.zeros(nblocks, dtype=spec.dtype)
-        for c, arr in zip(row, inputs):
+    out = np.zeros((len(rows), x.shape[1]), dtype=spec.dtype)
+    for acc, row in zip(out, rows):
+        for c, xj in zip(row, x):
             if c:
-                acc ^= spec.scale_array(c, arr)
-        out.append(acc)
+                acc ^= spec.scale_array(c, xj)
     return out
 
 
 def decode_nodes(arrays: dict[int, np.ndarray], params: CodeParams,
                  original_length: int) -> bytes:
-    """Rebuild the byte stream from exactly k per-node symbol arrays.
+    """Rebuild the byte stream from exactly k (k, blocks) node arrays.
 
-    Each array has shape (blocks, k).  The decoder inverts a square
-    nonsingular matrix, so corrupt inputs decode without error: callers
-    check outside bytes first (the CLI compares shard digests).
+    The decoder inverts a square nonsingular matrix, so corrupt inputs
+    decode without error: callers check outside bytes first (the CLI
+    compares shard digests).
     """
-    k, spec = params.k, params.field
     ids = tuple(sorted(arrays))
-    if len(ids) != k:
-        raise NotEnoughLiveNodes(f"need exactly k={k} nodes, got {len(ids)}")
-    nblocks = arrays[ids[0]].shape[0]
-
-    if ids == tuple(range(1, k + 1)):
-        xb = np.stack([arrays[c + 1] for c in range(k)], axis=2)  # (blocks, k, k)
-    else:
-        decoder = codec.collection_matrix(ids, params).invert()
-        inputs = [arrays[nid][:, coord] for nid in ids for coord in range(k)]
-        vec = _apply_rows(spec, decoder.int_rows(), inputs)
-        xb = np.stack(vec, axis=1).reshape(nblocks, k, k)
-
-    data = symbols_to_bytes(xb.reshape(nblocks * k * k), spec)
-    return data[:original_length]
+    if len(ids) != params.k:
+        raise NotEnoughLiveNodes(f"need exactly k={params.k} nodes, got {len(ids)}")
+    decoder = codec.collection_matrix(ids, params).invert()
+    x = apply_matrix(params.field, decoder.int_rows(),
+                     np.concatenate([arrays[nid] for nid in ids]))
+    return symbols_to_bytes(x.T, params.field)[:original_length]
 
 
 class Cluster:
@@ -138,20 +136,16 @@ class Cluster:
                keep_oracle: bool = True) -> "Cluster":
         """Chunk, zero-pad, encode and place a byte stream on 2k nodes (m = 8 or 16)."""
         k, spec = params.k, params.field
-        symbols = bytes_to_symbols(data, spec)
-        chunk = params.block_size
-        if symbols.size % chunk:
-            pad = chunk - symbols.size % chunk
-            symbols = np.concatenate([symbols, np.zeros(pad, dtype=spec.dtype)])
-        nblocks = symbols.size // chunk
-        xb = symbols.reshape(nblocks, k, k)
-
-        node_data: list[np.ndarray | None] = [xb[:, :, j].copy() for j in range(k)]
+        x = bytes_to_symbols(data, spec)
+        if x.size % params.block_size:
+            pad = params.block_size - x.size % params.block_size
+            x = np.concatenate([x, np.zeros(pad, dtype=spec.dtype)])
+        nblocks = x.size // params.block_size
+        x = np.ascontiguousarray(x.reshape(nblocks, k * k).T)  # vec(X) per block
         enc = codec.encode_matrix(params).int_rows()
-        xin = [xb[:, r, c] for r in range(k) for c in range(k)]
-        yvec = _apply_rows(spec, enc, xin)
-        for c in range(k):
-            node_data.append(np.stack([yvec[r * k + c] for r in range(k)], axis=1))
+        # Node j holds column j of X (or Y): rows j, j+k, ... of vec(X) (or vec(Y)).
+        node_data: list[np.ndarray | None] = [x[j::k].copy() for j in range(k)]
+        node_data += [apply_matrix(spec, enc[j::k], x) for j in range(k)]
 
         oracle = [d.copy() for d in node_data] if keep_oracle else None
         return cls(params, node_data, nblocks, len(data), oracle)
@@ -167,7 +161,7 @@ class Cluster:
         data = self.node_data[node_id - 1]
         if data is None:
             raise NotEnoughLiveNodes(f"node {node_id} is failed")
-        return symbols_to_bytes(data.reshape(-1), self.params.field)
+        return symbols_to_bytes(data.T, self.params.field)
 
     def block_content(self, node_id: int, block: int) -> codec.NodeContent:
         """Scalar view of one node's share of one block."""
@@ -176,7 +170,7 @@ class Cluster:
             raise NotEnoughLiveNodes(f"node {node_id} is failed")
         spec = self.params.field
         return codec.NodeContent(
-            node_id, tuple(spec.element(int(v)) for v in data[block]))
+            node_id, tuple(spec.element(int(v)) for v in data[:, block]))
 
     # -- operations --------------------------------------------------------------
 
@@ -213,28 +207,23 @@ class Cluster:
     def run_repair(self, pattern: repair.FailurePattern):
         """Run the two-phase protocol across all blocks; verify against the oracle.
 
-        Returns (self, per-block BandwidthReport).  Phase-1 symbols are
-        computed per edge for all blocks at once; reconstruction applies the
-        plan's linear map (derived from the scalar protocol) to all blocks.
+        Returns (self, per-block BandwidthReport).  Each phase-1 edge is its
+        newcomer's probe applied to the helper's array; each newcomer's
+        content is its k rows of the plan's linear map (derived from the
+        scalar protocol) applied to the phase-1 symbols of all blocks.
         """
         if pattern.failed != frozenset(self.failed):
             raise ValueError(
                 f"pattern {sorted(pattern.failed)} does not match failed set {sorted(self.failed)}")
-        spec = self.params.field
+        k, spec = self.params.k, self.params.field
         plan = repair.plan_repair(pattern, self.params)
-
-        k = self.params.k
-        phase1_arrays = []
-        for helper, newcomer, _ in plan.phase1_edges:
+        phase1 = np.empty((len(plan.phase1_edges), self.nblocks), dtype=spec.dtype)
+        for out, (helper, newcomer, _) in zip(phase1, plan.phase1_edges):
             probe = [e.value for e in repair.probe_vector(self.params, newcomer)]
-            data = self.node_data[helper - 1]
-            phase1_arrays += _apply_rows(spec, [probe], [data[:, l] for l in range(k)])
-
+            out[:] = apply_matrix(spec, [probe], self.node_data[helper - 1])[0]
         rows, report = _linear_repair_map(plan, self.params)
-        outs = _apply_rows(spec, rows, phase1_arrays)
         for idx, nc in enumerate(plan.newcomers):
-            self.node_data[nc - 1] = np.stack(
-                [outs[idx * k + t] for t in range(k)], axis=1)
+            self.node_data[nc - 1] = apply_matrix(spec, rows[idx * k:(idx + 1) * k], phase1)
             self.failed.discard(nc)
 
         if self.oracle is not None:
@@ -263,9 +252,7 @@ def _linear_repair_map(plan: repair.RepairPlan, params: CodeParams):
         contents, _, rep = repair.apply_repair(plan, msgs, params)
         cols.append([sym.value for c in contents for sym in c.vector])
         report = rep
-    rows = [[cols[j][i] for j in range(len(edges))]
-            for i in range(len(plan.newcomers) * params.k)]
-    return rows, report
+    return [list(row) for row in zip(*cols)], report
 
 
 # -- scenarios ---------------------------------------------------------------------

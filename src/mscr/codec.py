@@ -95,22 +95,13 @@ def dual_encode(block: ParityBlock, params: CodeParams) -> SourceBlock:
 
 
 def z_column(x: Matrix, mix: Matrix, j: int) -> tuple[FieldElement, ...]:
-    """Column j (1-based) of x @ mix, built as the combination sum_l mix[l][j] x_l.
+    """Column j (1-based) of x @ mix: the combination sum_l mix[l][j] x_l.
 
     Used for both mixing directions: (X, P) gives z_j, (Y, Q) gives z'_j.
     """
     if not 1 <= j <= mix.cols:
         raise IndexOutOfRange(f"column {j} outside 1..{mix.cols}")
-    if x.cols != mix.rows or x.spec != mix.spec:
-        raise DimensionMismatch(f"z_column of {x.shape} against {mix.shape}")
-    spec = x.spec
-    acc = [0] * x.rows
-    for l in range(mix.rows):
-        c = mix.int_at(l, j - 1)
-        if c:
-            for r in range(x.rows):
-                acc[r] ^= spec.mul_int(c, x.int_at(r, l))
-    return tuple(FieldElement(v, spec) for v in acc)
+    return (x @ mix).col(j - 1)
 
 
 def node_contents(block: SourceBlock, parity: ParityBlock,

@@ -187,7 +187,8 @@ class Matrix:
     def det(self) -> FieldElement:
         if self.rows != self.cols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        return FieldElement(_det_int(self.spec, self.int_rows()), self.spec)
+        det = _gauss_jordan(self.spec, self.int_rows(), [[] for _ in range(self.rows)])
+        return FieldElement(det, self.spec)
 
     # -- misc -----------------------------------------------------------------
 
@@ -213,44 +214,12 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, [{body}])"
 
 
-def _gauss_jordan(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> bool:
+def _gauss_jordan(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> int:
     """Reduce a to the identity, applying the same row ops to b, in place.
 
-    Returns False as soon as a column has no nonzero pivot.
+    Returns det(a): the product of the pivots (row swaps only flip a sign,
+    and -1 = 1 here), or 0 as soon as a column has no nonzero pivot.
     """
-    exp, log = spec._exp, spec._log
-    qm1 = spec.order - 1
-    n = len(a)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return False
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        pv = a[col][col]
-        if pv != 1:
-            linv = qm1 - log[pv]
-            a[col] = [exp[log[v] + linv] if v else 0 for v in a[col]]
-            b[col] = [exp[log[v] + linv] if v else 0 for v in b[col]]
-        arow, brow = a[col], b[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f:
-                lf = log[f]
-                a[r] = [v ^ exp[lf + log[w]] if w else v for v, w in zip(a[r], arow)]
-                b[r] = [v ^ exp[lf + log[w]] if w else v for v, w in zip(b[r], brow)]
-    return True
-
-
-def _det_int(spec: FieldSpec, a: list[list[int]]) -> int:
-    """Determinant by forward elimination; mutates its argument."""
     exp, log = spec._exp, spec._log
     qm1 = spec.order - 1
     n = len(a)
@@ -264,17 +233,23 @@ def _det_int(spec: FieldSpec, a: list[list[int]]) -> int:
         if piv is None:
             return 0
         if piv != col:
-            # Row swaps change the determinant's sign only, and -1 = 1 here.
             a[col], a[piv] = a[piv], a[col]
+            b[col], b[piv] = b[piv], b[col]
         pv = a[col][col]
         det_log = (det_log + log[pv]) % qm1
-        lpinv = qm1 - log[pv]
-        arow = a[col]
-        for r in range(col + 1, n):
+        if pv != 1:
+            linv = qm1 - log[pv]
+            a[col] = [exp[log[v] + linv] if v else 0 for v in a[col]]
+            b[col] = [exp[log[v] + linv] if v else 0 for v in b[col]]
+        arow, brow = a[col], b[col]
+        for r in range(n):
+            if r == col:
+                continue
             f = a[r][col]
             if f:
-                lf = (log[f] + lpinv) % qm1
+                lf = log[f]
                 a[r] = [v ^ exp[lf + log[w]] if w else v for v, w in zip(a[r], arow)]
+                b[r] = [v ^ exp[lf + log[w]] if w else v for v, w in zip(b[r], brow)]
     return exp[det_log]
 
 
@@ -375,7 +350,7 @@ def first_singular_minor(m: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]] |
             picked = [grid[r] for r in rsel]
             for csel in combinations(range(n), s):
                 sub = [[row[c] for c in csel] for row in picked]
-                if _det_int(spec, sub) == 0:
+                if _gauss_jordan(spec, sub, [[] for _ in range(s)]) == 0:
                     return rsel, csel
     return None
 

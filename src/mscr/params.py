@@ -262,25 +262,29 @@ def to_document(params: CodeParams) -> dict:
 def from_document(doc: dict, check: bool = True) -> CodeParams:
     """Rebuild params from the file form, rederiving all dependent matrices.
 
-    With check=True (the default) the result is cross-checked by
-    :func:`validate` and a ValueError carries any violations.
+    Any document that does not describe a parameter set (a missing key, a
+    wrong JSON type, a singular V, ...) raises ValueError.  With check=True
+    (the default) the result is also cross-checked by :func:`validate` and
+    a ValueError carries any violations.
     """
-    if doc.get("version") != PARAMS_VERSION:
-        raise ValueError(f"unsupported params version {doc.get('version')!r}")
-    field = FieldSpec(int(doc["field"]["degree"]),
-                      int(doc["field"]["reduction_poly"], 16))
-    k = int(doc["k"])
-    cs = CauchySpec(tuple(field.element(int(x, 16)) for x in doc["cauchy"]["a"]),
-                    tuple(field.element(int(x, 16)) for x in doc["cauchy"]["b"]))
-    v = Matrix(field, [[int(x, 16) for x in row] for row in doc["V"]])
-    params = _assemble(
-        field, k, cs, v,
-        field.element(int(doc["delta"], 16)),
-        field.element(int(doc["epsilon"], 16)),
-        int(doc["seed"]),
-        delta_prime=field.element(int(doc["delta_prime"], 16)),
-        epsilon_prime=field.element(int(doc["epsilon_prime"], 16)),
-    )
+    try:
+        if doc.get("version") != PARAMS_VERSION:
+            raise ValueError(f"unsupported params version {doc.get('version')!r}")
+        field = FieldSpec(int(doc["field"]["degree"]),
+                          int(doc["field"]["reduction_poly"], 16))
+        cs = CauchySpec(tuple(field.element(int(x, 16)) for x in doc["cauchy"]["a"]),
+                        tuple(field.element(int(x, 16)) for x in doc["cauchy"]["b"]))
+        v = Matrix(field, [[int(x, 16) for x in row] for row in doc["V"]])
+        params = _assemble(
+            field, int(doc["k"]), cs, v,
+            field.element(int(doc["delta"], 16)),
+            field.element(int(doc["epsilon"], 16)),
+            int(doc["seed"]),
+            delta_prime=field.element(int(doc["delta_prime"], 16)),
+            epsilon_prime=field.element(int(doc["epsilon_prime"], 16)),
+        )
+    except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"malformed params document: {type(exc).__name__}: {exc}") from None
     if check:
         violations = validate(params)
         if violations:

@@ -319,10 +319,7 @@ def _repair_group(plan: RepairPlan, phase1: Sequence[Phase1Message],
         return [msgs[(side.raw_node(l), nc)] for l in range(1, k + 1)]
 
     def mix_combo(col: int, s: Sequence[FieldElement]) -> FieldElement:
-        acc = 0
-        for l in range(k):
-            acc ^= spec.mul_int(side.mix.int_at(l, col), s[l].value)
-        return FieldElement(acc, spec)
+        return dot(side.mix.col(col), s)
 
     phase2 = []
     for sender, receiver in plan.phase2_edges:

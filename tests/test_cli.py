@@ -173,6 +173,35 @@ def test_simulate_scenario_without_k_or_params(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+MALFORMED_PARAMS = {
+    "missing key": lambda doc: {key: v for key, v in doc.items() if key != "delta"},
+    "JSON list": lambda doc: [doc],
+    "int for a hex string": lambda doc: {**doc, "epsilon": 5},
+    "singular V": lambda doc: {**doc, "V": [["0x0"] * len(row) for row in doc["V"]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))
+def test_malformed_params_exit_1(tmp_path, capsys, case):
+    doc = MALFORMED_PARAMS[case](json.loads(_gen(tmp_path).read_text()))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    src = tmp_path / "input.bin"
+    src.write_bytes(b"payload")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"params": "bad.json",
+                                    "data": {"random": {"bytes": 64, "seed": 2}}}))
+    capsys.readouterr()
+    for argv in (["encode", "--params", str(bad), "--in", str(src),
+                  "--out-dir", str(tmp_path / "shards")],
+                 ["extract", "--params", str(bad), "--in-dir", str(tmp_path / "shards"),
+                  "--nodes", "1,2,3", "--out", str(tmp_path / "o.bin")],
+                 ["simulate", "--scenario", str(scenario)],
+                 ["validate-params", "--params", str(bad)]):
+        assert main(argv) == 1, argv
+        _one_error_line(capsys)
+
+
 # -- shard integrity and input errors at the extract edge ---------------------------
 
 
@@ -283,6 +312,9 @@ BAD_INPUTS = {
     "v1 manifest field differs": _edit_manifest(field={"degree": 16,
                                                        "reduction_poly": "0x1100b"}),
     "v1 block count differs": _edit_manifest(block_count=3),
+    "original length too short": _edit_manifest(original_length=5),
+    "original length negative": _edit_manifest(original_length=-3),
+    "original length too long": _edit_manifest(original_length=10**6),
 }
 
 

@@ -8,6 +8,8 @@ from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
                           run_scenario)
 from mscr.codec import encode, node_contents
+from mscr.galois import FieldSpec
+from mscr.params import generate
 from mscr.repair import (FailurePattern, apply_repair, phase1_messages,
                          plan_repair)
 
@@ -16,16 +18,22 @@ def _data(n, seed=1):
     return random.Random(seed).randbytes(n)
 
 
+@pytest.fixture(scope="module")
+def params_k4_gf16():
+    return generate(4, FieldSpec(16), seed=11)
+
+
 def test_ingest_empty_stream(params63):
     c = Cluster.ingest(b"", params63)
     assert c.nblocks == 0
     assert c.extract({1, 2, 3}) == b""
+    assert c.extract({4, 5, 6}) == b""
 
 
 def test_ingest_single_block(params63):
     c = Cluster.ingest(_data(9), params63)
     assert c.nblocks == 1
-    assert all(c.node_data[i].shape == (1, 3) for i in range(6))
+    assert all(c.node_data[i].shape == (3, 1) for i in range(6))
 
 
 def test_ingest_pads_to_whole_blocks(params63):
@@ -35,10 +43,13 @@ def test_ingest_pads_to_whole_blocks(params63):
     assert c.extract({1, 2, 3}) == data
 
 
-def test_extract_any_subset(params63):
-    data = _data(500, seed=2)
-    c = Cluster.ingest(data, params63)
-    for subset in combinations(range(1, 7), 3):
+@pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
+def test_extract_any_subset(params63, params_k4_gf16, wide):
+    # Neither length fills whole blocks (9 bytes at k=3 GF(2^8), 32 at k=4 GF(2^16)).
+    params = params_k4_gf16 if wide else params63
+    data = _data(1001 if wide else 500, seed=2)
+    c = Cluster.ingest(data, params)
+    for subset in combinations(range(1, params.n + 1), params.k):
         assert c.extract(subset) == data
 
 
@@ -109,21 +120,27 @@ def test_repair_pattern_must_match(params63):
         c.run_repair(FailurePattern.classify({2}, 3))
 
 
-def test_bulk_repair_matches_scalar_protocol(params63):
+@pytest.mark.parametrize("wide, failed", [
+    (False, {1, 3}), (False, {4, 5}), (False, {2, 5}),
+    (True, {1, 2, 4}), (True, {6, 8}), (True, {3, 7}),
+], ids=["k3-gf8-systematic", "k3-gf8-parity", "k3-gf8-mixed",
+        "k4-gf16-systematic", "k4-gf16-parity", "k4-gf16-mixed"])
+def test_bulk_repair_matches_scalar_protocol(params63, params_k4_gf16, wide, failed):
     # The vectorized multi-block path must be symbol-identical to running
     # the per-block protocol in a loop.
-    data = _data(7 * 9, seed=6)
-    c = Cluster.ingest(data, params63)
-    before = [[c.block_content(nid, bk) for nid in range(1, 7)]
+    params = params_k4_gf16 if wide else params63
+    c = Cluster.ingest(_data(7 * params.block_size * params.field.symbol_bytes, seed=6),
+                       params)
+    before = [[c.block_content(nid, bk) for nid in range(1, params.n + 1)]
               for bk in range(c.nblocks)]
-    c.fail({2, 5})
-    pattern = FailurePattern.classify({2, 5}, 3)
+    c.fail(failed)
+    pattern = FailurePattern.classify(failed, params.k)
     c.run_repair(pattern)
-    plan = plan_repair(pattern, params63)
+    plan = plan_repair(pattern, params)
     for bk, contents in enumerate(before):
         by_id = {ct.node_id: ct for ct in contents}
-        msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params63)
-        scalar_out, _, _ = apply_repair(plan, msgs, params63)
+        msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params)
+        scalar_out, _, _ = apply_repair(plan, msgs, params)
         for ct in scalar_out:
             assert c.block_content(ct.node_id, bk).vector == ct.vector
 
@@ -144,14 +161,14 @@ def test_production_mode_drops_oracle(params63):
     assert c.oracle is None
     c.fail({1, 6})
     c.run_repair(FailurePattern.classify({1, 6}, 3))
+    # Stored nodes own their memory: a view would pin a whole ingest or repair output.
+    assert all(d.base is None for d in c.node_data)
     assert c.extract({1, 2, 3}) == data
     assert c.extract({4, 5, 6}) == data
 
 
 def test_wide_symbol_field_end_to_end():
     # GF(2^16): two bytes per symbol, odd-length input exercises byte padding.
-    from mscr.galois import FieldSpec
-    from mscr.params import generate
     params = generate(3, FieldSpec(16), seed=7)
     data = _data(1001, seed=12)
     c = Cluster.ingest(data, params)
@@ -164,8 +181,6 @@ def test_wide_symbol_field_end_to_end():
 
 @pytest.mark.parametrize("degree", [4, 12])
 def test_ingest_rejects_fields_that_do_not_fill_whole_bytes(degree):
-    from mscr.galois import FieldSpec
-    from mscr.params import generate
     params = generate(3, FieldSpec(degree), seed=7)
     with pytest.raises(ValueError, match="degree 8 or 16"):
         Cluster.ingest(bytes(range(32)), params)
