@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
 A bad manifest, shard or scenario exits 1 with one ``error:`` line.
 Manifest v2 adds to v1 the SHA-256 of each shard and of the params, which
-``extract`` checks before decoding (v1 has none to check).
+``extract`` checks before decoding, and of the input, which it checks before
+writing (v1 has none to check).
 All runs are reproducible from the seeds recorded in the files they read.
 """
 
@@ -119,6 +120,7 @@ def cmd_encode(args) -> int:
         "shards": shards,
         "sha256": digests,
         "params_sha256": _params_sha256(doc),
+        "data_sha256": hashlib.sha256(data).hexdigest(),
     }
     (out_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -128,7 +130,11 @@ def cmd_encode(args) -> int:
 
 
 def _read_shards(in_dir: Path, nodes: list[int], code_params):
-    """Read the shards of `nodes` and check them against the manifest (OSError/ValueError)."""
+    """Read the shards of `nodes` and check them against the manifest (OSError/ValueError).
+
+    Returns the node arrays, the original length and the manifest's
+    data_sha256 (None when the manifest has none).
+    """
     path, doc = in_dir / MANIFEST_NAME, params_mod.to_document(code_params)
     fingerprint = _params_sha256(doc)
     try:
@@ -138,6 +144,7 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
         files = {nid: (in_dir / m["shards"][str(nid)],
                        m["sha256"][str(nid)] if "sha256" in m else None) for nid in nodes}
         nblocks, length = int(m["block_count"]), int(m["original_length"])
+        data_digest = m.get("data_sha256")
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest ({exc})") from None
     if not same:
@@ -154,7 +161,7 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
         if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
             raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
         arrays[nid] = cluster_mod.node_symbols_from_bytes(raw, code_params)
-    return arrays, length
+    return arrays, length, data_digest
 
 
 def cmd_extract(args, parser) -> int:
@@ -165,11 +172,14 @@ def cmd_extract(args, parser) -> int:
             parser.error(f"--nodes must name exactly k={code_params.k} distinct shards")
         if any(not 1 <= nid <= code_params.n for nid in nodes):
             parser.error(f"--nodes must be within 1..{code_params.n}")
-        arrays, length = _read_shards(Path(args.in_dir), nodes, code_params)
+        arrays, length, data_digest = _read_shards(Path(args.in_dir), nodes, code_params)
+        data = cluster_mod.decode_nodes(arrays, code_params, length)
+        if data_digest is not None and hashlib.sha256(data).hexdigest() != data_digest:
+            raise ValueError(f"extracted bytes do not match data_sha256 in "
+                             f"{Path(args.in_dir) / MANIFEST_NAME}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    data = cluster_mod.decode_nodes(arrays, code_params, length)
     Path(args.out).write_bytes(data)
     print(f"extracted {len(data)} bytes from nodes {nodes}")
     return 0

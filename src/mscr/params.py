@@ -182,7 +182,6 @@ def validate(params: CodeParams) -> list[Violation]:
     """Check every parameter condition independently; empty list means valid."""
     out: list[Violation] = []
     k, field = params.k, params.field
-    ident = Matrix.identity(field, k)
 
     if not MIN_K <= k <= MAX_K:
         out.append(Violation("k_range", (), f"k={k} outside {MIN_K}..{MAX_K}"))
@@ -193,6 +192,7 @@ def validate(params: CodeParams) -> list[Violation]:
         out.append(Violation("shape", (), "k does not match matrix shapes"))
         return out
 
+    ident = Matrix.identity(field, k)
     if params.p != cauchy(params.cauchy):
         out.append(Violation("cauchy_form", (), "P does not match its generators"))
     if params.v.det().value == 0:

@@ -327,6 +327,39 @@ def test_extract_bad_input_exits_1(tmp_path, capsys, case):
     _one_error_line(capsys)
 
 
+# 400 bytes fill 45 blocks of 9 bytes (room for 405), so block_count still fits.
+@pytest.mark.parametrize("length", [405, 397])
+def test_extract_checks_data_digest_before_writing(tmp_path, capsys, length):
+    params_file, shard_dir = _encode(tmp_path, random.Random(7).randbytes(400))
+    path = shard_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["original_length"] = length
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "o.bin"
+    assert _extract(params_file, shard_dir, out) == 1
+    assert "data_sha256" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_extract_reads_manifest_without_data_digest(tmp_path, version):
+    import hashlib
+    payload = random.Random(8).randbytes(400)
+    params_file, shard_dir = _encode(tmp_path, payload)
+    path = shard_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["data_sha256"] == hashlib.sha256(payload).hexdigest()
+    if version == 1:
+        manifest = _as_v1(shard_dir)
+    del manifest["data_sha256"]
+    path.write_text(json.dumps(manifest))
+    for nodes in ("1,2,3", "2,4,6", "4,5,6"):
+        out = tmp_path / "o.bin"
+        assert _extract(params_file, shard_dir, out, nodes) == 0
+        assert out.read_bytes() == payload
+
+
 def test_extract_with_params_of_other_k_exits_1(tmp_path, capsys):
     _, shard_dir = _encode(tmp_path, b"k=3 data")
     params_k4 = tmp_path / "k4.json"

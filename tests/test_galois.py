@@ -174,3 +174,31 @@ def test_scale_array_matches_scalar(degree):
     for c in (0, 1, rng.randrange(2, f.order)):
         out = f.scale_array(c, arr)
         assert list(out) == [f.mul_int(c, int(v)) for v in arr]
+
+    def check(field, c, values):
+        assert list(field.scale_array(c, values)) == [field.mul_int(c, int(v)) for v in values]
+
+    if degree == 8:
+        # Every (c, v) pair, for the default and a second reduction polynomial.
+        every = np.arange(256, dtype=np.uint8)
+        for field in (f, FieldSpec(8, 0x11D)):
+            for c in range(256):
+                check(field, c, every)
+    else:
+        # Constants and values with a zero or an all-ones byte.
+        edges = [0x00ff, 0x0100, 0xff00, 0xffff, 0x0001, 0x8000, 0x1234]
+        values = np.array(edges + [rng.randrange(f.order) for _ in range(100)], dtype=f.dtype)
+        for c in edges[:4] + [rng.randrange(2, f.order)]:
+            check(f, c, values)
+            # The same values big-endian: bytes are taken in symbol order, not memory order.
+            check(f, c, values.astype(">u2"))
+        check(FieldSpec(16, 0x1002B), 0xff00, values)
+
+    # Strided inputs: every other symbol, and one column of a 2-D array.
+    grid = np.array([[rng.randrange(f.order) for _ in range(7)] for _ in range(30)],
+                    dtype=f.dtype)
+    c = rng.randrange(2, f.order)
+    check(f, c, grid.reshape(-1)[::2])
+    check(f, c, grid[:, 3])
+    assert f.scale_array(c, grid).tolist() == [[f.mul_int(c, int(v)) for v in row]
+                                                 for row in grid]

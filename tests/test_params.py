@@ -197,6 +197,18 @@ def test_validate_reports_k_outside_supported_range(gf256):
     assert "k_range" in {v.condition for v in validate(big)}
 
 
+def test_validate_refuses_huge_k_before_building_matrices(params63, monkeypatch):
+    doc = to_document(params63)
+    doc["k"] = 1500
+    edited = from_document(doc, check=False)
+
+    def no_identity(*args):
+        raise AssertionError("validate built a k x k identity before its k checks")
+
+    monkeypatch.setattr(Matrix, "identity", staticmethod(no_identity))
+    assert "k_range" in {v.condition for v in validate(edited)}
+
+
 def test_validate_reports_degenerate_constants(params63):
     bad = dataclasses.replace(params63, epsilon=params63.delta)
     conditions = {v.condition for v in validate(bad)}
