@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "parameter generation, sharding and repair simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-params", help="generate and validate a parameter file")
+    g = sub.add_parser("gen-params", help="generate a parameter file")
     g.add_argument("--k", type=int, required=True, help="systematic node count (2..8)")
     g.add_argument("--field-degree", type=int, default=8, help="symbol bits m (default 8)")
     g.add_argument("--reduction-poly", type=lambda s: int(s, 16), default=None,
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario file path or bundled name (e.g. six-node-all-pairs)")
     s.add_argument("--report", default=None, help="write the JSON report here")
 
-    v = sub.add_parser("validate-params", help="re-derive and check a parameter file")
+    v = sub.add_parser("validate-params", help="check the conditions of a parameter file")
     v.add_argument("--params", required=True)
     return parser
 

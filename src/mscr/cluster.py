@@ -269,31 +269,35 @@ class Scenario:
 
     @staticmethod
     def from_document(doc: dict, base_dir: str | Path = ".") -> "Scenario":
+        """Build a scenario from its JSON form; a malformed one raises ValueError."""
         base = Path(base_dir)
-        if "params" in doc:
-            ref = doc["params"]
-            if isinstance(ref, str):
-                code_params = params_mod.load(base / ref)
+        try:
+            if "params" in doc:
+                ref = doc["params"]
+                if isinstance(ref, str):
+                    code_params = params_mod.load(base / ref)
+                else:
+                    code_params = params_mod.from_document(ref)
+            elif "k" in doc:
+                degree = int(doc.get("field", {}).get("degree", 8))
+                poly_text = doc.get("field", {}).get("reduction_poly")
+                spec = FieldSpec(degree, int(poly_text, 16) if poly_text else None)
+                code_params = params_mod.generate(int(doc["k"]), spec,
+                                                  seed=int(doc.get("seed", 0)))
             else:
-                code_params = params_mod.from_document(ref)
-        elif "k" in doc:
-            degree = int(doc.get("field", {}).get("degree", 8))
-            poly_text = doc.get("field", {}).get("reduction_poly")
-            spec = FieldSpec(degree, int(poly_text, 16) if poly_text else None)
-            code_params = params_mod.generate(int(doc["k"]), spec,
-                                              seed=int(doc.get("seed", 0)))
-        else:
-            raise ValueError("scenario names neither 'k' nor 'params'")
-        data_doc = doc["data"]
-        if "path" in data_doc:
-            data = (base / data_doc["path"]).read_bytes()
-        else:
-            rnd = data_doc["random"]
-            data = random.Random(int(rnd.get("seed", 0))).randbytes(int(rnd["bytes"]))
-        steps = [frozenset(int(i) for i in step["fail"]) for step in doc.get("steps", [])]
-        verify = doc.get("verify", "exact")
-        if verify not in ("exact", "mds_also"):
-            raise ValueError(f"unknown verify mode {verify!r}")
+                raise ValueError("scenario names neither 'k' nor 'params'")
+            data_doc = doc["data"]
+            if "path" in data_doc:
+                data = (base / data_doc["path"]).read_bytes()
+            else:
+                rnd = data_doc["random"]
+                data = random.Random(int(rnd.get("seed", 0))).randbytes(int(rnd["bytes"]))
+            steps = [frozenset(int(i) for i in step["fail"]) for step in doc.get("steps", [])]
+            verify = doc.get("verify", "exact")
+            if verify not in ("exact", "mds_also"):
+                raise ValueError(f"unknown verify mode {verify!r}")
+        except (LookupError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed scenario: {type(exc).__name__}: {exc}") from None
         return Scenario(code_params, data, steps, verify)
 
 

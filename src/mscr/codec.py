@@ -180,13 +180,6 @@ def collect(contents: Sequence[NodeContent], params: CodeParams) -> SourceBlock:
 
     by_id = {c.node_id: c for c in contents}
     ordered = [by_id[i] for i in sorted(ids)]
-
-    if all(i <= k for i in ids):
-        # Systematic nodes store X uncoded; read the columns straight off.
-        x = Matrix(field, [[ordered[c].vector[r].value for c in range(k)]
-                           for r in range(k)])
-        return SourceBlock(x)
-
     a = collection_matrix(tuple(sorted(ids)), params)
     rhs = Matrix.column([sym for c in ordered for sym in c.vector])
     vec = a.solve(rhs)

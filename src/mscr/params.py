@@ -1,21 +1,25 @@
 """Generation, validation and (de)serialization of full code parameter sets.
 
-A parameter set for the n = 2k code consists of a nonsingular basis matrix V,
-a Cauchy mixing matrix P with inverse Q, the derived basis U = V P and the
-dual bases U_hat = (U^t)^-1 and V_hat = (V^t)^-1, plus four nonzero scalars
-delta, epsilon, delta', epsilon' tied together by
+A parameter set for the n = 2k code is fixed by four free choices: a
+nonsingular basis matrix V, the Cauchy generators of the mixing matrix P,
+and two scalars delta, epsilon with delta^2 != epsilon^2.  Everything else
+follows from them and is derived on first use, never stored: Q = P^-1 (in
+closed form), U = V P, and the dual bases U_hat = (U^t)^-1 and
+V_hat = (V^t)^-1.  The dual scalars delta', epsilon' solve
 
     delta*delta' + epsilon*epsilon' = 1
     epsilon*delta' + delta*epsilon' = 0
 
-and the cross-entry condition p_ij * q_ji != 1 for all i, j, which is what
-makes mixed systematic/parity pair repair solvable.  Existence is realized
-constructively: sample Cauchy generators, validate, retry.
+and are stored because a params file carries them.  Mixed systematic/parity
+pair repair also needs the cross-entry condition p_ij * q_ji != 1 for all
+i, j, which random generators can miss; `generate` redraws them until it
+holds.
 
-P is super-regular (every square submatrix nonsingular) by construction, so
-validation only checks that P is the Cauchy matrix of its generators.  Every
-s x s submatrix of a Cauchy matrix is the Cauchy matrix of s of the a's and
-s of the b's; in characteristic 2 its determinant is
+`validate` checks only conditions on what a params document sets: k and
+the field size, shapes, V nonsingular, the four scalars and their two
+equations, and the cross-entry condition.  P needs no check: every s x s
+submatrix of a Cauchy matrix is the Cauchy matrix of s of the a's and s of
+the b's; in characteristic 2 its determinant is
 prod_{i<j} (a_i+a_j)(b_i+b_j) / prod_{i,j} (a_i+b_j), nonzero because
 CauchySpec rejects repeated generators.  The exhaustive minor enumeration
 (linalg.first_singular_minor) remains as the test oracle for this argument.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .galois import FieldElement, FieldSpec
@@ -75,17 +80,17 @@ class Violation:
 
 @dataclass(frozen=True)
 class CodeParams:
-    """A complete, immutable parameter set for one (n=2k, k) code."""
+    """A complete, immutable parameter set for one (n=2k, k) code.
+
+    Only the free choices are fields, so equality and hashing (which the
+    lru_caches in :mod:`mscr.codec` key on) cover exactly them; P, Q, U,
+    U_hat and V_hat are computed from `cauchy` and `v` on first use.
+    """
 
     k: int
     field: FieldSpec
     cauchy: CauchySpec
     v: Matrix
-    p: Matrix
-    q: Matrix
-    u: Matrix
-    u_hat: Matrix
-    v_hat: Matrix
     delta: FieldElement
     epsilon: FieldElement
     delta_prime: FieldElement
@@ -100,6 +105,26 @@ class CodeParams:
     def block_size(self) -> int:
         """Symbols per data chunk: k^2."""
         return self.k * self.k
+
+    @cached_property
+    def p(self) -> Matrix:
+        return cauchy(self.cauchy)
+
+    @cached_property
+    def q(self) -> Matrix:
+        return cauchy_inverse(self.cauchy)
+
+    @cached_property
+    def u(self) -> Matrix:
+        return self.v @ self.p
+
+    @cached_property
+    def u_hat(self) -> Matrix:
+        return self.u.transpose().invert()
+
+    @cached_property
+    def v_hat(self) -> Matrix:
+        return self.v.transpose().invert()
 
 
 def solve_dual_constants(delta: FieldElement,
@@ -119,31 +144,15 @@ def solve_dual_constants(delta: FieldElement,
     return delta * inv, epsilon * inv
 
 
-def _assemble(field: FieldSpec, k: int, cs: CauchySpec, v: Matrix,
-              delta: FieldElement, epsilon: FieldElement, seed: int,
-              delta_prime: FieldElement | None = None,
-              epsilon_prime: FieldElement | None = None) -> CodeParams:
-    """Derive every dependent matrix/constant from the free choices."""
-    p = cauchy(cs)
-    q = cauchy_inverse(cs)
-    u = v @ p
-    u_hat = u.transpose().invert()
-    v_hat = v.transpose().invert()
-    if delta_prime is None or epsilon_prime is None:
-        delta_prime, epsilon_prime = solve_dual_constants(delta, epsilon)
-    return CodeParams(k=k, field=field, cauchy=cs, v=v, p=p, q=q, u=u,
-                      u_hat=u_hat, v_hat=v_hat, delta=delta, epsilon=epsilon,
-                      delta_prime=delta_prime, epsilon_prime=epsilon_prime,
-                      seed=seed)
-
-
 def generate(k: int, field: FieldSpec | None = None, seed: int = 0,
              max_retries: int = 1000, random_v: bool = False) -> CodeParams:
-    """Sample-and-validate until every parameter condition holds.
+    """Draw the free choices until the cross-entry condition holds.
 
-    Deterministic for a fixed (k, field, seed).  Each retry resamples the
-    Cauchy generators first; the scalars are drawn by rejection and cannot
-    themselves fail validation.
+    Deterministic for a fixed (k, field, seed): each retry draws 2k distinct
+    Cauchy generators and redraws them while some p_ij * q_ji == 1; only
+    then are V (identity, or random nonsingular with random_v) and
+    delta != epsilon drawn, and delta', epsilon' solved in closed form.
+    The result satisfies every condition `validate` checks.
     """
     if field is None:
         field = FieldSpec(8)
@@ -157,12 +166,7 @@ def generate(k: int, field: FieldSpec | None = None, seed: int = 0,
         vals = rng.sample(range(field.order), 2 * k)
         cs = CauchySpec(tuple(field.element(x) for x in vals[:k]),
                         tuple(field.element(x) for x in vals[k:]))
-        p = cauchy(cs)
-        q = cauchy_inverse(cs)
-        # Cheap pre-filter: the cross-entry condition is the only one that
-        # random Cauchy generators can realistically miss.
-        if any(field.mul_int(p.int_at(i, j), q.int_at(j, i)) == 1
-               for i in range(k) for j in range(k)):
+        if _product_one(cauchy(cs), cauchy_inverse(cs)):
             continue
         v = random_nonsingular(field, k, rng) if random_v else Matrix.identity(field, k)
         while True:
@@ -170,16 +174,23 @@ def generate(k: int, field: FieldSpec | None = None, seed: int = 0,
             e = rng.randrange(1, field.order)
             if d != e:
                 break
-        candidate = _assemble(field, k, cs, v,
-                              field.element(d), field.element(e), seed)
-        if not validate(candidate):
-            return candidate
+        delta, epsilon = field.element(d), field.element(e)
+        delta_prime, epsilon_prime = solve_dual_constants(delta, epsilon)
+        return CodeParams(k=k, field=field, cauchy=cs, v=v, delta=delta, epsilon=epsilon,
+                          delta_prime=delta_prime, epsilon_prime=epsilon_prime, seed=seed)
     raise GenerationExhausted(
         f"no valid parameters for k={k} over {field!r} within {max_retries} retries")
 
 
+def _product_one(p: Matrix, q: Matrix) -> list[tuple[int, int]]:
+    """1-based (i, j) with p_ij * q_ji == 1."""
+    mul = p.spec.mul_int
+    return [(i + 1, j + 1) for i in range(p.rows) for j in range(p.cols)
+            if mul(p.int_at(i, j), q.int_at(j, i)) == 1]
+
+
 def validate(params: CodeParams) -> list[Violation]:
-    """Check every parameter condition independently; empty list means valid."""
+    """Check each condition on the free choices; empty list means valid."""
     out: list[Violation] = []
     k, field = params.k, params.field
 
@@ -192,21 +203,8 @@ def validate(params: CodeParams) -> list[Violation]:
         out.append(Violation("shape", (), "k does not match matrix shapes"))
         return out
 
-    ident = Matrix.identity(field, k)
-    if params.p != cauchy(params.cauchy):
-        out.append(Violation("cauchy_form", (), "P does not match its generators"))
     if params.v.det().value == 0:
         out.append(Violation("v_nonsingular"))
-    if params.p @ params.q != ident:
-        out.append(Violation("q_inverse", (), "P*Q is not the identity"))
-    if params.u != params.v @ params.p:
-        out.append(Violation("uv_relation", (), "U != V*P"))
-    if params.v != params.u @ params.q:
-        out.append(Violation("uv_relation", (), "V != U*Q"))
-    if params.u.transpose() @ params.u_hat != ident:
-        out.append(Violation("dual_basis", (), "U_hat is not the dual of U"))
-    if params.v.transpose() @ params.v_hat != ident:
-        out.append(Violation("dual_basis", (), "V_hat is not the dual of V"))
 
     d, e = params.delta, params.epsilon
     dp, ep = params.delta_prime, params.epsilon_prime
@@ -218,12 +216,7 @@ def validate(params: CodeParams) -> list[Violation]:
         out.append(Violation("dual_constants", (1,), "delta*delta' + epsilon*epsilon' != 1"))
     if e * dp + d * ep != field.zero:
         out.append(Violation("dual_constants", (2,), "epsilon*delta' + delta*epsilon' != 0"))
-
-    mul = field.mul_int
-    for i in range(k):
-        for j in range(k):
-            if mul(params.p.int_at(i, j), params.q.int_at(j, i)) == 1:
-                out.append(Violation("product_one", (i + 1, j + 1)))
+    out += [Violation("product_one", ij) for ij in _product_one(params.p, params.q)]
     return out
 
 
@@ -260,29 +253,31 @@ def to_document(params: CodeParams) -> dict:
 
 
 def from_document(doc: dict, check: bool = True) -> CodeParams:
-    """Rebuild params from the file form, rederiving all dependent matrices.
+    """Rebuild params from the file form.
 
     Any document that does not describe a parameter set (a missing key, a
-    wrong JSON type, a singular V, ...) raises ValueError.  With check=True
-    (the default) the result is also cross-checked by :func:`validate` and
-    a ValueError carries any violations.
+    wrong JSON type, a symbol outside the field, ...) raises ValueError.
+    With check=True (the default) the result is also checked by
+    :func:`validate` and a ValueError carries any violations.
     """
     try:
         if doc.get("version") != PARAMS_VERSION:
             raise ValueError(f"unsupported params version {doc.get('version')!r}")
         field = FieldSpec(int(doc["field"]["degree"]),
                           int(doc["field"]["reduction_poly"], 16))
-        cs = CauchySpec(tuple(field.element(int(x, 16)) for x in doc["cauchy"]["a"]),
-                        tuple(field.element(int(x, 16)) for x in doc["cauchy"]["b"]))
-        v = Matrix(field, [[int(x, 16) for x in row] for row in doc["V"]])
-        params = _assemble(
-            field, int(doc["k"]), cs, v,
-            field.element(int(doc["delta"], 16)),
-            field.element(int(doc["epsilon"], 16)),
-            int(doc["seed"]),
-            delta_prime=field.element(int(doc["delta_prime"], 16)),
-            epsilon_prime=field.element(int(doc["epsilon_prime"], 16)),
-        )
+
+        def element(text):
+            return field.element(int(text, 16))
+
+        params = CodeParams(
+            k=int(doc["k"]), field=field,
+            cauchy=CauchySpec(tuple(map(element, doc["cauchy"]["a"])),
+                              tuple(map(element, doc["cauchy"]["b"]))),
+            v=Matrix.from_rows([[element(x) for x in row] for row in doc["V"]]),
+            delta=element(doc["delta"]), epsilon=element(doc["epsilon"]),
+            delta_prime=element(doc["delta_prime"]),
+            epsilon_prime=element(doc["epsilon_prime"]),
+            seed=int(doc["seed"]))
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed params document: {type(exc).__name__}: {exc}") from None
     if check:

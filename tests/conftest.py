@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from mscr import FieldSpec, SourceBlock, encode, generate
+from mscr import CodeParams, FieldSpec, SourceBlock, encode, generate
 from mscr.codec import node_contents
 from mscr.linalg import Matrix
+from mscr.params import solve_dual_constants
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +26,15 @@ def params_k4(gf256):
 @pytest.fixture(scope="session")
 def params_k5(gf256):
     return generate(5, gf256, seed=13)
+
+
+def make_params(cs, v, d: int, e: int) -> CodeParams:
+    """Params from Cauchy generators, V and delta=d, epsilon=e (seed 0)."""
+    field = cs.spec
+    delta, epsilon = field.element(d), field.element(e)
+    delta_prime, epsilon_prime = solve_dual_constants(delta, epsilon)
+    return CodeParams(k=cs.k, field=field, cauchy=cs, v=v, delta=delta, epsilon=epsilon,
+                      delta_prime=delta_prime, epsilon_prime=epsilon_prime, seed=0)
 
 
 def random_block(params, rng: random.Random) -> SourceBlock:

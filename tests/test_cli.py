@@ -178,6 +178,8 @@ MALFORMED_PARAMS = {
     "JSON list": lambda doc: [doc],
     "int for a hex string": lambda doc: {**doc, "epsilon": 5},
     "singular V": lambda doc: {**doc, "V": [["0x0"] * len(row) for row in doc["V"]]},
+    "V entry outside the field": lambda doc: {**doc, "V": [["-0x1"] + row[1:]
+                                                            for row in doc["V"]]},
 }
 
 
@@ -196,10 +198,33 @@ def test_malformed_params_exit_1(tmp_path, capsys, case):
                   "--out-dir", str(tmp_path / "shards")],
                  ["extract", "--params", str(bad), "--in-dir", str(tmp_path / "shards"),
                   "--nodes", "1,2,3", "--out", str(tmp_path / "o.bin")],
-                 ["simulate", "--scenario", str(scenario)],
-                 ["validate-params", "--params", str(bad)]):
+                 ["simulate", "--scenario", str(scenario)]):
         assert main(argv) == 1, argv
         _one_error_line(capsys)
+    assert main(["validate-params", "--params", str(bad)]) == 1
+    if case == "singular V":
+        # A well-formed document: it loads, and validate names the violation.
+        assert capsys.readouterr().out == "violation: v_nonsingular\n"
+    else:
+        _one_error_line(capsys)
+
+
+MALFORMED_SCENARIOS = {
+    "no data": lambda doc: {key: v for key, v in doc.items() if key != "data"},
+    "step without fail": lambda doc: {**doc, "steps": [{}]},
+    "random without bytes": lambda doc: {**doc, "data": {"random": {"seed": 2}}},
+    "fail not a list": lambda doc: {**doc, "steps": [{"fail": 3}]},
+    "field not an object": lambda doc: {**doc, "field": 8},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_malformed_scenario_exits_1(tmp_path, capsys, case):
+    sc_file = tmp_path / "scenario.json"
+    sc_file.write_text(json.dumps(MALFORMED_SCENARIOS[case](
+        {"k": 3, "data": {"random": {"bytes": 64, "seed": 2}}, "steps": [{"fail": [1]}]})))
+    assert main(["simulate", "--scenario", str(sc_file)]) == 1
+    assert "malformed scenario" in _one_error_line(capsys)
 
 
 # -- shard integrity and input errors at the extract edge ---------------------------
@@ -266,7 +291,7 @@ def test_extract_rejects_other_valid_params(tmp_path, capsys):
 def _as_v1(shard_dir):
     path = shard_dir / "manifest.json"
     manifest = json.loads(path.read_text())
-    del manifest["sha256"], manifest["params_sha256"]
+    del manifest["sha256"], manifest["params_sha256"], manifest["data_sha256"]
     manifest["version"] = 1
     path.write_text(json.dumps(manifest))
     return manifest
@@ -352,7 +377,7 @@ def test_extract_reads_manifest_without_data_digest(tmp_path, version):
     assert manifest["data_sha256"] == hashlib.sha256(payload).hexdigest()
     if version == 1:
         manifest = _as_v1(shard_dir)
-    del manifest["data_sha256"]
+    manifest.pop("data_sha256", None)
     path.write_text(json.dumps(manifest))
     for nodes in ("1,2,3", "2,4,6", "4,5,6"):
         out = tmp_path / "o.bin"

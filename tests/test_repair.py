@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -6,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 import mscr.repair as repair_mod
-from conftest import ground_truth
+from conftest import ground_truth, make_params
 from mscr.codec import NodeContent, z_column
-from mscr.linalg import Matrix, dot
-from mscr.params import generate
+from mscr.linalg import CauchySpec, Matrix, dot
+from mscr.params import generate, validate
 from mscr.repair import (FailurePattern, InvalidRegime, MissingMessage,
                          MixedPair, ParityGroup, SystematicGroup,
                          UnsupportedPattern, apply_repair, check_mixed_matrix,
@@ -406,32 +405,25 @@ def test_sherman_morrison_scalar_matches_closed_form(params63):
             assert raw * p.delta == closed
 
 
-def _corrupt_product_to_one(params, a, b):
-    """Force p_ab q_ba = 1 while preserving sum_l p_al q_la = 1."""
-    field = params.field
-    k = params.k
-    grid = params.p.int_rows()
-    q = params.q
-    old = field.element(grid[a - 1][b - 1])
-    forced = q.at(b - 1, a - 1).inverse()
-    grid[a - 1][b - 1] = forced.value
-    c = next(j for j in range(1, k + 1) if j != b)
-    fix = (old + forced) * q.at(b - 1, a - 1) / q.at(c - 1, a - 1)
-    adjusted = field.element(grid[a - 1][c - 1]) + fix
-    grid[a - 1][c - 1] = adjusted.value
-    return dataclasses.replace(params, p=Matrix(field, grid))
+def _cauchy_params_with_product_one(field, k, rng):
+    """Honest Cauchy params (V = I) with some p_ab q_ba == 1."""
+    for _ in range(25):
+        vals = rng.sample(range(field.order), 2 * k)
+        cs = CauchySpec(tuple(field.element(x) for x in vals[:k]),
+                        tuple(field.element(x) for x in vals[k:]))
+        params = make_params(cs, Matrix.identity(field, k), 2, 3)
+        if validate(params):
+            return params
+    raise AssertionError("no product_one hit in the search budget")
 
 
-def test_sherman_morrison_scalar_zero_when_product_is_one(params63):
-    a, b = 1, 2
-    bad = _corrupt_product_to_one(params63, a, b)
+def test_sherman_morrison_scalar_zero_when_product_is_one(gf256):
+    bad = _cauchy_params_with_product_one(gf256, 3, random.Random(3))
+    violations = validate(bad)
+    assert [v.condition for v in violations] == ["product_one"]
+    a, b = violations[0].indices
     t = bad.p.at(a - 1, b - 1) * bad.q.at(b - 1, a - 1)
     assert t == bad.field.one
-    # Orthogonality of row a against column a was preserved by the fixup.
-    acc = bad.field.zero
-    for l in range(3):
-        acc = acc + bad.p.at(a - 1, l) * bad.q.at(l, a - 1)
-    assert acc == bad.field.one
     # Case split lands in the scalar branch (c0 = delta != 0) and the
     # simplified expression carries the factor (1 - p_ab q_ba)^2 = 0.
     one = bad.field.one
@@ -441,8 +433,7 @@ def test_sherman_morrison_scalar_zero_when_product_is_one(params63):
     assert closed == bad.field.zero
     assert sherman_morrison_scalar(bad, a, b) == bad.field.zero
     assert not sherman_morrison_check(bad, a, b)
-    # The direct determinant agrees: the factorization still applies because
-    # the corruption left V = U Q intact.
+    # The direct determinant agrees.
     assert not check_mixed_matrix(bad, a, b)
 
 
