@@ -8,8 +8,7 @@ and a deterministic storage-cluster simulator with a CLI.
 from .galois import (DivisionByZero, FieldElement, FieldMismatch, FieldSpec,
                      NotEnoughElements)
 from .linalg import (CauchySpec, DimensionMismatch, DuplicateGenerators,
-                     Matrix, SingularMatrix, TooLarge, cauchy, cauchy_inverse,
-                     is_super_regular)
+                     Matrix, SingularMatrix, TooLarge, cauchy, cauchy_inverse)
 from .params import (CodeParams, DegenerateConstants, GenerationExhausted,
                      Violation, generate, solve_dual_constants, validate)
 from .codec import (DuplicateNodes, IndexOutOfRange, NodeContent, ParityBlock,

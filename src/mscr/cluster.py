@@ -1,20 +1,16 @@
 """Deterministic in-memory storage cluster simulator.
 
-A byte stream is zero-padded to whole chunks of k^2 symbols, each chunk is
-encoded independently, and node j's share of every chunk is kept
-coordinate-major: one numpy array of shape (k, blocks) whose row l holds
-coordinate l of every block.  Shard bytes stay block-major (the k symbols
-of block 0, then block 1, ...); `node_symbols_bytes` and
-`node_symbols_from_bytes` convert between the two.
+A byte stream is zero-padded to whole chunks of k^2 symbols, each encoded
+independently.  Node j keeps its share of every chunk bit-sliced: a
+(k*m, words) uint64 array whose plane l*m + b holds bit b of coordinate l,
+block 64q + t at bit t of word q, pad blocks zero.  `bytes_to_planes` and
+`planes_to_bytes` convert to and from block-major shard bytes at the edge
+only: ingest input, `decode_nodes` output, shard payloads, `block_content`.
 
-Every operation is a fixed linear map applied to every block, and
-`apply_matrix` is the one kernel that applies it: ingest applies the
-encode matrix, extract the inverted collection matrix, and repair the
-phase-1 probes and then the map obtained by probing the scalar protocol
-with unit inputs.  Each stored node array is the output of its own rows of
-the map (or a copy), never a view that would pin a larger array.  Results
-are bit-identical to running the per-block functions in a loop, which the
-test suite checks.
+Every operation is a fixed linear map applied to every block by the one
+kernel, :meth:`FieldSpec.scale_array`: the encode matrix, the inverted
+collection matrix, and the repair probes and map (from the scalar
+protocol).  Results are bit-identical to the per-block functions in a loop.
 
 The oracle (a copy of the original node contents) exists for verification
 only; repair logic never sees it, and a production-mode cluster drops it.
@@ -65,43 +61,73 @@ class VerificationFailure(RuntimeError):
     """Repaired contents differ from the oracle: an implementation bug."""
 
 
-# -- symbol <-> byte plumbing -------------------------------------------------------
+# -- bytes <-> bit planes -----------------------------------------------------------
+
+_CHUNK_BYTES = 1 << 17  # bytes converted per pass, so temporaries stay small
+_TRANSPOSE8 = [(np.uint64(shift), np.uint64(mask)) for shift, mask in (
+    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))]
 
 
-def bytes_to_symbols(data: bytes, spec: FieldSpec) -> np.ndarray:
-    width = spec.symbol_bytes
-    if spec.degree != 8 * width:  # some byte patterns would be no symbol
+def _transpose8(x: np.ndarray) -> np.ndarray:
+    """In place, bit j of byte i of each uint64 becomes bit i of byte j (Hacker's Delight 7-3)."""
+    for shift, mask in _TRANSPOSE8:
+        t = ((x >> shift) ^ x) & mask
+        x ^= t ^ (t << shift)
+    return x
+
+
+def bytes_to_planes(data: bytes, spec: FieldSpec, symbols: int) -> np.ndarray:
+    """Block-major bytes, `symbols` symbols a block, to zero-padded (symbols*m, words) planes.
+
+    A byte column of 8 blocks is one word; its 8x8 bit transpose holds one
+    byte of each of the column's 8 planes.
+    """
+    if spec.degree != 8 * spec.symbol_bytes:  # some byte patterns would be no symbol
         raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
-    if len(data) % width:
-        data = data + b"\x00" * (width - len(data) % width)
-    return np.frombuffer(data, dtype=spec.dtype).copy()
+    row = symbols * spec.symbol_bytes
+    words = -(-len(data) // (64 * row))
+    out = np.empty((8 * row, words), dtype=np.uint64)
+    dst = out.view(np.uint8).reshape(row, 8, words, 8)  # [byte, bit, word, byte of word]
+    src = np.frombuffer(data, dtype=np.uint8)
+    step = max(1, _CHUNK_BYTES // (64 * row))
+    for q in range(0, words, step):
+        n = min(step, words - q)
+        part = src[64 * row * q:64 * row * (q + n)]
+        x = np.zeros((row, 64 * n), dtype=np.uint8)
+        for c in range(row):  # a column at a time beats one transposed copy
+            column = part[c::row]
+            x[c, :column.size] = column
+        x = _transpose8(x.view(np.uint64)).view(np.uint8).reshape(row, n, 8, 8)
+        for b in range(8):
+            dst[:, b, q:q + n] = x[..., b]
+    return out
 
 
-def symbols_to_bytes(arr: np.ndarray, spec: FieldSpec) -> bytes:
-    return arr.astype(spec.dtype, copy=False).tobytes()
+def planes_to_bytes(planes: np.ndarray, nbytes: int) -> bytes:
+    """The first `nbytes` block-major bytes of (8*row, words) planes."""
+    row, words = planes.shape[0] // 8, planes.shape[1]
+    src = np.ascontiguousarray(planes).view(np.uint8).reshape(row, 8, words, 8)
+    out = np.empty((64 * words, row), dtype=np.uint8)
+    step = max(1, _CHUNK_BYTES // (64 * row))
+    for q in range(0, words, step):
+        n = min(step, words - q)
+        x = np.empty((row, n, 8, 8), dtype=np.uint8)
+        for b in range(8):
+            x[..., b] = src[:, b, q:q + n]
+        x = _transpose8(x.view(np.uint64)).view(np.uint8).reshape(row, 64 * n)
+        for c in range(row):
+            out[64 * q:64 * (q + n), c] = x[c]
+    return out.reshape(-1)[:nbytes].tobytes()
 
 
 def node_symbols_from_bytes(raw: bytes, params: CodeParams) -> np.ndarray:
-    """Inverse of `Cluster.node_symbols_bytes`: block-major bytes to (k, blocks)."""
-    return np.ascontiguousarray(bytes_to_symbols(raw, params.field).reshape(-1, params.k).T)
-
-
-def apply_matrix(spec: FieldSpec, rows: list[list[int]], x: np.ndarray) -> np.ndarray:
-    """Apply a matrix of field constants to every column of a (cols, blocks) array.
-
-    Row i of the (len(rows), blocks) result is xor_j rows[i][j] * x[j].
-    """
-    out = np.zeros((len(rows), x.shape[1]), dtype=spec.dtype)
-    for acc, row in zip(out, rows):
-        for c, xj in zip(row, x):
-            if c:
-                acc ^= spec.scale_array(c, xj)
-    return out
+    """Inverse of `Cluster.node_symbols_bytes`: shard bytes to (k*m, words) planes."""
+    return bytes_to_planes(raw, params.field, params.k)
 
 
 def decode_nodes(arrays: dict[int, np.ndarray], params: CodeParams,
                  original_length: int) -> bytes:
-    """Rebuild the byte stream from exactly k (k, blocks) node arrays.
+    """Rebuild the byte stream from exactly k (k*m, words) node arrays.
 
     The decoder inverts a square nonsingular matrix, so corrupt inputs
     decode without error: callers check outside bytes first (the CLI
@@ -111,9 +137,9 @@ def decode_nodes(arrays: dict[int, np.ndarray], params: CodeParams,
     if len(ids) != params.k:
         raise NotEnoughLiveNodes(f"need exactly k={params.k} nodes, got {len(ids)}")
     decoder = codec.collection_matrix(ids, params).invert()
-    x = apply_matrix(params.field, decoder.int_rows(),
-                     np.concatenate([arrays[nid] for nid in ids]))
-    return symbols_to_bytes(x.T, params.field)[:original_length]
+    x = params.field.scale_array(decoder.int_rows(),
+                                 np.concatenate([arrays[nid] for nid in ids]))
+    return planes_to_bytes(x, original_length)
 
 
 class Cluster:
@@ -136,17 +162,13 @@ class Cluster:
                keep_oracle: bool = True) -> "Cluster":
         """Chunk, zero-pad, encode and place a byte stream on 2k nodes (m = 8 or 16)."""
         k, spec = params.k, params.field
-        x = bytes_to_symbols(data, spec)
-        if x.size % params.block_size:
-            pad = params.block_size - x.size % params.block_size
-            x = np.concatenate([x, np.zeros(pad, dtype=spec.dtype)])
-        nblocks = x.size // params.block_size
-        x = np.ascontiguousarray(x.reshape(nblocks, k * k).T)  # vec(X) per block
+        x = bytes_to_planes(data, spec, params.block_size)  # vec(X) per block
+        nblocks = -(-len(data) // (params.block_size * spec.symbol_bytes))
         enc = codec.encode_matrix(params).int_rows()
-        # Node j holds column j of X (or Y): rows j, j+k, ... of vec(X) (or vec(Y)).
-        node_data: list[np.ndarray | None] = [x[j::k].copy() for j in range(k)]
-        node_data += [apply_matrix(spec, enc[j::k], x) for j in range(k)]
-
+        # Node j holds column j of X (or Y): coordinates j, j+k, ... of vec(X) (or vec(Y)).
+        plane = np.arange(k * k * spec.degree).reshape(k, k, spec.degree)  # [l, j, bit]
+        node_data: list[np.ndarray | None] = [x[plane[:, j].reshape(-1)] for j in range(k)]
+        node_data += [spec.scale_array(enc[j::k], x) for j in range(k)]
         oracle = [d.copy() for d in node_data] if keep_oracle else None
         return cls(params, node_data, nblocks, len(data), oracle)
 
@@ -161,16 +183,19 @@ class Cluster:
         data = self.node_data[node_id - 1]
         if data is None:
             raise NotEnoughLiveNodes(f"node {node_id} is failed")
-        return symbols_to_bytes(data.T, self.params.field)
+        return planes_to_bytes(data, self.nblocks * self.params.k * self.params.field.symbol_bytes)
 
     def block_content(self, node_id: int, block: int) -> codec.NodeContent:
         """Scalar view of one node's share of one block."""
         data = self.node_data[node_id - 1]
         if data is None:
             raise NotEnoughLiveNodes(f"node {node_id} is failed")
-        spec = self.params.field
-        return codec.NodeContent(
-            node_id, tuple(spec.element(int(v)) for v in data[:, block]))
+        if not 0 <= block < self.nblocks:
+            raise IndexError(f"block {block} outside 0..{self.nblocks - 1}")
+        spec, (word, bit) = self.params.field, divmod(block, 64)
+        bits = (data[:, word] >> bit) & 1
+        values = bits.reshape(self.params.k, spec.degree) << np.arange(spec.degree, dtype=np.uint64)
+        return codec.NodeContent(node_id, tuple(spec.element(int(v)) for v in values.sum(1)))
 
     # -- operations --------------------------------------------------------------
 
@@ -208,22 +233,22 @@ class Cluster:
         """Run the two-phase protocol across all blocks; verify against the oracle.
 
         Returns (self, per-block BandwidthReport).  Each phase-1 edge is its
-        newcomer's probe applied to the helper's array; each newcomer's
+        newcomer's probe applied to the helper's planes; each newcomer's
         content is its k rows of the plan's linear map (derived from the
-        scalar protocol) applied to the phase-1 symbols of all blocks.
+        scalar protocol) applied to the phase-1 planes of all edges.
         """
         if pattern.failed != frozenset(self.failed):
             raise ValueError(
                 f"pattern {sorted(pattern.failed)} does not match failed set {sorted(self.failed)}")
         k, spec = self.params.k, self.params.field
         plan = repair.plan_repair(pattern, self.params)
-        phase1 = np.empty((len(plan.phase1_edges), self.nblocks), dtype=spec.dtype)
-        for out, (helper, newcomer, _) in zip(phase1, plan.phase1_edges):
-            probe = [e.value for e in repair.probe_vector(self.params, newcomer)]
-            out[:] = apply_matrix(spec, [probe], self.node_data[helper - 1])[0]
+        phase1 = np.concatenate([
+            spec.scale_array([[e.value for e in repair.probe_vector(self.params, newcomer)]],
+                             self.node_data[helper - 1])
+            for helper, newcomer, _ in plan.phase1_edges])
         rows, report = _linear_repair_map(plan, self.params)
         for idx, nc in enumerate(plan.newcomers):
-            self.node_data[nc - 1] = apply_matrix(spec, rows[idx * k:(idx + 1) * k], phase1)
+            self.node_data[nc - 1] = spec.scale_array(rows[idx * k:(idx + 1) * k], phase1)
             self.failed.discard(nc)
 
         if self.oracle is not None:
@@ -242,16 +267,13 @@ def _linear_repair_map(plan: repair.RepairPlan, params: CodeParams):
     probe results.  The report of a probe run carries the per-block
     message tallies, identical for every block.
     """
-    spec = params.field
-    edges = plan.phase1_edges
-    report = None
-    cols: list[list[int]] = []
+    spec, edges = params.field, plan.phase1_edges
+    cols, report = [], None
     for m in range(len(edges)):
         msgs = [repair.Phase1Message(h, nc, spec.one if t == m else spec.zero)
                 for t, (h, nc, _) in enumerate(edges)]
-        contents, _, rep = repair.apply_repair(plan, msgs, params)
+        contents, _, report = repair.apply_repair(plan, msgs, params)
         cols.append([sym.value for c in contents for sym in c.vector])
-        report = rep
     return [list(row) for row in zip(*cols)], report
 
 

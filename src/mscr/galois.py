@@ -7,10 +7,9 @@ Multiplication, division and inversion go through log/antilog tables built
 once per field from a primitive element, so the per-symbol cost is a couple
 of list lookups.  Tables are cached per (degree, polynomial) pair.
 
-The bulk multiply by a constant (:meth:`FieldSpec.scale_array`) uses split
-byte tables (Plank, Greenan and Miller, FAST 2013): one 256-entry table per
-symbol byte, built per call from the log/antilog tables, and one gather per
-byte plane, XORed together.
+The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of
+constants to bit-sliced symbols as XORs of whole bit planes: the bitmatrix
+form of Blomer et al. (1995) and Plank and Xu (2006).
 """
 
 from __future__ import annotations
@@ -65,6 +64,8 @@ DEFAULT_POLYS = {
 }
 
 MAX_DEGREE = 16
+
+_CHUNK_WORDS = 1 << 11  # words of each plane the bulk kernel reduces per pass
 
 
 def _clmul_mod(a: int, b: int, poly: int, degree: int) -> int:
@@ -127,7 +128,7 @@ def _build_tables(degree: int, poly: int):
     raise AssertionError(f"no primitive element in GF(2^{degree}) mod 0x{poly:x}")
 
 
-# Shared per (degree, poly): (exp, log, generator, exp_np, log_np).
+# Shared per (degree, poly): (exp, log, generator).
 _TABLE_CACHE: dict[tuple[int, int], tuple] = {}
 
 
@@ -140,8 +141,7 @@ class FieldSpec:
     :class:`FieldElement` for operator-based arithmetic.
     """
 
-    __slots__ = ("degree", "reduction_poly", "order", "generator",
-                 "_exp", "_log", "_exp_np", "_log_np")
+    __slots__ = ("degree", "reduction_poly", "order", "generator", "_exp", "_log")
 
     def __init__(self, degree: int, reduction_poly: int | None = None):
         if not 1 <= degree <= MAX_DEGREE:
@@ -158,11 +158,8 @@ class FieldSpec:
         self.order = 1 << degree
         key = (degree, reduction_poly)
         if key not in _TABLE_CACHE:
-            exp, log, gen = _build_tables(degree, reduction_poly)
-            _TABLE_CACHE[key] = (exp, log, gen,
-                                 np.array(exp, dtype=self.dtype),
-                                 np.array(log, dtype=np.int32))
-        self._exp, self._log, self.generator, self._exp_np, self._log_np = _TABLE_CACHE[key]
+            _TABLE_CACHE[key] = _build_tables(degree, reduction_poly)
+        self._exp, self._log, self.generator = _TABLE_CACHE[key]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldSpec)
@@ -189,13 +186,8 @@ class FieldSpec:
         return FieldElement(1, self)
 
     @property
-    def dtype(self):
-        """Numpy dtype wide enough for one symbol."""
-        return np.uint8 if self.degree <= 8 else np.dtype("<u2")
-
-    @property
     def symbol_bytes(self) -> int:
-        return np.dtype(self.dtype).itemsize
+        return (self.degree + 7) // 8
 
     # -- integer-symbol arithmetic (fast path) -------------------------------
 
@@ -231,34 +223,35 @@ class FieldSpec:
 
     # -- vectorized helpers ----------------------------------------------------
 
-    def scale_array(self, c: int, arr: np.ndarray) -> np.ndarray:
-        """Multiply every entry of a symbol array by the constant c.
+    def scale_array(self, rows, planes: np.ndarray) -> np.ndarray:
+        """Apply an r x s matrix of constants to bit-sliced symbols: the one bulk kernel.
 
-        Split byte tables: multiplication distributes over XOR, so
-        c*x = xor_b c*(x_b << 8b) over the little-endian bytes x_b of each
-        symbol.  Each byte plane is one gather from a 256-entry table
-        T_b[v] = c*(v << 8b), built from the log/exp tables on every call
-        (a few microseconds; nothing is cached per constant).
-
-        The result is a fresh array of `self.dtype` (or `arr` itself when
-        c == 1, zeros of arr's dtype when c == 0); callers must not mutate
-        it in place.
+        `planes` is (s*m, words) uint64: row j*m + b holds bit b of coordinate
+        j, one bit per block.  Returns fresh (r*m, words) planes of
+        xor_j rows[i][j] * x_j.  Multiplying is linear in the operand's bits,
+        so entry (i*m + a, j*m + b) of the bitmatrix is bit a of
+        rows[i][j] * x^b; an output plane XORs the input planes its row picks.
         """
-        if c == 0:
-            return np.zeros_like(arr)
-        if c == 1:
-            return arr
-        x = np.ascontiguousarray(arr.astype(self.dtype, copy=False))
-        planes, width = x.reshape(-1).view(np.uint8), self.symbol_bytes
-        out = None
-        for b in range(width):
-            # Byte b of a symbol is below order >> 8b; higher table rows stay 0.
-            v = np.arange(1, min(256, self.order >> (8 * b)), dtype=np.int64)
-            table = np.zeros(256, dtype=self.dtype)
-            table[v] = self._exp_np[self._log_np[v << (8 * b)] + self._log[c]]
-            part = np.take(table, planes[b::width])
-            out = part if out is None else np.bitwise_xor(out, part, out=out)
-        return out.reshape(x.shape)
+        m, c = self.degree, np.array(rows, dtype=np.uint32)
+        r, s = c.shape
+        bits = np.empty((r, m, s, m), dtype=bool)  # [i, a, j, b]: bit a of rows[i][j] * x^b
+        shifts = np.arange(m, dtype=np.uint32)[:, None]
+        for b in range(m):  # c = rows * x^b, one shift-and-reduce step at a time
+            bits[..., b] = (c[:, None] >> shifts) & 1
+            c = (c << 1) ^ (c >> (m - 1)) * np.uint32(self.reduction_poly)
+        bits = bits.reshape(r * m, s * m)
+        if planes.shape[0] != s * m:
+            raise ValueError(f"{planes.shape[0]} planes do not fit a {r * m}x{s * m} bitmatrix")
+        out = np.zeros((r * m, planes.shape[1]), dtype=np.uint64)
+        counts, first = bits.sum(1).tolist(), bits.argmax(1).tolist()
+        for w in range(0, planes.shape[1], _CHUNK_WORDS):
+            chunk = planes[:, w:w + _CHUNK_WORDS]
+            for plane, pick, n, j in zip(out, bits, counts, first):
+                if n == 1:  # a copy: skip gathering one row
+                    plane[w:w + _CHUNK_WORDS] = chunk[j]
+                elif n:
+                    np.bitwise_xor.reduce(chunk[pick], axis=0, out=plane[w:w + _CHUNK_WORDS])
+        return out
 
 
 class FieldElement:

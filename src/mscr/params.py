@@ -201,6 +201,7 @@ def validate(params: CodeParams) -> list[Violation]:
                              f"order {field.order} < 2k+2 = {2 * k + 2}"))
     if params.cauchy.k != k or params.v.shape != (k, k):
         out.append(Violation("shape", (), "k does not match matrix shapes"))
+    if out:  # the O(k^3) checks below are moot once k or the shapes are refused
         return out
 
     if params.v.det().value == 0:

@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from mscr import CodeParams, FieldSpec, SourceBlock, encode, generate
 from mscr.codec import node_contents
-from mscr.linalg import Matrix
+from mscr.linalg import Matrix, first_singular_minor
 from mscr.params import solve_dual_constants
 
 
@@ -37,6 +38,11 @@ def make_params(cs, v, d: int, e: int) -> CodeParams:
                       delta_prime=delta_prime, epsilon_prime=epsilon_prime, seed=0)
 
 
+def is_super_regular(m: Matrix) -> bool:
+    """True iff every square submatrix of m is nonsingular (a test oracle)."""
+    return first_singular_minor(m) is None
+
+
 def random_block(params, rng: random.Random) -> SourceBlock:
     k, order = params.k, params.field.order
     return SourceBlock(Matrix(params.field,
@@ -50,3 +56,23 @@ def ground_truth(params, rng: random.Random):
     parity = encode(block, params)
     by_id = {c.node_id: c for c in node_contents(block, parity, params)}
     return block, parity, by_id
+
+
+def to_planes(values, m: int) -> np.ndarray:
+    """(s, n) symbols to (s*m, words) bit planes, without the byte-edge converters.
+
+    Bit t of word q of plane l*m + b is bit b of symbol l of block 64q + t.
+    """
+    v = np.array(values, dtype=np.uint64).reshape(len(values), -1)
+    s, n = v.shape
+    words = -(-n // 64)
+    bits = (v[:, None, :] >> np.arange(m, dtype=np.uint64)[:, None]) & np.uint64(1)
+    bits = np.pad(bits, ((0, 0), (0, 0), (0, 64 * words - n))).reshape(s * m, words, 64)
+    return np.bitwise_or.reduce(bits << np.arange(64, dtype=np.uint64), axis=2)
+
+
+def from_planes(planes: np.ndarray, m: int, n: int) -> list[list[int]]:
+    """Inverse of `to_planes` for the first n blocks."""
+    bits = (planes[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    bits = bits.reshape(planes.shape[0] // m, m, -1)[:, :, :n]
+    return np.bitwise_or.reduce(bits << np.arange(m, dtype=np.uint64)[:, None], axis=1).tolist()

@@ -1,12 +1,15 @@
+import hashlib
 import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from conftest import from_planes, to_planes
 from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
-                          run_scenario)
+                          bytes_to_planes, planes_to_bytes, run_scenario)
 from mscr.codec import encode, node_contents
 from mscr.galois import FieldSpec
 from mscr.params import generate
@@ -23,6 +26,84 @@ def params_k4_gf16():
     return generate(4, FieldSpec(16), seed=11)
 
 
+@pytest.mark.parametrize("degree, symbols", [(8, 1), (8, 3), (8, 9), (16, 4), (16, 16)])
+def test_byte_planes_round_trip_and_layout(degree, symbols):
+    spec = FieldSpec(degree)
+    dtype = np.uint8 if degree == 8 else np.dtype("<u2")
+    for nblocks in (0, 1, 63, 64, 65, 300):
+        raw = _data(nblocks * symbols * spec.symbol_bytes, seed=nblocks)
+        planes = bytes_to_planes(raw, spec, symbols)
+        assert planes.dtype == np.uint64 and planes.shape == (symbols * degree, -(-nblocks // 64))
+        # Bit t of word q of plane l*m + b is bit b of symbol l of block 64q + t.
+        values = np.frombuffer(raw, dtype=dtype).reshape(nblocks, symbols).T
+        assert np.array_equal(planes, to_planes(values, degree))
+        assert planes_to_bytes(planes, len(raw)) == raw
+        assert planes_to_bytes(planes, len(raw) // 2) == raw[:len(raw) // 2]
+
+
+def test_bytes_to_planes_zero_pads_partial_blocks(gf256):
+    planes = bytes_to_planes(b"\xff" * 5, gf256, 3)  # one full block, then 2 of 3 symbols
+    assert from_planes(planes, 8, 3) == [[0xff, 0xff, 0], [0xff, 0xff, 0], [0xff, 0, 0]]
+    assert not any(v for row in from_planes(planes, 8, 64) for v in row[2:])
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+def test_kernel_through_the_byte_edge(degree):
+    # Symbols from a strided view and a 2-D array (blocks x coordinates),
+    # through bytes_to_planes, scale_array and planes_to_bytes.
+    f = FieldSpec(degree)
+    dtype = np.uint8 if degree == 8 else np.dtype("<u2")
+    rng = random.Random(degree)
+    grid = np.array([[rng.randrange(f.order) for _ in range(7)] for _ in range(70)], dtype=dtype)
+    rows = [[rng.randrange(f.order) for _ in range(7)] for _ in range(3)]
+    out = planes_to_bytes(f.scale_array(rows, bytes_to_planes(grid.tobytes(), f, 7)),
+                          70 * 3 * f.symbol_bytes)
+    expected = [[0] * 3 for _ in range(70)]
+    for t, block in enumerate(grid):
+        for i, row in enumerate(rows):
+            for c, v in zip(row, block):
+                expected[t][i] ^= f.mul_int(c, int(v))
+    assert np.frombuffer(out, dtype=dtype).reshape(70, 3).tolist() == expected
+    c = rng.randrange(2, f.order)
+    for column in (grid.reshape(-1)[::2], grid[:, 3]):
+        out = planes_to_bytes(f.scale_array([[c]], bytes_to_planes(column.tobytes(), f, 1)),
+                              column.nbytes)
+        assert np.frombuffer(out, dtype=dtype).tolist() == [f.mul_int(c, int(v)) for v in column]
+
+
+# SHA-256 of all 2k shards in node order, pinned so that no change of the
+# in-memory layout can change the bytes a shard holds.
+PINNED_SHARDS = {
+    ("k3-gf8", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("k3-gf8", 1): "bd05f29a790bd01280a20860351549e1e42e065aac8a7b98d2654fb5f5581899",
+    ("k3-gf8", 63): "62455eee4dd1e478dd88b13d2745a3a09d6023cdc49972614fd5f625de8a442b",
+    ("k3-gf8", 64): "723ac87a1330067d3f860e4785fb1d6c2ac085bdfde315c62b1f6d283128872d",
+    ("k3-gf8", 65): "604e648901d0db6219d005cb15d3cd66492e0aab4fce6b33ff415bc629e333b5",
+    ("k4-gf16", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("k4-gf16", 1): "d021c60100732234dcbec5dc393a79c822cd428f7d5bef8b816fd3ac05b4f00d",
+    ("k4-gf16", 63): "2faab0c311345a5352db262edf4faee3eb1fa45570bb40fd2d1df57c924a15fe",
+    ("k4-gf16", 64): "c3447a296673bb4105875a302714a37975b1b93f87d82b77284c7d202a93d5c0",
+    ("k4-gf16", 65): "f669f0acea4031953cf95fb28aa7585c284a29fa509be4f9ade7286c2cc27fed",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SHARDS), ids=lambda c: f"{c[0]}-{c[1]}blocks")
+def test_padding_boundaries(params63, params_k4_gf16, case):
+    name, blocks = case
+    params = params63 if name == "k3-gf8" else params_k4_gf16
+    k, n = params.k, params.n
+    data = random.Random(blocks).randbytes(blocks * params.block_size * params.field.symbol_bytes)
+    c = Cluster.ingest(data, params)
+    shards = [c.node_symbols_bytes(nid) for nid in range(1, n + 1)]
+    assert hashlib.sha256(b"".join(shards)).hexdigest() == PINNED_SHARDS[case]
+    for ids in (range(1, k + 1), [1, 2] + list(range(k + 1, 2 * k - 1)), range(k + 1, n + 1)):
+        assert c.extract(ids) == data
+    for failed in ({2}, {k + 1}, {1, 2}, {k + 1, k + 2}, {1, n}):
+        c.fail(failed)
+        c.run_repair(FailurePattern.classify(failed, k))
+        assert [c.node_symbols_bytes(nid) for nid in range(1, n + 1)] == shards
+
+
 def test_ingest_empty_stream(params63):
     c = Cluster.ingest(b"", params63)
     assert c.nblocks == 0
@@ -33,7 +114,13 @@ def test_ingest_empty_stream(params63):
 def test_ingest_single_block(params63):
     c = Cluster.ingest(_data(9), params63)
     assert c.nblocks == 1
-    assert all(c.node_data[i].shape == (3, 1) for i in range(6))
+    # k*m bit planes of one 64-block word each.
+    assert all(c.node_data[i].shape == (3 * 8, 1) and c.node_data[i].dtype == np.uint64
+               for i in range(6))
+    # Pad blocks 1..63 share the word, but only block 0 exists.
+    for block in (1, -1):
+        with pytest.raises(IndexError):
+            c.block_content(1, block)
 
 
 def test_ingest_pads_to_whole_blocks(params63):

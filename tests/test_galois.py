@@ -2,9 +2,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_planes, to_planes
 from mscr.galois import (DEFAULT_POLYS, DivisionByZero, FieldMismatch,
                          FieldSpec, NotEnoughElements)
 
@@ -166,39 +167,63 @@ def test_sample_distinct_too_many():
         f.sample_distinct(3, rng_seed=0)
 
 
+def _check_scale_array(field, rows, values):
+    """scale_array on bit planes equals xor_j mul_int(rows[i][j], values[j]) per block."""
+    m, n = field.degree, len(values[0])
+    planes = to_planes(values, m)
+    out = field.scale_array(rows, planes)
+    assert out.dtype == np.uint64 and out.shape == (len(rows) * m, planes.shape[1])
+    assert out.base is None  # owns its memory
+    expected = [[0] * n for _ in rows]
+    for i, row in enumerate(rows):
+        for c, xs in zip(row, values):
+            for t, v in enumerate(xs):
+                expected[i][t] ^= field.mul_int(c, v)
+    got = from_planes(out, m, 64 * planes.shape[1])
+    assert [g[:n] for g in got] == expected
+    assert not any(v for g in got for v in g[n:])  # pad blocks stay zero
+
+
 @pytest.mark.parametrize("degree", [8, 16])
 def test_scale_array_matches_scalar(degree):
     f = FieldSpec(degree)
     rng = random.Random(degree)
-    arr = np.array([rng.randrange(f.order) for _ in range(200)], dtype=f.dtype)
+    values = [[rng.randrange(f.order) for _ in range(200)]]
     for c in (0, 1, rng.randrange(2, f.order)):
-        out = f.scale_array(c, arr)
-        assert list(out) == [f.mul_int(c, int(v)) for v in arr]
-
-    def check(field, c, values):
-        assert list(field.scale_array(c, values)) == [field.mul_int(c, int(v)) for v in values]
+        _check_scale_array(f, [[c]], values)
 
     if degree == 8:
-        # Every (c, v) pair, for the default and a second reduction polynomial.
-        every = np.arange(256, dtype=np.uint8)
+        # Every (c, v) pair, one output coordinate per constant, for the
+        # default and a second reduction polynomial.
         for field in (f, FieldSpec(8, 0x11D)):
-            for c in range(256):
-                check(field, c, every)
+            _check_scale_array(field, [[c] for c in range(256)], [list(range(256))])
     else:
         # Constants and values with a zero or an all-ones byte.
         edges = [0x00ff, 0x0100, 0xff00, 0xffff, 0x0001, 0x8000, 0x1234]
-        values = np.array(edges + [rng.randrange(f.order) for _ in range(100)], dtype=f.dtype)
-        for c in edges[:4] + [rng.randrange(2, f.order)]:
-            check(f, c, values)
-            # The same values big-endian: bytes are taken in symbol order, not memory order.
-            check(f, c, values.astype(">u2"))
-        check(FieldSpec(16, 0x1002B), 0xff00, values)
+        values = [edges + [rng.randrange(f.order) for _ in range(100)]]
+        _check_scale_array(f, [[c] for c in edges[:4] + [rng.randrange(2, f.order)]], values)
+        _check_scale_array(FieldSpec(16, 0x1002B), [[0xff00], [0xffff]], values)
 
-    # Strided inputs: every other symbol, and one column of a 2-D array.
-    grid = np.array([[rng.randrange(f.order) for _ in range(7)] for _ in range(30)],
-                    dtype=f.dtype)
-    c = rng.randrange(2, f.order)
-    check(f, c, grid.reshape(-1)[::2])
-    check(f, c, grid[:, 3])
-    assert f.scale_array(c, grid).tolist() == [[f.mul_int(c, int(v)) for v in row]
-                                                 for row in grid]
+    # A full matrix over several coordinates, with zero and unit entries.
+    rows = [[rng.randrange(f.order) for _ in range(7)] for _ in range(3)]
+    rows += [[0] * 7, [0, 0, 1, 0, 0, 0, 0]]
+    grid = [[rng.randrange(f.order) for _ in range(130)] for _ in range(7)]
+    _check_scale_array(f, rows, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scale_array_random_matrices_every_degree(data):
+    field = FieldSpec(data.draw(st.integers(1, 16)))
+    r, s = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(0, 130))
+    symbol = st.integers(0, field.order - 1)
+    rows = data.draw(st.lists(st.lists(symbol, min_size=s, max_size=s), min_size=r, max_size=r))
+    values = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n),
+                                min_size=s, max_size=s))
+    _check_scale_array(field, rows, values)
+
+
+def test_scale_array_rejects_planes_of_another_width(gf256):
+    with pytest.raises(ValueError, match="planes"):
+        gf256.scale_array([[1, 2]], np.zeros((8, 3), dtype=np.uint64))

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from conftest import is_super_regular
 from mscr.linalg import (CauchySpec, DimensionMismatch, DuplicateGenerators,
                          Matrix, SingularMatrix, TooLarge, cauchy,
                          cauchy_inverse, dot, first_singular_minor,
-                         is_super_regular, random_matrix, random_nonsingular)
+                         random_matrix, random_nonsingular)
 
 
 def _rand(spec, r, c, rng):

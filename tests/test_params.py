@@ -205,12 +205,18 @@ def test_cauchy_matrices_are_super_regular(cs):
     assert first_singular_minor(cauchy(cs)) is None
 
 
-def test_validate_reports_k_outside_supported_range(gf256):
+def test_validate_reports_k_outside_supported_range(gf256, monkeypatch):
     vals = random.Random(3).sample(range(gf256.order), 18)
     cs = CauchySpec(tuple(gf256.element(x) for x in vals[:9]),
                     tuple(gf256.element(x) for x in vals[9:]))
     big = make_params(cs, Matrix.identity(gf256, 9), 2, 3)
-    assert "k_range" in {v.condition for v in validate(big)}
+
+    def no_det(*args):
+        raise AssertionError("validate ran its O(k^3) checks after refusing k")
+
+    # A refused k ends validation: no determinant, no P or Q.
+    monkeypatch.setattr(Matrix, "det", no_det)
+    assert [v.condition for v in validate(big)] == ["k_range"]
 
 
 def test_validate_refuses_huge_k_before_building_matrices(params63, monkeypatch):
