@@ -117,7 +117,7 @@ def _vec_index(r: int, c: int, k: int) -> int:
     return r * k + c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def encode_matrix(params: CodeParams) -> Matrix:
     """The k^2 x k^2 matrix E with vec(Y) = E vec(X), found by probing encode().
 
@@ -135,7 +135,7 @@ def encode_matrix(params: CodeParams) -> Matrix:
     return Matrix(field, [[cols[j][i] for j in range(k * k)] for i in range(k * k)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # bounded: 128 k=8 entries hold about 3.5 MiB
 def collection_matrix(node_ids: tuple[int, ...], params: CodeParams) -> Matrix:
     """Coefficient matrix of the k^2-unknown system solved by collect().
 

@@ -1,15 +1,14 @@
 """Exact arithmetic in binary extension fields GF(2^m).
 
-A symbol is an integer in [0, 2^m) whose bits are the coefficients of a
-polynomial over GF(2); arithmetic is modulo an irreducible reduction
-polynomial of degree m.  Addition and subtraction are both XOR.
-Multiplication, division and inversion go through log/antilog tables built
-once per field from a primitive element, so the per-symbol cost is a couple
-of list lookups.  Tables are cached per (degree, polynomial) pair.
+A symbol is an integer in [0, 2^m) whose bits are the coefficients of a polynomial over
+GF(2); arithmetic is modulo an irreducible reduction polynomial of degree m.  Addition and
+subtraction are both XOR.  Multiplication, division and inversion go through log/antilog
+tables built once per field from a primitive element, so the per-symbol cost is a couple of
+list lookups.  Tables are cached per (degree, polynomial) pair.
 
-The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of
-constants to bit-sliced symbols as XORs of whole bit planes: the bitmatrix
-form of Blomer et al. (1995) and Plank and Xu (2006).
+The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of constants to bit-sliced
+symbols as XORs of whole bit planes (Blomer et al. 1995; Plank and Xu 2006): gathered and
+reduced up to _CHUNK_WORDS words, while the gather stays in cache, and XORed in place wider.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ DEFAULT_POLYS = {
 
 MAX_DEGREE = 16
 
-_CHUNK_WORDS = 1 << 11  # words of each plane the bulk kernel reduces per pass
+_CHUNK_WORDS = 1 << 11  # widest planes (16 KiB) scale_array gathers; wider ones XOR in place
 
 
 def _clmul_mod(a: int, b: int, poly: int, degree: int) -> int:
@@ -122,8 +121,7 @@ def _build_tables(degree: int, poly: int):
             log[x] = i
             x = _clmul_mod(x, g, poly, degree)
         if primitive and x == 1:
-            for i in range(order - 1, 2 * (order - 1)):
-                exp[i] = exp[i - (order - 1)]
+            exp[order - 1:] = exp[:order - 1]
             return exp, log, g
     raise AssertionError(f"no primitive element in GF(2^{degree}) mod 0x{poly:x}")
 
@@ -191,9 +189,6 @@ class FieldSpec:
 
     # -- integer-symbol arithmetic (fast path) -------------------------------
 
-    def add_int(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul_int(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -226,11 +221,11 @@ class FieldSpec:
     def scale_array(self, rows, planes: np.ndarray) -> np.ndarray:
         """Apply an r x s matrix of constants to bit-sliced symbols: the one bulk kernel.
 
-        `planes` is (s*m, words) uint64: row j*m + b holds bit b of coordinate
-        j, one bit per block.  Returns fresh (r*m, words) planes of
-        xor_j rows[i][j] * x_j.  Multiplying is linear in the operand's bits,
-        so entry (i*m + a, j*m + b) of the bitmatrix is bit a of
-        rows[i][j] * x^b; an output plane XORs the input planes its row picks.
+        `planes` is (s*m, words) uint64: row j*m + b holds bit b of coordinate j, one bit
+        per block.  Returns fresh (r*m, words) planes of xor_j rows[i][j] * x_j.  Bitmatrix
+        entry (i*m + a, j*m + b) is bit a of rows[i][j] * x^b (multiplying is linear in the
+        operand's bits); an output plane XORs the planes its row picks, in one gather-reduce
+        call up to _CHUNK_WORDS words while the gathered copy stays in cache, else in place.
         """
         m, c = self.degree, np.array(rows, dtype=np.uint32)
         r, s = c.shape
@@ -244,13 +239,16 @@ class FieldSpec:
             raise ValueError(f"{planes.shape[0]} planes do not fit a {r * m}x{s * m} bitmatrix")
         out = np.zeros((r * m, planes.shape[1]), dtype=np.uint64)
         counts, first = bits.sum(1).tolist(), bits.argmax(1).tolist()
-        for w in range(0, planes.shape[1], _CHUNK_WORDS):
-            chunk = planes[:, w:w + _CHUNK_WORDS]
-            for plane, pick, n, j in zip(out, bits, counts, first):
-                if n == 1:  # a copy: skip gathering one row
-                    plane[w:w + _CHUNK_WORDS] = chunk[j]
-                elif n:
-                    np.bitwise_xor.reduce(chunk[pick], axis=0, out=plane[w:w + _CHUNK_WORDS])
+        for plane, pick, n, j in zip(out, bits, counts, first):
+            if n == 1:  # a copy
+                plane[:] = planes[j]
+            elif n and planes.shape[1] <= _CHUNK_WORDS:
+                np.bitwise_xor.reduce(planes[pick], axis=0, out=plane)
+            elif n:
+                a, b, *rest = np.flatnonzero(pick).tolist()
+                np.bitwise_xor(planes[a], planes[b], out=plane)
+                for j in rest:
+                    np.bitwise_xor(plane, planes[j], out=plane)
         return out
 
 

@@ -4,10 +4,12 @@ from itertools import combinations
 import pytest
 
 from conftest import ground_truth, random_block
+from mscr.cluster import Cluster
 from mscr.codec import (DuplicateNodes, IndexOutOfRange, ParityBlock,
                         SourceBlock, collect, collection_matrix, dual_encode,
                         encode, encode_matrix, node_contents, z_column)
 from mscr.linalg import DimensionMismatch, Matrix, dot
+from mscr.params import generate
 
 
 def test_zero_block_encodes_to_zero(params63):
@@ -153,6 +155,21 @@ def test_collection_matrix_is_square_nonsingular(params63):
         m = collection_matrix(subset, params63)
         assert m.shape == (9, 9)
         assert m.det().value != 0
+
+
+def test_matrix_caches_are_bounded(params_k5):
+    data = random.Random(44).randbytes(300)
+    c = Cluster.ingest(data, params_k5, keep_oracle=False)
+    assert c.extract({1, 2, 3, 4, 6}) == data
+    bound = collection_matrix.cache_info().maxsize
+    for subset in list(combinations(range(1, 11), 5))[:bound + 10]:
+        collection_matrix(subset, params_k5)
+    assert collection_matrix.cache_info().currsize <= bound
+    assert c.extract({1, 2, 3, 4, 6}) == data  # evicted, rebuilt, same bytes
+    field = params_k5.field
+    for seed in range(encode_matrix.cache_info().maxsize + 10):
+        encode_matrix(generate(2, field, seed=seed))
+    assert encode_matrix.cache_info().currsize <= encode_matrix.cache_info().maxsize
 
 
 def test_node_contents_layout(params63):

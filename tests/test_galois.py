@@ -1,4 +1,6 @@
+import operator
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_planes, to_planes
-from mscr.galois import (DEFAULT_POLYS, DivisionByZero, FieldMismatch,
-                         FieldSpec, NotEnoughElements)
+from mscr.galois import (_CHUNK_WORDS, DEFAULT_POLYS, DivisionByZero,
+                         FieldMismatch, FieldSpec, NotEnoughElements)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +53,6 @@ def _oracle_mul(a, b, exp, log, order):
 
 def test_add_is_xor(gf256):
     assert (gf256.element(0x57) + gf256.element(0x83)).value == 0xD4
-    assert gf256.add_int(0x57, 0x83) == 0xD4
 
 
 def test_mul_known_value_and_oracle(gf256):
@@ -222,6 +223,33 @@ def test_scale_array_random_matrices_every_degree(data):
     values = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n),
                                 min_size=s, max_size=s))
     _check_scale_array(field, rows, values)
+
+
+@pytest.mark.parametrize("words", [_CHUNK_WORDS, _CHUNK_WORDS + 1])
+@pytest.mark.parametrize("degree", [8, 16])
+def test_scale_array_across_the_width_switch(degree, words):
+    # Wider than _CHUNK_WORDS, the kernel XORs each picked plane into its
+    # output plane in place; narrower slices take the gather-reduce path
+    # that the scalar checks above cover.  Both must agree on every word.
+    f = FieldSpec(degree)
+    rng = random.Random(degree * words)
+    s = rng.randrange(3, 6)
+    unit, pair = [0] * s, [0] * s
+    unit[rng.randrange(s)] = 1  # one set bit per bitmatrix row: a copy
+    pair[0] = pair[-1] = 1  # two set bits per bitmatrix row
+    dense = [[rng.randrange(1, f.order) for _ in range(s)] for _ in range(rng.randrange(1, 4))]
+    rows = [[0] * s, unit, pair] + dense
+    rng.shuffle(rows)
+    planes = np.random.default_rng(words).integers(
+        0, 1 << 64, size=(s * degree, words), dtype=np.uint64)
+    out = f.scale_array(rows, planes)
+    narrow = [f.scale_array(rows, planes[:, w:w + 1000]) for w in range(0, words, 1000)]
+    assert np.array_equal(out, np.concatenate(narrow, axis=1))
+    for word in (0, words - 1):  # and against scalar arithmetic directly
+        values = from_planes(planes[:, word:word + 1], degree, 64)
+        expected = [[reduce(operator.xor, (f.mul_int(c, v[t]) for c, v in zip(row, values)))
+                     for t in range(64)] for row in rows]
+        assert from_planes(out[:, word:word + 1], degree, 64) == expected
 
 
 def test_scale_array_rejects_planes_of_another_width(gf256):
