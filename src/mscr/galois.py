@@ -1,14 +1,17 @@
 """Exact arithmetic in binary extension fields GF(2^m).
 
-A symbol is an integer in [0, 2^m) whose bits are the coefficients of a polynomial over
-GF(2); arithmetic is modulo an irreducible reduction polynomial of degree m.  Addition and
-subtraction are both XOR.  Multiplication, division and inversion go through log/antilog
-tables built once per field from a primitive element, so the per-symbol cost is a couple of
-list lookups.  Tables are cached per (degree, polynomial) pair.
+A symbol is an integer in [0, 2^m) whose bits are the coefficients of a
+polynomial over GF(2); arithmetic is modulo an irreducible reduction
+polynomial of degree m.  Addition and subtraction are both XOR.
+Multiplication, division and inversion go through log/antilog tables built
+once per field from a primitive element, so the per-symbol cost is a couple
+of list lookups.  Tables are cached per (degree, polynomial) pair.
 
-The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of constants to bit-sliced
-symbols as XORs of whole bit planes (Blomer et al. 1995; Plank and Xu 2006): gathered and
-reduced up to _CHUNK_WORDS words, while the gather stays in cache, and XORed in place wider.
+The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of
+constants to bit-sliced symbols as XORs of whole bit planes: the bitmatrix
+form of Blomer et al. (1995) and Plank and Xu (2006).  Up to _GATHER_WORDS
+words it gathers an output plane's inputs and reduces them in one call;
+wider, it XORs each input straight into the output plane.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ DEFAULT_POLYS = {
 
 MAX_DEGREE = 16
 
-_CHUNK_WORDS = 1 << 11  # widest planes (16 KiB) scale_array gathers; wider ones XOR in place
+_GATHER_WORDS = 5 << 9  # widest planes gathered; wider, a call per set bit beats the copy
 
 
 def _clmul_mod(a: int, b: int, poly: int, degree: int) -> int:
@@ -121,7 +124,8 @@ def _build_tables(degree: int, poly: int):
             log[x] = i
             x = _clmul_mod(x, g, poly, degree)
         if primitive and x == 1:
-            exp[order - 1:] = exp[:order - 1]
+            for i in range(order - 1, 2 * (order - 1)):
+                exp[i] = exp[i - (order - 1)]
             return exp, log, g
     raise AssertionError(f"no primitive element in GF(2^{degree}) mod 0x{poly:x}")
 
@@ -189,6 +193,9 @@ class FieldSpec:
 
     # -- integer-symbol arithmetic (fast path) -------------------------------
 
+    def add_int(self, a: int, b: int) -> int:
+        return a ^ b
+
     def mul_int(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -221,11 +228,13 @@ class FieldSpec:
     def scale_array(self, rows, planes: np.ndarray) -> np.ndarray:
         """Apply an r x s matrix of constants to bit-sliced symbols: the one bulk kernel.
 
-        `planes` is (s*m, words) uint64: row j*m + b holds bit b of coordinate j, one bit
-        per block.  Returns fresh (r*m, words) planes of xor_j rows[i][j] * x_j.  Bitmatrix
-        entry (i*m + a, j*m + b) is bit a of rows[i][j] * x^b (multiplying is linear in the
-        operand's bits); an output plane XORs the planes its row picks, in one gather-reduce
-        call up to _CHUNK_WORDS words while the gathered copy stays in cache, else in place.
+        `planes` is (s*m, words) uint64: row j*m + b holds bit b of coordinate
+        j, one bit per block.  Returns fresh (r*m, words) planes of
+        xor_j rows[i][j] * x_j.  Multiplying is linear in the operand's bits,
+        so entry (i*m + a, j*m + b) of the bitmatrix is bit a of
+        rows[i][j] * x^b; an output plane XORs the input planes its row picks.
+        Up to _GATHER_WORDS words, near where the two break even, that is one
+        reduce over a gathered copy; wider, one XOR per set bit in place.
         """
         m, c = self.degree, np.array(rows, dtype=np.uint32)
         r, s = c.shape
@@ -242,7 +251,7 @@ class FieldSpec:
         for plane, pick, n, j in zip(out, bits, counts, first):
             if n == 1:  # a copy
                 plane[:] = planes[j]
-            elif n and planes.shape[1] <= _CHUNK_WORDS:
+            elif n and planes.shape[1] <= _GATHER_WORDS:
                 np.bitwise_xor.reduce(planes[pick], axis=0, out=plane)
             elif n:
                 a, b, *rest = np.flatnonzero(pick).tolist()

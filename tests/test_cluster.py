@@ -11,7 +11,7 @@ from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
                           bytes_to_planes, planes_to_bytes, run_scenario)
 from mscr.codec import encode, node_contents
-from mscr.galois import _CHUNK_WORDS, FieldSpec
+from mscr.galois import _GATHER_WORDS, FieldSpec
 from mscr.params import generate
 from mscr.repair import (FailurePattern, apply_repair, phase1_messages,
                          plan_repair)
@@ -255,11 +255,11 @@ def test_production_mode_drops_oracle(params63):
 
 
 def test_stream_wider_than_the_kernel_switch(params63):
-    # 64 blocks per word: every node array is wider than _CHUNK_WORDS, so each
+    # 64 blocks per word: every node array is wider than _GATHER_WORDS, so each
     # kernel call of ingest, extract and repair takes the in-place XOR path.
-    data = _data((64 * (_CHUNK_WORDS + 1) + 1) * params63.block_size - 4, seed=13)
+    data = _data((64 * (_GATHER_WORDS + 1) + 1) * params63.block_size - 4, seed=13)
     c = Cluster.ingest(data, params63)
-    assert c.node_data[0].shape[1] > _CHUNK_WORDS
+    assert c.node_data[0].shape[1] > _GATHER_WORDS
     for ids in ({1, 2, 3}, {1, 2, 4}, {4, 5, 6}):
         assert c.extract(ids) == data
     for failed in ({1}, {4}, {1, 2}, {4, 5}, {4, 5, 6}, {1, 4}):

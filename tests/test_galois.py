@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_planes, to_planes
-from mscr.galois import (_CHUNK_WORDS, DEFAULT_POLYS, DivisionByZero,
+from mscr.galois import (_GATHER_WORDS, DEFAULT_POLYS, DivisionByZero,
                          FieldMismatch, FieldSpec, NotEnoughElements)
 
 
@@ -53,6 +53,7 @@ def _oracle_mul(a, b, exp, log, order):
 
 def test_add_is_xor(gf256):
     assert (gf256.element(0x57) + gf256.element(0x83)).value == 0xD4
+    assert gf256.add_int(0x57, 0x83) == 0xD4
 
 
 def test_mul_known_value_and_oracle(gf256):
@@ -225,10 +226,10 @@ def test_scale_array_random_matrices_every_degree(data):
     _check_scale_array(field, rows, values)
 
 
-@pytest.mark.parametrize("words", [_CHUNK_WORDS, _CHUNK_WORDS + 1])
+@pytest.mark.parametrize("words", [_GATHER_WORDS, _GATHER_WORDS + 1])
 @pytest.mark.parametrize("degree", [8, 16])
 def test_scale_array_across_the_width_switch(degree, words):
-    # Wider than _CHUNK_WORDS, the kernel XORs each picked plane into its
+    # Wider than _GATHER_WORDS, the kernel XORs each picked plane into its
     # output plane in place; narrower slices take the gather-reduce path
     # that the scalar checks above cover.  Both must agree on every word.
     f = FieldSpec(degree)
