@@ -162,13 +162,16 @@ class Cluster:
                keep_oracle: bool = True) -> "Cluster":
         """Chunk, zero-pad, encode and place a byte stream on 2k nodes (m = 8 or 16)."""
         k, spec = params.k, params.field
-        x = bytes_to_planes(data, spec, params.block_size)  # vec(X) per block
         nblocks = -(-len(data) // (params.block_size * spec.symbol_bytes))
+        parity = [np.empty((k * spec.degree, -(-nblocks // 64)), dtype=np.uint64) for _ in range(k)]
+        x = bytes_to_planes(data, spec, params.block_size)  # vec(X) per block
         enc = codec.encode_matrix(params).int_rows()
         # Node j holds column j of X (or Y): coordinates j, j+k, ... of vec(X) (or vec(Y)).
         plane = np.arange(k * k * spec.degree).reshape(k, k, spec.degree)  # [l, j, bit]
         node_data: list[np.ndarray | None] = [x[plane[:, j].reshape(-1)] for j in range(k)]
-        node_data += [spec.scale_array(enc[j::k], x) for j in range(k)]
+        spec.scale_array(sum((enc[j::k] for j in range(k)), []), x,
+                         out=[p for d in parity for p in d])
+        node_data += parity
         oracle = [d.copy() for d in node_data] if keep_oracle else None
         return cls(params, node_data, nblocks, len(data), oracle)
 
@@ -232,23 +235,29 @@ class Cluster:
     def run_repair(self, pattern: repair.FailurePattern):
         """Run the two-phase protocol across all blocks; verify against the oracle.
 
-        Returns (self, per-block BandwidthReport).  Each phase-1 edge is its
-        newcomer's probe applied to the helper's planes; each newcomer's
-        content is its k rows of the plan's linear map (derived from the
+        Returns (self, per-block BandwidthReport).  Phase 1 is one kernel call
+        per helper: its newcomers' probes applied to its planes.  Phase 2 is
+        one call for all newcomers: the plan's linear map (derived from the
         scalar protocol) applied to the phase-1 planes of all edges.
         """
         if pattern.failed != frozenset(self.failed):
             raise ValueError(
                 f"pattern {sorted(pattern.failed)} does not match failed set {sorted(self.failed)}")
-        k, spec = self.params.k, self.params.field
-        plan = repair.plan_repair(pattern, self.params)
-        phase1 = np.concatenate([
-            spec.scale_array([[e.value for e in repair.probe_vector(self.params, newcomer)]],
-                             self.node_data[helper - 1])
-            for helper, newcomer, _ in plan.phase1_edges])
+        k, spec, plan = self.params.k, self.params.field, repair.plan_repair(pattern, self.params)
+        r, d, m, words = len(plan.newcomers), len(plan.helpers), spec.degree, -(-self.nblocks // 64)
+        # As in ingest, arrays that outlive the call are allocated before its temporaries,
+        # so that freeing those leaves no holes between live arrays and does not trim the heap.
+        repaired = [np.empty((k * m, words), dtype=np.uint64) for _ in range(r)]
+        phase1 = np.empty((r, d, m, words), dtype=np.uint64)  # the edges run newcomer-major
+        probes = [[e.value for e in repair.probe_vector(self.params, nc)] for nc in plan.newcomers]
+        for i, helper in enumerate(plan.helpers):
+            spec.scale_array(probes, self.node_data[helper - 1],
+                             out=[p for edge in phase1[:, i] for p in edge])
         rows, report = _linear_repair_map(plan, self.params)
-        for idx, nc in enumerate(plan.newcomers):
-            self.node_data[nc - 1] = spec.scale_array(rows[idx * k:(idx + 1) * k], phase1)
+        spec.scale_array(rows, phase1.reshape(r * d * m, words),
+                         out=[p for a in repaired for p in a])
+        for nc, a in zip(plan.newcomers, repaired):
+            self.node_data[nc - 1] = a
             self.failed.discard(nc)
 
         if self.oracle is not None:

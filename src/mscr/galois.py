@@ -11,7 +11,8 @@ The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of
 constants to bit-sliced symbols as XORs of whole bit planes: the bitmatrix
 form of Blomer et al. (1995) and Plank and Xu (2006).  Up to _GATHER_WORDS
 words it gathers an output plane's inputs and reduces them in one call;
-wider, it XORs each input straight into the output plane.
+wider, it tables the XOR combinations that rows pick from each group of 4
+input planes (Four Russians) and XORs one entry per group into each output.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ DEFAULT_POLYS = {
 
 MAX_DEGREE = 16
 
-_GATHER_WORDS = 5 << 9  # widest planes gathered; wider, a call per set bit beats the copy
+_GATHER_WORDS = 1 << 11  # widest planes gathered; wider, the XOR tables win
 
 
 def _clmul_mod(a: int, b: int, poly: int, degree: int) -> int:
@@ -103,34 +104,39 @@ def _is_irreducible(poly: int, degree: int) -> bool:
 
 
 def _build_tables(degree: int, poly: int):
-    """Build (exp, log, generator) tables by walking powers of a generator.
+    """(exp, log) tables of the first primitive element g, from a walk of its powers.
 
-    The exp table is doubled so that exp[i+j] works without reducing the
-    index modulo 2^m - 1.
-    """
-    order = 1 << degree
-    if degree == 1:
-        return [1, 1], [0, 0], 1
-    for g in range(2, order):
-        exp = [0] * (2 * (order - 1))
-        log = [0] * order
-        x = 1
-        primitive = True
-        for i in range(order - 1):
-            if x == 1 and i > 0:
-                primitive = False  # cycle closed early: g is not a generator
-                break
-            exp[i] = x
-            log[x] = i
-            x = _clmul_mod(x, g, poly, degree)
-        if primitive and x == 1:
-            for i in range(order - 1, 2 * (order - 1)):
-                exp[i] = exp[i - (order - 1)]
-            return exp, log, g
+    Past 256 powers (m > 8), exp[s:2s] = exp[:s] * g^s by numpy shift-and-reduce steps.
+    exp is stored twice over so that exp[i+j] needs no reduction modulo 2^m - 1."""
+    n = (1 << degree) - 1
+    for g in range(2 - (degree == 1), n + 1):
+        exp, log, x = [1] * min(n, 256), [0] * (n + 1), g
+        for i in range(1, len(exp)):
+            if x == 1:
+                break  # the cycle closed early: g is not primitive
+            exp[i], log[x], x = x, i, _clmul_mod(x, g, poly, degree)
+        else:
+            if len(exp) == n:
+                return exp * 2, log
+        if x == 1:
+            continue
+        exp, s = np.resize(np.array(exp, dtype=np.uint32), n), 256
+        while s < n:  # x = g^s
+            part, acc = exp[:min(s, n - s)], 0
+            for b in range(x.bit_length()):
+                if x >> b & 1:
+                    acc = acc ^ part
+                part = (part << 1) ^ (part >> (degree - 1)) * poly
+            exp[s:s + acc.size], s, x = acc, 2 * s, _clmul_mod(x, x, poly, degree)
+        del part, acc  # freed before the lists below are built, for a lower peak RSS
+        if np.count_nonzero(exp == 1) == 1:  # no power but the 0th is 1
+            log = np.zeros(n + 1, dtype=np.uint32)
+            log[exp] = np.arange(n, dtype=np.uint32)
+            return exp.tolist() * 2, log.tolist()
     raise AssertionError(f"no primitive element in GF(2^{degree}) mod 0x{poly:x}")
 
 
-# Shared per (degree, poly): (exp, log, generator).
+# Shared per (degree, poly): (exp, log).
 _TABLE_CACHE: dict[tuple[int, int], tuple] = {}
 
 
@@ -143,7 +149,7 @@ class FieldSpec:
     :class:`FieldElement` for operator-based arithmetic.
     """
 
-    __slots__ = ("degree", "reduction_poly", "order", "generator", "_exp", "_log")
+    __slots__ = ("degree", "reduction_poly", "order", "_exp", "_log")
 
     def __init__(self, degree: int, reduction_poly: int | None = None):
         if not 1 <= degree <= MAX_DEGREE:
@@ -161,7 +167,7 @@ class FieldSpec:
         key = (degree, reduction_poly)
         if key not in _TABLE_CACHE:
             _TABLE_CACHE[key] = _build_tables(degree, reduction_poly)
-        self._exp, self._log, self.generator = _TABLE_CACHE[key]
+        self._exp, self._log = _TABLE_CACHE[key]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FieldSpec)
@@ -225,16 +231,16 @@ class FieldSpec:
 
     # -- vectorized helpers ----------------------------------------------------
 
-    def scale_array(self, rows, planes: np.ndarray) -> np.ndarray:
+    def scale_array(self, rows, planes: np.ndarray, *, out=None) -> np.ndarray:
         """Apply an r x s matrix of constants to bit-sliced symbols: the one bulk kernel.
 
         `planes` is (s*m, words) uint64: row j*m + b holds bit b of coordinate
-        j, one bit per block.  Returns fresh (r*m, words) planes of
-        xor_j rows[i][j] * x_j.  Multiplying is linear in the operand's bits,
-        so entry (i*m + a, j*m + b) of the bitmatrix is bit a of
-        rows[i][j] * x^b; an output plane XORs the input planes its row picks.
-        Up to _GATHER_WORDS words, near where the two break even, that is one
-        reduce over a gathered copy; wider, one XOR per set bit in place.
+        j, one bit per block.  Returns the r*m planes of xor_j rows[i][j] * x_j,
+        fresh or written to `out`.  Entry (i*m + a, j*m + b) of the bitmatrix is
+        bit a of rows[i][j] * x^b; an output plane XORs the input planes its row
+        picks.  Up to _GATHER_WORDS words, one reduce over a gathered copy;
+        wider, per group of 4 input planes the XOR combinations some row picks
+        are built once, one XOR each, and each row XORs in one per group.
         """
         m, c = self.degree, np.array(rows, dtype=np.uint32)
         r, s = c.shape
@@ -246,18 +252,28 @@ class FieldSpec:
         bits = bits.reshape(r * m, s * m)
         if planes.shape[0] != s * m:
             raise ValueError(f"{planes.shape[0]} planes do not fit a {r * m}x{s * m} bitmatrix")
-        out = np.zeros((r * m, planes.shape[1]), dtype=np.uint64)
+        out = np.empty((r * m, planes.shape[1]), dtype=np.uint64) if out is None else out
         counts, first = bits.sum(1).tolist(), bits.argmax(1).tolist()
-        for plane, pick, n, j in zip(out, bits, counts, first):
-            if n == 1:  # a copy
-                plane[:] = planes[j]
-            elif n and planes.shape[1] <= _GATHER_WORDS:
-                np.bitwise_xor.reduce(planes[pick], axis=0, out=plane)
-            elif n:
-                a, b, *rest = np.flatnonzero(pick).tolist()
-                np.bitwise_xor(planes[a], planes[b], out=plane)
-                for j in rest:
-                    np.bitwise_xor(plane, planes[j], out=plane)
+        if planes.shape[1] <= _GATHER_WORDS:
+            for plane, pick, n, j in zip(out, bits, counts, first):
+                if n == 1:
+                    plane[:] = planes[j]
+                else:  # zeros if nothing is picked
+                    np.bitwise_xor.reduce(planes[pick], axis=0, out=plane)
+            return out
+        codes = np.concatenate([bits, np.zeros((r * m, -s * m % 4), bool)], 1).reshape(r * m, -1, 4)
+        codes = (codes << np.arange(4, dtype=np.uint8)).sum(2, dtype=np.uint8)
+        dst, table = list(out), np.empty((16, planes.shape[1]), dtype=np.uint64)
+        for g, col in enumerate(codes.T.tolist()):
+            entry = dict(zip((1, 2, 4, 8), planes[4 * g:4 * g + 4]))
+            for v in sorted({v >> t << t for v in set(col) for t in range(4)}):  # with prefixes
+                if v & (v - 1):  # one XOR from a smaller entry and one plane
+                    entry[v] = np.bitwise_xor(entry[v & (v - 1)], entry[v & -v], out=table[v])
+            for i, v in enumerate(col):
+                if first[i] // 4 == g:  # the first touch: a copy, or zeros if nothing is picked
+                    dst[i][:] = entry[v] if v else 0
+                elif v:
+                    np.bitwise_xor(dst[i], entry[v], out=dst[i])
         return out
 
 

@@ -10,11 +10,11 @@ from conftest import from_planes, to_planes
 from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
                           bytes_to_planes, planes_to_bytes, run_scenario)
-from mscr.codec import encode, node_contents
+from mscr.codec import encode, encode_matrix, node_contents
 from mscr.galois import _GATHER_WORDS, FieldSpec
 from mscr.params import generate
 from mscr.repair import (FailurePattern, apply_repair, phase1_messages,
-                         plan_repair)
+                         plan_repair, probe_vector)
 
 
 def _data(n, seed=1):
@@ -254,9 +254,58 @@ def test_production_mode_drops_oracle(params63):
     assert c.extract({4, 5, 6}) == data
 
 
+def _kernel_calls(monkeypatch):
+    """Record (rows, input planes, output planes) of every kernel call."""
+    calls, kernel = [], FieldSpec.scale_array
+
+    def spy(self, rows, planes, **kw):
+        out = kernel(self, rows, planes, **kw)
+        calls.append(([list(r) for r in rows], planes, np.array(list(out))))
+        return out
+    monkeypatch.setattr(FieldSpec, "scale_array", spy)
+    return calls
+
+
+@pytest.mark.parametrize("words", [2, _GATHER_WORDS + 1])
+def test_ingest_encodes_all_parity_nodes_in_one_call(params63, params_k4_gf16, words,
+                                                     monkeypatch):
+    for params in (params63, params_k4_gf16):
+        k, spec = params.k, params.field
+        data = _data(64 * words * params.block_size * spec.symbol_bytes - 5, seed=words)
+        calls = _kernel_calls(monkeypatch)
+        c = Cluster.ingest(data, params)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        x = bytes_to_planes(data, spec, params.block_size)
+        enc = encode_matrix(params).int_rows()
+        for j in range(k):  # equal to one apply per parity node
+            assert np.array_equal(c.node_data[k + j], spec.scale_array(enc[j::k], x))
+
+
+@pytest.mark.parametrize("failed", [{1}, {4}, {1, 2}, {4, 5, 6}, {1, 4}])
+@pytest.mark.parametrize("words", [2, _GATHER_WORDS + 1])
+def test_phase1_is_one_call_per_helper(params63, failed, words, monkeypatch):
+    m = params63.field.degree
+    c = Cluster.ingest(_data(64 * words * params63.block_size - 7, seed=words), params63)
+    c.fail(failed)
+    helpers = {id(d): nid for nid, d in enumerate(c.node_data, 1) if d is not None}
+    calls = _kernel_calls(monkeypatch)
+    c.run_repair(FailurePattern.classify(failed, 3))  # checked against the oracle
+    monkeypatch.undo()
+    phase1 = [(helpers[id(p)], rows, out) for rows, p, out in calls if id(p) in helpers]
+    plan = plan_repair(FailurePattern.classify(failed, 3), params63)
+    assert [h for h, _, _ in phase1] == list(plan.helpers)
+    assert len(calls) == len(phase1) + 1  # and one phase-2 call for all newcomers
+    for helper, rows, out in phase1:
+        assert rows == [[e.value for e in probe_vector(params63, nc)] for nc in plan.newcomers]
+        for t, probe in enumerate(rows):  # equal to one apply per edge
+            edge = params63.field.scale_array([probe], c.oracle[helper - 1])
+            assert np.array_equal(out[t * m:(t + 1) * m], edge)
+
+
 def test_stream_wider_than_the_kernel_switch(params63):
     # 64 blocks per word: every node array is wider than _GATHER_WORDS, so each
-    # kernel call of ingest, extract and repair takes the in-place XOR path.
+    # kernel call of ingest, extract and repair takes the XOR-table path.
     data = _data((64 * (_GATHER_WORDS + 1) + 1) * params63.block_size - 4, seed=13)
     c = Cluster.ingest(data, params63)
     assert c.node_data[0].shape[1] > _GATHER_WORDS

@@ -31,7 +31,7 @@ def _slow_mul(a, b, poly, degree):
 
 def _oracle_tables(poly, degree):
     order = 1 << degree
-    for g in range(2, order):
+    for g in range(1 if degree == 1 else 2, order):  # in GF(2), 1 generates
         exp, log = {}, {}
         x = 1
         for i in range(order - 1):
@@ -63,6 +63,15 @@ def test_mul_known_value_and_oracle(gf256):
     for _ in range(2000):
         a, b = rng.randrange(256), rng.randrange(256)
         assert gf256.mul_int(a, b) == _oracle_mul(a, b, exp, log, 256)
+
+
+@pytest.mark.parametrize("degree, poly", sorted(DEFAULT_POLYS.items()) + [(8, 0x11D), (16, 0x1002B)])
+def test_tables_equal_the_oracle_walk(degree, poly):
+    # Fields past 2^8 double the walk with numpy; the tables must not change.
+    exp, log = _oracle_tables(poly, degree)
+    f, n = FieldSpec(degree, poly), (1 << degree) - 1
+    assert f._exp == [exp[i % n] for i in range(2 * n)]
+    assert f._log[1:] == [log[v] for v in range(1, n + 1)]
 
 
 def test_mul_identity(gf256):
@@ -226,21 +235,35 @@ def test_scale_array_random_matrices_every_degree(data):
     _check_scale_array(field, rows, values)
 
 
+def _group_codes(f, rows):
+    """Per bitmatrix row, the 4-bit selector of each group of 4 input planes."""
+    m = f.degree
+    bits = [[f.mul_int(c, 1 << b) >> a & 1 for c in row for b in range(m)]
+            for row in rows for a in range(m)]
+    return [[sum(bit << t for t, bit in enumerate(r[g:g + 4])) for g in range(0, len(r), 4)]
+            for r in bits]
+
+
 @pytest.mark.parametrize("words", [_GATHER_WORDS, _GATHER_WORDS + 1])
-@pytest.mark.parametrize("degree", [8, 16])
+@pytest.mark.parametrize("degree", [3, 5, 8, 12, 16])
 def test_scale_array_across_the_width_switch(degree, words):
-    # Wider than _GATHER_WORDS, the kernel XORs each picked plane into its
-    # output plane in place; narrower slices take the gather-reduce path
-    # that the scalar checks above cover.  Both must agree on every word.
+    # Wider than _GATHER_WORDS, the kernel builds XOR tables per group of 4
+    # input planes; narrower slices take the gather-reduce path that the
+    # scalar checks above cover.  Both must agree on every word.  s*m = 9 and
+    # 15 leave a last group of 1 and 3 planes.  Rows: zero, one and two set
+    # bits, repeated, dense, and one constant in every coordinate, so that with
+    # m % 4 == 0 later groups need the same table entries as earlier ones and
+    # an entry left over from an earlier group would show.
     f = FieldSpec(degree)
     rng = random.Random(degree * words)
-    s = rng.randrange(3, 6)
-    unit, pair = [0] * s, [0] * s
-    unit[rng.randrange(s)] = 1  # one set bit per bitmatrix row: a copy
-    pair[0] = pair[-1] = 1  # two set bits per bitmatrix row
-    dense = [[rng.randrange(1, f.order) for _ in range(s)] for _ in range(rng.randrange(1, 4))]
-    rows = [[0] * s, unit, pair] + dense
+    s, c = 3, rng.randrange(3, f.order)
+    dense = [rng.randrange(1, f.order) for _ in range(s)]
+    rows = [[0] * s, [0, 1, 0], [1, 0, 1], dense, [c] * s, dense, [0] * s, [c, 0, 1], dense]
+    rows += [[rng.randrange(1, f.order) for _ in range(s)] for _ in range(rng.randrange(1, 4))]
     rng.shuffle(rows)
+    if degree % 4 == 0:
+        codes = _group_codes(f, [[c] * s])
+        assert any(r.count(v) > 1 for r in codes for v in r if v & (v - 1))
     planes = np.random.default_rng(words).integers(
         0, 1 << 64, size=(s * degree, words), dtype=np.uint64)
     out = f.scale_array(rows, planes)
@@ -251,6 +274,11 @@ def test_scale_array_across_the_width_switch(degree, words):
         expected = [[reduce(operator.xor, (f.mul_int(c, v[t]) for c, v in zip(row, values)))
                      for t in range(64)] for row in rows]
         assert from_planes(out[:, word:word + 1], degree, 64) == expected
+    # `out` planes are overwritten whatever they held, zero rows included.
+    target = np.full((2 * len(rows) * degree, words), 0xA5, dtype=np.uint64)
+    f.scale_array(rows, planes, out=list(target[::2]))
+    assert np.array_equal(target[::2], out)
+    assert not (target[1::2] != 0xA5).any()
 
 
 def test_scale_array_rejects_planes_of_another_width(gf256):
