@@ -4,8 +4,9 @@ A byte stream is zero-padded to whole chunks of k^2 symbols, each encoded
 independently.  Node j keeps its share of every chunk bit-sliced: a
 (k*m, words) uint64 array whose plane l*m + b holds bit b of coordinate l,
 block 64q + t at bit t of word q, pad blocks zero.  `bytes_to_planes` and
-`planes_to_bytes` convert to and from block-major shard bytes at the edge
-only: ingest input, `decode_nodes` output, shard payloads, `block_content`.
+`planes_to_bytes` convert to and from block-major bytes at the edge only:
+ingest input, `block_content`, and shard payloads and `decode_nodes` output
+(bytes-like bytearrays written once; a decode's held coordinates skip the kernel).
 
 Every operation is a fixed linear map applied to every block by the one
 kernel, :meth:`FieldSpec.scale_array`: the encode matrix, the inverted
@@ -63,16 +64,17 @@ class VerificationFailure(RuntimeError):
 
 # -- bytes <-> bit planes -----------------------------------------------------------
 
-_CHUNK_BYTES = 1 << 17  # bytes converted per pass, so temporaries stay small
+_CHUNK_BYTES = 1 << 19  # bytes a pass: buffers stay small; 128 KiB made 8 MiB ~25% slower
 _TRANSPOSE8 = [(np.uint64(shift), np.uint64(mask)) for shift, mask in (
     (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))]
 
 
-def _transpose8(x: np.ndarray) -> np.ndarray:
-    """In place, bit j of byte i of each uint64 becomes bit i of byte j (Hacker's Delight 7-3)."""
+def _transpose8(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """In place with scratch t, bit j of byte i of each uint64 becomes bit i of byte j (HD 7-3)."""
     for shift, mask in _TRANSPOSE8:
-        t = ((x >> shift) ^ x) & mask
-        x ^= t ^ (t << shift)
+        np.bitwise_and(np.bitwise_xor(np.right_shift(x, shift, out=t), x, out=t), mask, out=t)
+        x ^= t
+        x ^= np.left_shift(t, shift, out=t)
     return x
 
 
@@ -89,35 +91,52 @@ def bytes_to_planes(data: bytes, spec: FieldSpec, symbols: int) -> np.ndarray:
     out = np.empty((8 * row, words), dtype=np.uint64)
     dst = out.view(np.uint8).reshape(row, 8, words, 8)  # [byte, bit, word, byte of word]
     src = np.frombuffer(data, dtype=np.uint8)
-    step = max(1, _CHUNK_BYTES // (64 * row))
+    step = max(1, min(words, _CHUNK_BYTES // (64 * row)))  # words a pass; buffers fit the call
+    block, scratch = (np.empty(8 * row * step, dtype=np.uint64) for _ in range(2))
     for q in range(0, words, step):
         n = min(step, words - q)
-        part = src[64 * row * q:64 * row * (q + n)]
-        x = np.zeros((row, 64 * n), dtype=np.uint8)
+        part, x = src[64 * row * q:64 * row * (q + n)], block[:8 * row * n]
+        columns = x.view(np.uint8).reshape(row, 64 * n)
+        columns[:, part.size // row:] = 0  # pad blocks, in a short last pass
         for c in range(row):  # a column at a time beats one transposed copy
             column = part[c::row]
-            x[c, :column.size] = column
-        x = _transpose8(x.view(np.uint64)).view(np.uint8).reshape(row, n, 8, 8)
+            columns[c, :column.size] = column
+        x = _transpose8(x, scratch[:x.size]).view(np.uint8).reshape(row, n, 8, 8)
         for b in range(8):
             dst[:, b, q:q + n] = x[..., b]
     return out
 
 
-def planes_to_bytes(planes: np.ndarray, nbytes: int) -> bytes:
-    """The first `nbytes` block-major bytes of (8*row, words) planes."""
-    row, words = planes.shape[0] // 8, planes.shape[1]
-    src = np.ascontiguousarray(planes).view(np.uint8).reshape(row, 8, words, 8)
-    out = np.empty((64 * words, row), dtype=np.uint8)
-    step = max(1, _CHUNK_BYTES // (64 * row))
+def planes_to_bytes(planes, nbytes: int) -> bytearray:
+    """The first `nbytes` block-major bytes of planes, written once into a bytes-like bytearray.
+
+    `planes` is one (8*row, words) array or a list of (array, {column: output
+    column}) sources that fill each output byte column once; column c is planes 8c..8c+7.
+    """
+    if isinstance(planes, np.ndarray):
+        planes = [(planes, {c: c for c in range(planes.shape[0] // 8)})]
+    words, order, loads = planes[0][0].shape[1], [], []
+    for a, cols in planes:  # one load per source and bit, of all its columns
+        src = np.ascontiguousarray(a).view(np.uint8).reshape(a.shape[0] // 8, 8, words, 8)
+        pick = slice(None) if list(cols) == list(range(len(src))) else list(cols)
+        loads.append((src, pick, slice(len(order), len(order) + len(cols))))
+        order += cols.values()
+    row, buf = len(order), bytearray(64 * words * len(order))
+    out = np.frombuffer(buf, dtype=np.uint8).reshape(64 * words, row)
+    step = max(1, min(words, _CHUNK_BYTES // (64 * row)))
+    block, scratch = (np.empty(8 * row * step, dtype=np.uint64) for _ in range(2))
     for q in range(0, words, step):
         n = min(step, words - q)
-        x = np.empty((row, n, 8, 8), dtype=np.uint8)
-        for b in range(8):
-            x[..., b] = src[:, b, q:q + n]
-        x = _transpose8(x.view(np.uint64)).view(np.uint8).reshape(row, 64 * n)
-        for c in range(row):
-            out[64 * q:64 * (q + n), c] = x[c]
-    return out.reshape(-1)[:nbytes].tobytes()
+        x = block[:8 * row * n]
+        xb = x.view(np.uint8).reshape(row, n, 8, 8)
+        for src, cols, at in loads:
+            for b in range(8):
+                xb[at, ..., b] = src[cols, b, q:q + n]
+        xb = _transpose8(x, scratch[:x.size]).view(np.uint8).reshape(row, 64 * n)
+        for c, col in enumerate(order):
+            out[64 * q:64 * (q + n), col] = xb[c]
+    del out, buf[nbytes:]  # trimmed in place: the tail is the pad blocks
+    return buf
 
 
 def node_symbols_from_bytes(raw: bytes, params: CodeParams) -> np.ndarray:
@@ -126,20 +145,30 @@ def node_symbols_from_bytes(raw: bytes, params: CodeParams) -> np.ndarray:
 
 
 def decode_nodes(arrays: dict[int, np.ndarray], params: CodeParams,
-                 original_length: int) -> bytes:
-    """Rebuild the byte stream from exactly k (k*m, words) node arrays.
+                 original_length: int) -> bytearray:
+    """Rebuild the byte stream (a bytes-like bytearray) from exactly k (k*m, words) node arrays.
 
-    The decoder inverts a square nonsingular matrix, so corrupt inputs
-    decode without error: callers check outside bytes first (the CLI
-    compares shard digests).
+    Unit decoder rows (coordinates the nodes hold) are read in place; the
+    kernel runs only over the other rows.  The decoder inverts a square
+    nonsingular matrix, so corrupt inputs decode without error: callers check
+    outside bytes first (the CLI compares shard digests).
     """
     ids = tuple(sorted(arrays))
     if len(ids) != params.k:
         raise NotEnoughLiveNodes(f"need exactly k={params.k} nodes, got {len(ids)}")
-    decoder = codec.collection_matrix(ids, params).invert()
-    x = params.field.scale_array(decoder.int_rows(),
-                                 np.concatenate([arrays[nid] for nid in ids]))
-    return planes_to_bytes(x, original_length)
+    k, w = params.k, params.field.symbol_bytes
+    picks, rest = [[] for _ in range(k + 1)], []  # (from, to) coordinates per node, then kernel
+    for r, row in enumerate(codec.collection_matrix(ids, params).invert().int_rows()):
+        if row.count(0) == len(row) - 1 and 1 in row:
+            picks[row.index(1) // k].append((row.index(1) % k, r))
+        else:
+            picks[k].append((len(rest), r))
+            rest.append(row)
+    sources = [arrays[nid] for nid in ids]
+    if rest:  # the concatenated input is freed before the output is allocated
+        sources.append(params.field.scale_array(rest, np.concatenate(sources)))
+    return planes_to_bytes([(a, {s * w + b: o * w + b for s, o in p for b in range(w)})
+                            for a, p in zip(sources, picks) if p], original_length)
 
 
 class Cluster:
@@ -172,6 +201,7 @@ class Cluster:
         spec.scale_array(sum((enc[j::k] for j in range(k)), []), x,
                          out=[p for d in parity for p in d])
         node_data += parity
+        del x  # before the oracle copies, so that the two are not held at once
         oracle = [d.copy() for d in node_data] if keep_oracle else None
         return cls(params, node_data, nblocks, len(data), oracle)
 
@@ -181,8 +211,8 @@ class Cluster:
     def live_nodes(self) -> list[int]:
         return [i for i in range(1, self.params.n + 1) if i not in self.failed]
 
-    def node_symbols_bytes(self, node_id: int) -> bytes:
-        """Raw shard payload: the node's symbols, block-major."""
+    def node_symbols_bytes(self, node_id: int) -> bytearray:
+        """Raw shard payload (a bytes-like bytearray): the node's symbols, block-major."""
         data = self.node_data[node_id - 1]
         if data is None:
             raise NotEnoughLiveNodes(f"node {node_id} is failed")
@@ -202,8 +232,8 @@ class Cluster:
 
     # -- operations --------------------------------------------------------------
 
-    def extract(self, from_nodes) -> bytes:
-        """Rebuild the ingested stream from any k live nodes."""
+    def extract(self, from_nodes) -> bytearray:
+        """Rebuild the ingested stream (a bytearray) from any k live nodes."""
         ids = sorted(set(from_nodes))
         if len(ids) != self.params.k:
             raise NotEnoughLiveNodes(
@@ -211,8 +241,8 @@ class Cluster:
         for nid in ids:
             if not 1 <= nid <= self.params.n or self.node_data[nid - 1] is None:
                 raise NotEnoughLiveNodes(f"node {nid} is not live")
-        arrays = {nid: self.node_data[nid - 1] for nid in ids}
-        return decode_nodes(arrays, self.params, self.original_length)
+        return decode_nodes({nid: self.node_data[nid - 1] for nid in ids}, self.params,
+                            self.original_length)
 
     def fail(self, nodes) -> "Cluster":
         """Erase the given live nodes' contents; the oracle is untouched."""
@@ -361,10 +391,8 @@ class ScenarioResult:
 
 def _conservation_holds(cluster: Cluster, data: bytes) -> bool:
     """Extraction from every k-subset of live nodes reproduces the stream."""
-    for subset in combinations(cluster.live_nodes, cluster.params.k):
-        if cluster.extract(subset) != data:
-            return False
-    return True
+    k_sets = combinations(cluster.live_nodes, cluster.params.k)
+    return all(cluster.extract(s) == data for s in k_sets)
 
 
 def run_scenario(scenario: Scenario) -> ScenarioResult:

@@ -159,13 +159,13 @@ class FieldSpec:
         if reduction_poly.bit_length() != degree + 1:
             raise ValueError(
                 f"reduction polynomial 0x{reduction_poly:x} does not have degree {degree}")
-        if not _is_irreducible(reduction_poly, degree):
-            raise ValueError(f"reduction polynomial 0x{reduction_poly:x} is reducible")
         self.degree = degree
         self.reduction_poly = reduction_poly
         self.order = 1 << degree
         key = (degree, reduction_poly)
-        if key not in _TABLE_CACHE:
+        if key not in _TABLE_CACHE:  # only irreducible keys enter, so a cached one needs no check
+            if not _is_irreducible(reduction_poly, degree):
+                raise ValueError(f"reduction polynomial 0x{reduction_poly:x} is reducible")
             _TABLE_CACHE[key] = _build_tables(degree, reduction_poly)
         self._exp, self._log = _TABLE_CACHE[key]
 
@@ -198,9 +198,6 @@ class FieldSpec:
         return (self.degree + 7) // 8
 
     # -- integer-symbol arithmetic (fast path) -------------------------------
-
-    def add_int(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul_int(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -1,16 +1,19 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from conftest import from_planes, to_planes
+from mscr import cluster as cluster_mod
 from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
-                          bytes_to_planes, planes_to_bytes, run_scenario)
-from mscr.codec import encode, encode_matrix, node_contents
+                          bytes_to_planes, decode_nodes, planes_to_bytes,
+                          run_scenario)
+from mscr.codec import collection_matrix, encode, encode_matrix, node_contents
 from mscr.galois import _GATHER_WORDS, FieldSpec
 from mscr.params import generate
 from mscr.repair import (FailurePattern, apply_repair, phase1_messages,
@@ -315,6 +318,88 @@ def test_stream_wider_than_the_kernel_switch(params63):
         c.fail(failed)
         c.run_repair(FailurePattern.classify(failed, 3))  # checked against the oracle
     assert c.extract({4, 5, 6}) == data
+
+
+def _node_sets(k):
+    """One node set of each class: systematic-only, mixed (two kinds), parity-only."""
+    return [tuple(range(1, k + 1)), (1, 2) + tuple(range(k + 1, 2 * k - 1)),
+            tuple(range(2, k + 1)) + (2 * k,), tuple(range(k + 1, 2 * k + 1))]
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
+@pytest.mark.parametrize("blocks", [0, 1, 63, 64, 65, "chunk"])
+def test_decode_every_node_set_class(params63, params_k4_gf16, wide, blocks, monkeypatch):
+    params = params_k4_gf16 if wide else params63
+    row = params.block_size * params.field.symbol_bytes
+    if blocks == "chunk":  # 3 passes of 2 words of the converter, the last one short
+        monkeypatch.setattr(cluster_mod, "_CHUNK_BYTES", 2 * 64 * row)
+        blocks = 5 * 64 - 7
+    data = _data(blocks * row - (blocks > 1), seed=blocks)
+    c = Cluster.ingest(data, params)
+    for ids in _node_sets(params.k):
+        out = c.extract(ids)
+        assert isinstance(out, bytearray) and out == data
+        assert hashlib.sha256(out).digest() == hashlib.sha256(data).digest()
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
+def test_unit_decoder_rows_bypass_the_kernel(params63, params_k4_gf16, wide, monkeypatch):
+    params = params_k4_gf16 if wide else params63
+    k = params.k
+    data = _data(200 * params.block_size * params.field.symbol_bytes, seed=k)
+    c = Cluster.ingest(data, params)
+    calls = _kernel_calls(monkeypatch)
+    assert c.extract(range(1, k + 1)) == data
+    assert calls == []  # a systematic-only set makes no kernel call
+    for ids in _node_sets(k)[1:]:
+        calls.clear()
+        assert c.extract(ids) == data
+        # One call, over exactly the rows of coordinates no node in the set holds:
+        # coordinates l*k + j - 1 of every missing systematic node j.
+        missing = sorted(l * k + j - 1 for j in set(range(1, k + 1)) - set(ids) for l in range(k))
+        decoder = collection_matrix(ids, params).invert().int_rows()
+        assert len(calls) == 1 and calls[0][0] == [decoder[r] for r in missing]
+
+
+def test_planes_to_bytes_reads_scrambled_sources():
+    planes = bytes_to_planes(_data(70 * 11, seed=4), FieldSpec(8), 11)  # 11 byte columns
+    whole = planes_to_bytes(planes, 70 * 11 - 3)
+    cols = list(range(11))
+    random.Random(4).shuffle(cols)
+
+    def part(columns):  # the planes of these output byte columns, in this order
+        return np.concatenate([planes[8 * c:8 * c + 8] for c in columns])
+    sources = [(part(cols[:3]), dict(enumerate(cols[:3]))), (part(cols[3:4]), {0: cols[3]}),
+               (part(cols[4:]), dict(enumerate(cols[4:])))]
+    assert planes_to_bytes(sources, 70 * 11 - 3) == whole
+    # A source may give only some of its columns, as a node gives the coordinates it holds.
+    sources = [(part(cols[5:]), dict(enumerate(cols[5:]))), (planes, {c: c for c in cols[:5]})]
+    assert planes_to_bytes(sources, 70 * 11 - 3) == whole
+
+
+def _decode_peak(cluster, ids):
+    arrays = {nid: cluster.node_data[nid - 1] for nid in ids}
+    tracemalloc.start()
+    try:
+        out = decode_nodes(arrays, cluster.params, cluster.original_length)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
+def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wide):
+    # Deterministic and untimed: the tracemalloc peak of one decode of an S-byte
+    # stream.  The converter's fixed chunk buffers are its block and its scratch.
+    params = params_k4_gf16 if wide else params63
+    data = _data(5 << 19, seed=5)
+    size, buffers = len(data), 2 * cluster_mod._CHUNK_BYTES + (64 << 10)
+    c = Cluster.ingest(data, params, keep_oracle=False)
+    k = params.k
+    out, peak = _decode_peak(c, range(1, k + 1))
+    assert out == data and peak <= size + buffers
+    out, peak = _decode_peak(c, range(k + 1, 2 * k + 1))
+    assert out == data and peak <= 2 * size + buffers
 
 
 def test_wide_symbol_field_end_to_end():

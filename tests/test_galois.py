@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_planes, to_planes
+from mscr import galois
 from mscr.galois import (_GATHER_WORDS, DEFAULT_POLYS, DivisionByZero,
                          FieldMismatch, FieldSpec, NotEnoughElements)
 
@@ -53,7 +54,6 @@ def _oracle_mul(a, b, exp, log, order):
 
 def test_add_is_xor(gf256):
     assert (gf256.element(0x57) + gf256.element(0x83)).value == 0xD4
-    assert gf256.add_int(0x57, 0x83) == 0xD4
 
 
 def test_mul_known_value_and_oracle(gf256):
@@ -158,6 +158,16 @@ def test_reducible_poly_rejected():
         FieldSpec(8, 0x11C)  # even: divisible by x
     with pytest.raises(ValueError):
         FieldSpec(8, 0x1B)  # wrong degree
+
+
+def test_cached_field_skips_the_irreducibility_check(monkeypatch):
+    FieldSpec(16)  # in the table cache from here on
+    calls, check = [], galois._is_irreducible
+    monkeypatch.setattr(galois, "_is_irreducible", lambda *a: calls.append(a) or check(*a))
+    assert FieldSpec(16) == FieldSpec(16, DEFAULT_POLYS[16]) and not calls
+    with pytest.raises(ValueError, match="reducible"):
+        FieldSpec(16, DEFAULT_POLYS[16] ^ 1)  # even: divisible by x, and of a cached degree
+    assert calls == [(DEFAULT_POLYS[16] ^ 1, 16)]
 
 
 def test_sample_distinct_full_permutation(gf256):
