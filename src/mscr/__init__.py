@@ -5,8 +5,7 @@ two-phase cooperative repair of multi-node failures with optimal bandwidth,
 and a deterministic storage-cluster simulator with a CLI.
 """
 
-from .galois import (DivisionByZero, FieldElement, FieldMismatch, FieldSpec,
-                     NotEnoughElements)
+from .galois import DivisionByZero, FieldElement, FieldMismatch, FieldSpec
 from .linalg import (CauchySpec, DimensionMismatch, DuplicateGenerators,
                      Matrix, SingularMatrix, TooLarge, cauchy, cauchy_inverse)
 from .params import (CodeParams, DegenerateConstants, GenerationExhausted,

@@ -10,8 +10,8 @@ ingest input, `block_content`, and shard payloads and `decode_nodes` output
 
 Every operation is a fixed linear map applied to every block by the one
 kernel, :meth:`FieldSpec.scale_array`: the encode matrix, the inverted
-collection matrix, and the repair probes and map (from the scalar
-protocol).  Results are bit-identical to the per-block functions in a loop.
+collection matrix, and the repair probes and map (`repair.linear_map`, one
+run of the protocol).  Results are bit-identical to the per-block functions.
 
 The oracle (a copy of the original node contents) exists for verification
 only; repair logic never sees it, and a production-mode cluster drops it.
@@ -267,8 +267,8 @@ class Cluster:
 
         Returns (self, per-block BandwidthReport).  Phase 1 is one kernel call
         per helper: its newcomers' probes applied to its planes.  Phase 2 is
-        one call for all newcomers: the plan's linear map (derived from the
-        scalar protocol) applied to the phase-1 planes of all edges.
+        one call for all newcomers: `repair.linear_map`, one run of the
+        protocol on coefficient rows, applied to the phase-1 planes of all edges.
         """
         if pattern.failed != frozenset(self.failed):
             raise ValueError(
@@ -283,7 +283,7 @@ class Cluster:
         for i, helper in enumerate(plan.helpers):
             spec.scale_array(probes, self.node_data[helper - 1],
                              out=[p for edge in phase1[:, i] for p in edge])
-        rows, report = _linear_repair_map(plan, self.params)
+        rows, report = repair.linear_map(plan, self.params)
         spec.scale_array(rows, phase1.reshape(r * d * m, words),
                          out=[p for a in repaired for p in a])
         for nc, a in zip(plan.newcomers, repaired):
@@ -296,24 +296,6 @@ class Cluster:
                     raise VerificationFailure(
                         f"repaired node {nc} differs from its original content")
         return self, report
-
-
-def _linear_repair_map(plan: repair.RepairPlan, params: CodeParams):
-    """Matrix of the map (phase-1 symbols) -> (all newcomer contents).
-
-    Obtained by running the scalar repair on each unit phase-1 vector; the
-    protocol is linear in its inputs, so the columns are exactly these
-    probe results.  The report of a probe run carries the per-block
-    message tallies, identical for every block.
-    """
-    spec, edges = params.field, plan.phase1_edges
-    cols, report = [], None
-    for m in range(len(edges)):
-        msgs = [repair.Phase1Message(h, nc, spec.one if t == m else spec.zero)
-                for t, (h, nc, _) in enumerate(edges)]
-        contents, _, report = repair.apply_repair(plan, msgs, params)
-        cols.append([sym.value for c in contents for sym in c.vector])
-    return [list(row) for row in zip(*cols)], report
 
 
 # -- scenarios ---------------------------------------------------------------------

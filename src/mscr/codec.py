@@ -119,20 +119,18 @@ def _vec_index(r: int, c: int, k: int) -> int:
 
 @lru_cache(maxsize=128)
 def encode_matrix(params: CodeParams) -> Matrix:
-    """The k^2 x k^2 matrix E with vec(Y) = E vec(X), found by probing encode().
+    """The k^2 x k^2 matrix E with vec(Y) = E vec(X), entry by entry from F.
 
-    The forward map is linear, so feeding in the k^2 unit blocks yields its
-    matrix one column at a time.
+    X[b][a] enters Y[r][c] with weight delta V_hat[r][a] U[b][c] through the
+    aligned term and epsilon P[a][c] through the mixed one when b = r, so
+    E[rk + c][bk + a] = delta V_hat[r][a] U[b][c] + epsilon [b = r] P[a][c].
     """
-    k, field = params.k, params.field
-    cols = []
-    for s in range(k):
-        for i in range(k):
-            unit = Matrix(field, [[1 if (r, c) == (s, i) else 0 for c in range(k)]
-                                  for r in range(k)])
-            y = encode(SourceBlock(unit), params).y
-            cols.append([y.int_at(r, c) for r in range(k) for c in range(k)])
-    return Matrix(field, [[cols[j][i] for j in range(k * k)] for i in range(k * k)])
+    k, field, mul = params.k, params.field, params.field.mul_int
+    d, e = params.delta.value, params.epsilon.value
+    v_hat, u, p = params.v_hat.int_rows(), params.u.int_rows(), params.p.int_rows()
+    return Matrix(field, [[mul(d, mul(v_hat[r][a], u[b][c])) ^ (mul(e, p[a][c]) if b == r else 0)
+                           for b in range(k) for a in range(k)]
+                          for r in range(k) for c in range(k)])
 
 
 @lru_cache(maxsize=128)  # bounded: 128 k=8 entries hold about 3.5 MiB

@@ -17,8 +17,6 @@ input planes (Four Russians) and XORs one entry per group into each output.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "FieldElement",
     "FieldMismatch",
     "FieldSpec",
-    "NotEnoughElements",
 ]
 
 
@@ -38,10 +35,6 @@ class FieldMismatch(ValueError):
 
 class DivisionByZero(ZeroDivisionError):
     """Division by, or inversion of, the zero element."""
-
-
-class NotEnoughElements(ValueError):
-    """More distinct elements were requested than the field contains."""
 
 
 #: Irreducible reduction polynomials, one per supported degree.  The degree-8
@@ -215,16 +208,6 @@ class FieldSpec:
         if a == 0:
             return 0
         return self._exp[self._log[a] + (self.order - 1) - self._log[b]]
-
-    # -- sampling -------------------------------------------------------------
-
-    def sample_distinct(self, count: int, rng_seed: int) -> list["FieldElement"]:
-        """Deterministically sample `count` pairwise-distinct elements."""
-        if count > self.order:
-            raise NotEnoughElements(
-                f"cannot sample {count} distinct elements from a field of order {self.order}")
-        rng = random.Random(rng_seed)
-        return [FieldElement(v, self) for v in rng.sample(range(self.order), count)]
 
     # -- vectorized helpers ----------------------------------------------------
 

@@ -28,7 +28,6 @@ __all__ = [
     "first_singular_minor",
     "random_matrix",
     "random_nonsingular",
-    "solve_vector",
 ]
 
 SUPER_REGULAR_MAX = 8
@@ -250,11 +249,6 @@ def _gauss_jordan(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> in
                 a[r] = [v ^ exp[lf + log[w]] if w else v for v, w in zip(a[r], arow)]
                 b[r] = [v ^ exp[lf + log[w]] if w else v for v, w in zip(b[r], brow)]
     return exp[det_log]
-
-
-def solve_vector(a: Matrix, rhs: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """Solve a @ x = rhs for a vector right-hand side."""
-    return a.solve(Matrix.column(rhs)).col(0)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ bandwidth gamma = d*beta_1 + (r-1)*beta_2 meets the cooperative lower bound
 B(d+r-1) / (k(d+r-k)) with d = n - r helpers.
 
 Reconstruction functions consume (plan, messages, params) and nothing else;
-they never see survivor state or ground truth.
+they never see survivor state or ground truth.  Their cores run on messages
+that are rows of E coefficients: the scalar API is E = 1, the reference, and
+`linear_map` is one run on the E unit rows, the bulk map of every block.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from typing import Callable, Mapping, Sequence
 
 from .codec import NodeContent
 from .galois import FieldElement
-from .linalg import Matrix, SingularMatrix, dot, solve_vector
+from .linalg import Matrix, SingularMatrix, dot
 from .params import CodeParams
+
+Rows = Mapping[tuple[int, int], Sequence[int]]  # (sender, receiver) -> E coefficients
 
 __all__ = [
     "BandwidthReport",
@@ -46,6 +50,7 @@ __all__ = [
     "UnsupportedPattern",
     "apply_repair",
     "check_mixed_matrix",
+    "linear_map",
     "mixed_repair_matrix",
     "optimal_bandwidth",
     "phase1_messages",
@@ -244,10 +249,10 @@ def _index_messages(plan: RepairPlan,
         if (h, nc) not in seen:
             raise MissingMessage(f"phase-1 edge {h} -> {nc} has no message")
     return seen
-def _tally(plan: RepairPlan, phase1: Sequence[Phase1Message],
-           phase2: Sequence[Phase2Message], params: CodeParams) -> BandwidthReport:
-    downloaded = Counter(m.receiver for m in phase1)
-    exchanged = Counter(m.receiver for m in phase2)
+
+
+def _tally(plan: RepairPlan, downloaded: Counter, exchanged: Counter,
+           params: CodeParams) -> BandwidthReport:
     rows = tuple(NewcomerBandwidth(nc, downloaded[nc], exchanged[nc])
                  for nc in plan.newcomers)
     optimal = optimal_bandwidth(params.block_size, params.k,
@@ -296,78 +301,62 @@ def _systematic_side(params: CodeParams) -> _GroupSide:
                       index_of=lambda nid: nid)
 
 
-def _repair_group(plan: RepairPlan, phase1: Sequence[Phase1Message],
-                  params: CodeParams, side: _GroupSide):
-    """Shared core of one-sided group repair.
+def _received(plan: RepairPlan, rows: Rows, params: CodeParams, side: _GroupSide,
+              receiver: int) -> tuple[Matrix, Matrix]:
+    """k x E raw-side and coded-side phase-1 rows of receiver: row l - 1 from node(l), or 0."""
+    zero = [0] * len(rows[(plan.helpers[0], receiver)])
+    return tuple(Matrix(params.field, [rows[node(l), receiver] if node(l) in plan.helpers else zero
+                                       for l in range(1, params.k + 1)])
+                 for node in (side.raw_node, side.coded_node))
 
-    For newcomer with basis index i, writing s_l for the raw-side phase-1
-    symbols and t_j for the coded-side ones:
 
-        w_i          = sum_l mix[l][i] * s_l
-        w_j (helper) = (t_j - epsilon * sum_l mix[l][j] * s_l) / delta
+def _group_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
+    """Shared core of one-sided group repair, on rows of E coefficients.
+
+    For the newcomer with basis index i, S (k x E) holds its raw-side rows
+    s_l, T its coded-side rows t_j (zero from newcomers), and C = mix^t S
+    holds sum_l mix[l][j] s_l in row j.  The rows w_j of W are
+
+        w_i          = C_i
+        w_j (helper) = (t_j - epsilon * C_j) / delta
         w_j (failed) = received in phase 2 from the newcomer of index j,
-                       who computes it as sum_l mix[l][i'] * s_l of its own
+                       who sends row i of its own C
 
-    then probes^t z = w is solved and the content is
-    delta * (hat @ s) + epsilon * z.
+    then probes^t Z = W is solved and the content is
+    delta * (hat @ S) + epsilon * Z.
     """
-    k, spec = params.k, params.field
-    msgs = _index_messages(plan, phase1)
-    failed_idx = {side.index_of(nc) for nc in plan.newcomers}
-
-    def raw_symbols(nc: int) -> list[FieldElement]:
-        return [msgs[(side.raw_node(l), nc)] for l in range(1, k + 1)]
-
-    def mix_combo(col: int, s: Sequence[FieldElement]) -> FieldElement:
-        return dot(side.mix.col(col), s)
-
-    phase2 = []
-    for sender, receiver in plan.phase2_edges:
-        s = raw_symbols(sender)
-        phase2.append(Phase2Message(sender, receiver,
-                                    mix_combo(side.index_of(receiver) - 1, s)))
-    exchanged = {(m.sender, m.receiver): m.symbol for m in phase2}
-
-    probe_t = side.probes.transpose()
-    results = []
+    side = _parity_side(params) if plan.pattern.kind == ParityGroup else _systematic_side(params)
+    spec, mix_t = params.field, side.mix.transpose()
+    inbox = {nc: _received(plan, rows, params, side, nc) for nc in plan.newcomers}
+    combos = {nc: mix_t @ s for nc, (s, _) in inbox.items()}
+    phase2 = {(a, b): combos[a].int_rows()[side.index_of(b) - 1] for a, b in plan.phase2_edges}
+    probes_t, inv_delta = side.probes.transpose(), side.delta.inverse()
+    contents = []
     for nc in plan.newcomers:
-        i = side.index_of(nc)
-        s = raw_symbols(nc)
-        w: list[FieldElement] = [spec.zero] * k
-        w[i - 1] = mix_combo(i - 1, s)
-        for j in range(1, k + 1):
-            if j == i:
-                continue
-            if j in failed_idx:
-                w[j - 1] = exchanged[(side.coded_node(j), nc)]
-            else:
-                t_j = msgs[(side.coded_node(j), nc)]
-                w[j - 1] = (t_j - side.epsilon * mix_combo(j - 1, s)) / side.delta
+        (s, t), c, i = inbox[nc], combos[nc], side.index_of(nc)
+        w = (t + c.scalar_mul(side.epsilon)).scalar_mul(inv_delta).int_rows()
+        w[i - 1] = c.int_rows()[i - 1]
+        for a in plan.newcomers:
+            if a != nc:
+                w[side.index_of(a) - 1] = phase2[(a, nc)]
         try:
-            z = solve_vector(probe_t, w)
+            z = probes_t.solve(Matrix(spec, w))
         except SingularMatrix as exc:
             raise SolveFailure("probe vectors are not independent") from exc
-        aligned = side.hat @ Matrix.column(s)
-        content = tuple(side.delta * aligned.at(t, 0) + side.epsilon * z[t]
-                        for t in range(k))
-        results.append(NodeContent(nc, content))
-    return results, phase2, _tally(plan, phase1, phase2, params)
+        contents.append((side.hat @ s).scalar_mul(side.delta) + z.scalar_mul(side.epsilon))
+    return contents, phase2
 
 
 def repair_parity_group(plan: RepairPlan, phase1: Sequence[Phase1Message],
                         params: CodeParams):
     """Repair r failed parity nodes; returns (contents, phase-2 msgs, report)."""
-    if plan.pattern.kind != ParityGroup:
-        raise ValueError(f"plan is for {plan.pattern.kind}, not {ParityGroup}")
-    return _repair_group(plan, phase1, params, _parity_side(params))
+    return _repair_scalar(plan, phase1, params, ParityGroup)
 
 
 def repair_systematic_group(plan: RepairPlan, phase1: Sequence[Phase1Message],
                             params: CodeParams):
     """Repair r failed systematic nodes; mirror image of the parity case."""
-    if plan.pattern.kind != SystematicGroup:
-        raise ValueError(f"plan is for {plan.pattern.kind}, not {SystematicGroup}")
-    return _repair_group(plan, phase1, params, _systematic_side(params))
+    return _repair_scalar(plan, phase1, params, SystematicGroup)
 
 
 # -- mixed systematic + parity pair ------------------------------------------------
@@ -460,6 +449,37 @@ def sherman_morrison_check(params: CodeParams, a: int, b: int) -> bool:
     return bool(sherman_morrison_scalar(params, a, b))
 
 
+def _mixed_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
+    """Core of mixed-pair repair (see repair_mixed_pair) on rows of E coefficients.
+
+    Rows from the two newcomers are zero, so sums over all of X or Y skip them.
+    """
+    a, b = plan.pattern.mixed_pair
+    phase2, contents = {}, []
+    for side, s, t in ((_parity_side(params), a, b), (_systematic_side(params), b, a)):
+        solver, sender = side.raw_node(s), side.coded_node(t)
+
+        # The sender combines its own phase-1 rows only.
+        x, y = _received(plan, rows, params, side, sender)
+        lead = (side.delta + side.epsilon) * side.unmix.at(t - 1, s - 1)
+        sent = (Matrix.from_rows([side.unmix.col(s - 1)]) @ y
+                + (Matrix.from_rows([side.mix.col(t - 1)]) @ x).scalar_mul(lead))
+        phase2[(sender, solver)] = sent.int_rows()[0]
+
+        # The solver peels the known raw-side terms off and inverts its system.
+        x, y = _received(plan, rows, params, side, solver)
+        c = side.mix.transpose() @ x
+        rest = (y + c.scalar_mul(side.epsilon)).int_rows()
+        first = sent + Matrix.from_rows([c.row(t - 1)]).scalar_mul(side.delta)
+        try:
+            contents.append(_mixed_matrix(params, side, s, t).solve(
+                Matrix(params.field, first.int_rows() + rest[:t - 1] + rest[t:])))
+        except SingularMatrix as exc:
+            raise NonsingularityFailure(
+                f"mixed system of newcomer {solver} for (a={a}, b={b}) singular") from exc
+    return contents, phase2
+
+
 def repair_mixed_pair(plan: RepairPlan, phase1: Sequence[Phase1Message],
                       params: CodeParams):
     """Repair systematic node a and parity node k+b together.
@@ -480,48 +500,45 @@ def repair_mixed_pair(plan: RepairPlan, phase1: Sequence[Phase1Message],
     side with (s, t) = (a, b), newcomer k+b on the systematic side with
     (s, t) = (b, a).
     """
-    if plan.pattern.kind != MixedPair:
-        raise ValueError(f"plan is for {plan.pattern.kind}, not {MixedPair}")
-    k = params.k
-    a, b = plan.pattern.mixed_pair
-    msgs = _index_messages(plan, phase1)
-    phase2, pair = [], []
-    for side, s, t in ((_parity_side(params), a, b), (_systematic_side(params), b, a)):
-        solver, sender = side.raw_node(s), side.coded_node(t)
-        raw = [l for l in range(1, k + 1) if l != s]
-        coded = [j for j in range(1, k + 1) if j != t]
-        mix_col = {j: [side.mix.at(l - 1, j - 1) for l in raw] for j in range(1, k + 1)}
+    contents, phase2, report = _repair_scalar(plan, phase1, params, MixedPair)
+    return tuple(contents), phase2, report
 
-        # The sender combines its own phase-1 symbols only.
-        sent_raw = [msgs[(side.raw_node(l), sender)] for l in raw]
-        sent_coded = [msgs[(side.coded_node(j), sender)] for j in coded]
-        lead = (side.delta + side.epsilon) * side.unmix.at(t - 1, s - 1)
-        symbol = (dot([side.unmix.at(j - 1, s - 1) for j in coded], sent_coded)
-                  + lead * dot(mix_col[t], sent_raw))
-        phase2.append(Phase2Message(sender, solver, symbol))
 
-        # The solver peels the known raw-side terms off and inverts its system.
-        own_raw = [msgs[(side.raw_node(l), solver)] for l in raw]
-        own_coded = [msgs[(side.coded_node(j), solver)] for j in coded]
-        rhs = [symbol - side.delta * dot(mix_col[t], own_raw)]
-        rhs += [y - side.epsilon * dot(mix_col[j], own_raw)
-                for j, y in zip(coded, own_coded)]
-        try:
-            solved = solve_vector(_mixed_matrix(params, side, s, t), rhs)
-        except SingularMatrix as exc:
-            raise NonsingularityFailure(
-                f"mixed system of newcomer {solver} for (a={a}, b={b}) singular") from exc
-        pair.append(NodeContent(solver, tuple(solved)))
-    return tuple(pair), phase2, _tally(plan, phase1, phase2, params)
+def _run(plan: RepairPlan, rows: Rows, params: CodeParams, downloaded: Counter):
+    """The plan's core on rows: (k x E contents in newcomer order, phase-2 rows, report)."""
+    core = _mixed_rows if plan.pattern.kind == MixedPair else _group_rows
+    contents, sent = core(plan, rows, params)
+    return contents, sent, _tally(plan, downloaded, Counter(b for _, b in sent), params)
+
+
+def _repair_scalar(plan: RepairPlan, phase1: Sequence[Phase1Message], params: CodeParams,
+                   kind: str):
+    """The reference protocol: the core with E = 1, each message's symbol its row."""
+    if plan.pattern.kind != kind:
+        raise ValueError(f"plan is for {plan.pattern.kind}, not {kind}")
+    rows = {edge: [sym.value] for edge, sym in _index_messages(plan, phase1).items()}
+    contents, sent, report = _run(plan, rows, params, Counter(m.receiver for m in phase1))
+    phase2 = [Phase2Message(a, b, FieldElement(row[0], params.field))
+              for (a, b), row in sent.items()]
+    return [NodeContent(nc, c.col(0)) for nc, c in zip(plan.newcomers, contents)], phase2, report
+
+
+def linear_map(plan: RepairPlan, params: CodeParams):
+    """The repair as one linear map of the phase-1 symbols: (rows, report).
+
+    Entry [x][e] of rows weighs the symbol on edge plan.phase1_edges[e] in
+    coordinate x % k of newcomer plan.newcomers[x // k].  One run of the
+    core with the message on edge e the e-th unit row; the report is the
+    per-block tally of one message per planned edge.
+    """
+    edges = plan.phase1_edges
+    unit = {(h, nc): [int(e == f) for f in range(len(edges))]
+            for e, (h, nc, _) in enumerate(edges)}
+    contents, _, report = _run(plan, unit, params, Counter(nc for _, nc, _ in edges))
+    return [row for c in contents for row in c.int_rows()], report
 
 
 def apply_repair(plan: RepairPlan, phase1: Sequence[Phase1Message],
                  params: CodeParams):
     """Dispatch on the plan's pattern kind; contents come back in id order."""
-    kind = plan.pattern.kind
-    if kind == ParityGroup:
-        return repair_parity_group(plan, phase1, params)
-    if kind == SystematicGroup:
-        return repair_systematic_group(plan, phase1, params)
-    pair, phase2, report = repair_mixed_pair(plan, phase1, params)
-    return list(pair), phase2, report
+    return _repair_scalar(plan, phase1, params, plan.pattern.kind)

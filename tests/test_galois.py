@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import from_planes, to_planes
 from mscr import galois
 from mscr.galois import (_GATHER_WORDS, DEFAULT_POLYS, DivisionByZero,
-                         FieldMismatch, FieldSpec, NotEnoughElements)
+                         FieldMismatch, FieldSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +168,6 @@ def test_cached_field_skips_the_irreducibility_check(monkeypatch):
     with pytest.raises(ValueError, match="reducible"):
         FieldSpec(16, DEFAULT_POLYS[16] ^ 1)  # even: divisible by x, and of a cached degree
     assert calls == [(DEFAULT_POLYS[16] ^ 1, 16)]
-
-
-def test_sample_distinct_full_permutation(gf256):
-    elems = gf256.sample_distinct(256, rng_seed=9)
-    assert sorted(e.value for e in elems) == list(range(256))
-
-
-def test_sample_distinct_deterministic(gf256):
-    first = gf256.sample_distinct(6, rng_seed=4)
-    second = gf256.sample_distinct(6, rng_seed=4)
-    assert first == second
-    assert len({e.value for e in first}) == 6
-
-
-def test_sample_distinct_too_many():
-    f = FieldSpec(1)
-    with pytest.raises(NotEnoughElements):
-        f.sample_distinct(3, rng_seed=0)
 
 
 def _check_scale_array(field, rows, values):

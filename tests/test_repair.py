@@ -1,18 +1,21 @@
 import inspect
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import mscr.repair as repair_mod
 from conftest import ground_truth, make_params
+from mscr.cluster import Cluster
 from mscr.codec import NodeContent, z_column
+from mscr.galois import FieldSpec
 from mscr.linalg import CauchySpec, Matrix, dot
 from mscr.params import generate, validate
 from mscr.repair import (FailurePattern, InvalidRegime, MissingMessage,
-                         MixedPair, ParityGroup, SystematicGroup,
+                         MixedPair, ParityGroup, Phase1Message, SystematicGroup,
                          UnsupportedPattern, apply_repair, check_mixed_matrix,
-                         mixed_repair_matrix, optimal_bandwidth,
+                         linear_map, mixed_repair_matrix, optimal_bandwidth,
                          phase1_messages, phase1_symbol, plan_repair,
                          repair_mixed_pair, repair_parity_group,
                          repair_systematic_group, sherman_morrison_check,
@@ -471,3 +474,104 @@ def test_reconstruction_interface_is_message_only():
     imported = {getattr(v, "__name__", "") for v in vars(repair_mod).values()}
     assert "mscr.cluster" not in imported
     assert "cluster" not in imported
+
+
+# -- the bulk map: one run of the cores on coefficient rows --------------------------
+
+
+def _probing_map(plan, params):
+    """Reference: one scalar run per phase-1 edge, with a unit message on that edge."""
+    spec, edges = params.field, plan.phase1_edges
+    cols, report = [], None
+    for m in range(len(edges)):
+        msgs = [Phase1Message(h, nc, spec.one if t == m else spec.zero)
+                for t, (h, nc, _) in enumerate(edges)]
+        contents, _, report = apply_repair(plan, msgs, params)
+        cols.append([sym.value for c in contents for sym in c.vector])
+    return [list(row) for row in zip(*cols)], report
+
+
+def _patterns(k):
+    for r in range(1, k + 1):
+        for nodes in combinations(range(1, k + 1), r):
+            yield set(nodes)
+            yield {k + j for j in nodes}
+    for a in range(1, k + 1):
+        for b in range(1, k + 1):
+            yield {a, k + b}
+
+
+def _check_map(failed, params, rng):
+    plan = plan_repair(FailurePattern.classify(failed, params.k), params)
+    rows, report = linear_map(plan, params)
+    assert (rows, report) == _probing_map(plan, params)
+    # Applied to the phase-1 symbols of a block, the map rebuilds the lost nodes.
+    _, _, by_id = ground_truth(params, rng)
+    msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params)
+    rebuilt = Matrix(params.field, rows) @ Matrix.column([m.symbol for m in msgs])
+    assert list(rebuilt.col(0)) == [s for nc in plan.newcomers for s in by_id[nc].vector]
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_linear_map_equals_probing_every_pattern(k, degree):
+    params = generate(k, FieldSpec(degree), seed=20 + k, random_v=degree == 16)
+    rng = random.Random(k * degree)
+    for failed in _patterns(k):
+        _check_map(failed, params, rng)
+
+
+def test_linear_map_equals_probing_k8_sample(gf256):
+    params = generate(8, gf256, seed=5)
+    rng = random.Random(8)
+    for failed in (set(range(9, 17)), set(range(1, 9)), {1}, {12}, {2, 6}, {10, 11, 15},
+                   {1, 9}, {8, 11}):
+        _check_map(failed, params, rng)
+
+
+def test_bulk_repair_runs_no_scalar_protocol(params63, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the bulk repair ran the scalar protocol")
+    for name in ("apply_repair", "repair_parity_group", "repair_systematic_group",
+                 "repair_mixed_pair"):
+        monkeypatch.setattr(repair_mod, name, refuse)
+    data = random.Random(9).randbytes(500)
+    cluster = Cluster.ingest(data, params63)
+    for failed in ({1, 3}, {4, 5, 6}, {2, 6}):
+        cluster.fail(failed)
+        cluster.run_repair(FailurePattern.classify(failed, 3))  # checked against the oracle
+    assert cluster.extract({4, 5, 6}) == data
+
+
+# -- bandwidth report of the scalar path ----------------------------------------------
+
+
+def test_conflicting_duplicate_message_rejected(params63):
+    _, _, by_id = ground_truth(params63, random.Random(67))
+    plan = plan_repair(FailurePattern.classify({4, 5}, 3), params63)
+    msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params63)
+    first = msgs[0]
+    other = Phase1Message(first.sender, first.receiver, first.symbol + params63.field.one)
+    with pytest.raises(MissingMessage, match="conflicting"):
+        apply_repair(plan, msgs + [other], params63)
+
+
+@pytest.mark.parametrize("failed", [{1, 2}, {4, 5}, {2, 6}])
+def test_identical_duplicate_counts_against_optimality(params63, failed):
+    _, _, by_id = ground_truth(params63, random.Random(68))
+    plan = plan_repair(FailurePattern.classify(failed, 3), params63)
+    msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params63)
+    contents, _, report = apply_repair(plan, msgs + [msgs[0]], params63)
+    assert [c.vector for c in contents] == [by_id[nc].vector for nc in plan.newcomers]
+    assert not report.is_optimal
+    extra = [r.downloaded - plan.d for r in report.rows]
+    assert extra == [int(nc == msgs[0].receiver) for nc in plan.newcomers]
+
+
+@pytest.mark.parametrize("failed", [{1}, {6}, {1, 2, 3}, {4, 6}, {3, 4}])
+def test_linear_map_report_equals_scalar_report(params63, failed):
+    _, _, by_id = ground_truth(params63, random.Random(69))
+    plan = plan_repair(FailurePattern.classify(failed, 3), params63)
+    msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params63)
+    _, _, scalar = apply_repair(plan, msgs, params63)
+    assert linear_map(plan, params63)[1] == scalar and scalar.is_optimal
