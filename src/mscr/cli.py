@@ -160,7 +160,7 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
             raise ValueError(f"shard {shard} (node {nid}) has {len(raw)} bytes, not {size}")
         if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
             raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
-        arrays[nid] = cluster_mod.node_symbols_from_bytes(raw, code_params)
+        arrays[nid] = cluster_mod.bytes_to_planes(raw, code_params.field, code_params.k)
     return arrays, length, data_digest
 
 

@@ -9,9 +9,10 @@ ingest input, `block_content`, and shard payloads and `decode_nodes` output
 (bytes-like bytearrays written once; a decode's held coordinates skip the kernel).
 
 Every operation is a fixed linear map applied to every block by the one
-kernel, :meth:`FieldSpec.scale_array`: the encode matrix, the inverted
-collection matrix, and the repair probes and map (`repair.linear_map`, one
-run of the protocol).  Results are bit-identical to the per-block functions.
+kernel, :meth:`FieldSpec.scale_array`: the encode matrix, the decoder rows
+of the columns a node set misses (`codec.collection_matrix`), and the repair
+probes and map (`repair.linear_map`, one run of the protocol).  Results are
+bit-identical to the per-block functions.
 
 The oracle (a copy of the original node contents) exists for verification
 only; repair logic never sees it, and a production-mode cluster drops it.
@@ -139,36 +140,27 @@ def planes_to_bytes(planes, nbytes: int) -> bytearray:
     return buf
 
 
-def node_symbols_from_bytes(raw: bytes, params: CodeParams) -> np.ndarray:
-    """Inverse of `Cluster.node_symbols_bytes`: shard bytes to (k*m, words) planes."""
-    return bytes_to_planes(raw, params.field, params.k)
-
-
 def decode_nodes(arrays: dict[int, np.ndarray], params: CodeParams,
                  original_length: int) -> bytearray:
     """Rebuild the byte stream (a bytes-like bytearray) from exactly k (k*m, words) node arrays.
 
-    Unit decoder rows (coordinates the nodes hold) are read in place; the
-    kernel runs only over the other rows.  The decoder inverts a square
-    nonsingular matrix, so corrupt inputs decode without error: callers check
-    outside bytes first (the CLI compares shard digests).
+    The systematic nodes' coordinates are read in place; one kernel call
+    applies the decoder rows (`codec.collection_matrix`) for the rest.  Any k
+    arrays decode without error, so corrupt inputs decode to wrong bytes:
+    callers check outside bytes first (the CLI compares shard digests).
     """
     ids = tuple(sorted(arrays))
     if len(ids) != params.k:
         raise NotEnoughLiveNodes(f"need exactly k={params.k} nodes, got {len(ids)}")
     k, w = params.k, params.field.symbol_bytes
-    picks, rest = [[] for _ in range(k + 1)], []  # (from, to) coordinates per node, then kernel
-    for r, row in enumerate(codec.collection_matrix(ids, params).invert().int_rows()):
-        if row.count(0) == len(row) - 1 and 1 in row:
-            picks[row.index(1) // k].append((row.index(1) % k, r))
-        else:
-            picks[k].append((len(rest), r))
-            rest.append(row)
-    sources = [arrays[nid] for nid in ids]
-    if rest:  # the concatenated input is freed before the output is allocated
-        sources.append(params.field.scale_array(rest, np.concatenate(sources)))
+    missing, rows = codec.collection_matrix(ids, params)
+    # (source, [(its coordinate, vec(X) index)]): systematic node j holds X[l][j-1] as l.
+    picks = [(arrays[nid], [(l, l * k + nid - 1) for l in range(k)]) for nid in ids if nid <= k]
+    if rows:  # the concatenated input is freed before the output is allocated
+        solved = params.field.scale_array(rows, np.concatenate([arrays[nid] for nid in ids]))
+        picks.append((solved, list(enumerate(missing))))
     return planes_to_bytes([(a, {s * w + b: o * w + b for s, o in p for b in range(w)})
-                            for a, p in zip(sources, picks) if p], original_length)
+                            for a, p in picks], original_length)
 
 
 class Cluster:

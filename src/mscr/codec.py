@@ -10,8 +10,9 @@ and the inverse view treats Y as the information:
     X = delta' * U_hat Y^t V + epsilon' * Y Q      (dual map G)
 
 With the parameter conditions of :mod:`mscr.params`, G(F(X)) = X for every
-block, and any k node vectors determine X (the MDS property); `collect`
-realizes that by solving a k^2 x k^2 linear system.
+block, and any k node vectors determine X (the MDS property).  The systematic
+nodes of a set hold their columns of X; `collection_matrix` solves once for
+the other columns from the parity coordinates, and `collect` applies it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .galois import FieldElement
-from .linalg import DimensionMismatch, Matrix
+from .linalg import DimensionMismatch, Matrix, dot
 from .params import CodeParams
 
 __all__ = [
@@ -112,11 +113,6 @@ def node_contents(block: SourceBlock, parity: ParityBlock,
     return out
 
 
-def _vec_index(r: int, c: int, k: int) -> int:
-    # Row-major flattening of a k x k block.
-    return r * k + c
-
-
 @lru_cache(maxsize=128)
 def encode_matrix(params: CodeParams) -> Matrix:
     """The k^2 x k^2 matrix E with vec(Y) = E vec(X), entry by entry from F.
@@ -133,36 +129,40 @@ def encode_matrix(params: CodeParams) -> Matrix:
                           for r in range(k) for c in range(k)])
 
 
-@lru_cache(maxsize=128)  # bounded: 128 k=8 entries hold about 3.5 MiB
-def collection_matrix(node_ids: tuple[int, ...], params: CodeParams) -> Matrix:
-    """Coefficient matrix of the k^2-unknown system solved by collect().
+@lru_cache(maxsize=128)  # bounded: 128 k=8 decoders hold at most 4.5 MiB (8 MiB over GF(2^16))
+def collection_matrix(node_ids: tuple[int, ...],
+                      params: CodeParams) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The decoder of a k-node set: the vec(X) indices no node in it holds, and their rows.
 
-    Rows are grouped per node in sorted id order, k coordinate equations
-    each; unknowns are vec(X) row-major.  Systematic nodes contribute unit
-    rows, parity nodes the matching rows of the encode matrix.
+    vec(X) is row-major, and coordinate l of the node at position p of the
+    sorted ids is coordinate pk + l of the set.  The s systematic nodes hold
+    x_H (node j holds X[l][j-1] as coordinate l); the other k - s columns are
+    x_M.  The k - s parity nodes hold y_T = A x_M + K x_H, with A and K taken
+    from rows of the encode matrix, so one solve gives the rows
+    x_M = A^-1 [K | I] (x_H; y_T), in ascending vec(X) order.  The value is
+    shared by every caller.
     """
-    k, field = params.k, params.field
+    k, field, ids = params.k, params.field, sorted(node_ids)
     enc = encode_matrix(params)
-    rows: list[list[int]] = []
-    for nid in sorted(node_ids):
-        if nid <= k:
-            for r in range(k):
-                row = [0] * (k * k)
-                row[_vec_index(r, nid - 1, k)] = 1
-                rows.append(row)
-        else:
-            c = nid - k - 1
-            for r in range(k):
-                rows.append([enc.int_at(_vec_index(r, c, k), t) for t in range(k * k)])
-    return Matrix(field, rows)
+    held = {l * k + nid - 1: p * k + l for p, nid in enumerate(ids) if nid <= k for l in range(k)}
+    parity = [(p * k + l, l * k + nid - k - 1)  # (set coordinate, row of the encode matrix)
+              for p, nid in enumerate(ids) if nid > k for l in range(k)]
+    missing = [t for t in range(k * k) if t not in held]
+    rhs = [[0] * (k * k) for _ in parity]
+    for row, (at, e) in zip(rhs, parity):
+        row[at] = 1
+        for t, c in held.items():
+            row[c] = enc.int_at(e, t)
+    a = Matrix(field, [[enc.int_at(e, t) for t in missing] for _, e in parity])
+    return tuple(missing), tuple(map(tuple, a.solve(Matrix(field, rhs)).int_rows()))
 
 
 def collect(contents: Sequence[NodeContent], params: CodeParams) -> SourceBlock:
     """Rebuild the source block from any k distinct node contents.
 
-    The k^2 x k^2 system is square and nonsingular (the MDS property), so
-    any k vectors solve and re-encode to themselves: a corrupted symbol
-    cannot show here, and the CLI checks shard digests instead.
+    The held columns are copied and the decoder rows give the rest.  Any k
+    vectors decode and re-encode to themselves (the MDS property), so a
+    corrupted symbol cannot show here, and the CLI checks shard digests instead.
     """
     k, field = params.k, params.field
     ids = [c.node_id for c in contents]
@@ -176,11 +176,10 @@ def collect(contents: Sequence[NodeContent], params: CodeParams) -> SourceBlock:
         if len(c.vector) != k or any(e.spec != field for e in c.vector):
             raise DimensionMismatch(f"node {c.node_id} vector does not fit the code")
 
-    by_id = {c.node_id: c for c in contents}
-    ordered = [by_id[i] for i in sorted(ids)]
-    a = collection_matrix(tuple(sorted(ids)), params)
-    rhs = Matrix.column([sym for c in ordered for sym in c.vector])
-    vec = a.solve(rhs)
-    x = Matrix(field, [[vec.int_at(_vec_index(r, c, k), 0) for c in range(k)]
-                       for r in range(k)])
-    return SourceBlock(x)
+    by_id = {c.node_id: c.vector for c in contents}
+    ids.sort()
+    symbols = [sym for i in ids for sym in by_id[i]]
+    vec = {l * k + i - 1: sym.value for i in ids if i <= k for l, sym in enumerate(by_id[i])}
+    for t, row in zip(*collection_matrix(tuple(ids), params)):
+        vec[t] = dot([field.element(v) for v in row], symbols).value
+    return SourceBlock(Matrix(field, [[vec[r * k + c] for c in range(k)] for r in range(k)]))

@@ -26,7 +26,6 @@ __all__ = [
     "cauchy_inverse",
     "dot",
     "first_singular_minor",
-    "random_matrix",
     "random_nonsingular",
 ]
 
@@ -135,18 +134,14 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"matmul {self.shape} by {other.shape}")
         exp, log = self.spec._exp, self.spec._log
-        bm = other._m
         out = []
-        for arow in self._m:
-            orow = []
-            for j in range(other.cols):
-                acc = 0
-                for t, a in enumerate(arow):
-                    b = bm[t][j]
-                    if a and b:
-                        acc ^= exp[log[a] + log[b]]
-                orow.append(acc)
-            out.append(orow)
+        for arow in self._m:  # row i of the product: xor over t of arow[t] * row t of other
+            acc = [0] * other.cols
+            for a, brow in zip(arow, other._m):
+                if a:
+                    la = log[a]
+                    acc = [v ^ exp[la + log[b]] if b else v for v, b in zip(acc, brow)]
+            out.append(acc)
         return Matrix(self.spec, out)
 
     def transpose(self) -> "Matrix":
@@ -338,13 +333,8 @@ def first_singular_minor(m: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]] |
     return None
 
 
-def random_matrix(spec: FieldSpec, rows: int, cols: int, rng: random.Random) -> Matrix:
-    return Matrix(spec, [[rng.randrange(spec.order) for _ in range(cols)]
-                         for _ in range(rows)])
-
-
 def random_nonsingular(spec: FieldSpec, n: int, rng: random.Random) -> Matrix:
     while True:
-        m = random_matrix(spec, n, n, rng)
+        m = Matrix(spec, [[rng.randrange(spec.order) for _ in range(n)] for _ in range(n)])
         if m.det().value != 0:
             return m

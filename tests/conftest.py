@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mscr import CodeParams, FieldSpec, SourceBlock, encode, generate
-from mscr.codec import node_contents
+from mscr.codec import encode_matrix, node_contents
 from mscr.linalg import Matrix, first_singular_minor
 from mscr.params import solve_dual_constants
 
@@ -41,6 +41,24 @@ def make_params(cs, v, d: int, e: int) -> CodeParams:
 def is_super_regular(m: Matrix) -> bool:
     """True iff every square submatrix of m is nonsingular (a test oracle)."""
     return first_singular_minor(m) is None
+
+
+def collection_system(node_ids, params) -> Matrix:
+    """The k^2 x k^2 system of a node set (a test oracle): its inverse decodes the set.
+
+    Rows are grouped per node in sorted id order, k coordinate equations
+    each; unknowns are vec(X) row-major.  Systematic nodes contribute unit
+    rows, parity nodes the matching rows of the encode matrix.
+    """
+    k, enc = params.k, encode_matrix(params).int_rows()
+    rows = []
+    for nid in sorted(node_ids):
+        for r in range(k):
+            if nid <= k:
+                rows.append([int(t == r * k + nid - 1) for t in range(k * k)])
+            else:
+                rows.append(enc[r * k + nid - k - 1])
+    return Matrix(params.field, rows)
 
 
 def random_block(params, rng: random.Random) -> SourceBlock:

@@ -7,13 +7,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import from_planes, to_planes
+from conftest import collection_system, from_planes, to_planes
 from mscr import cluster as cluster_mod
 from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
                           bytes_to_planes, decode_nodes, planes_to_bytes,
                           run_scenario)
-from mscr.codec import collection_matrix, encode, encode_matrix, node_contents
+from mscr.codec import encode, encode_matrix, node_contents
 from mscr.galois import _GATHER_WORDS, FieldSpec
 from mscr.params import generate
 from mscr.repair import (FailurePattern, apply_repair, phase1_messages,
@@ -357,7 +357,7 @@ def test_unit_decoder_rows_bypass_the_kernel(params63, params_k4_gf16, wide, mon
         # One call, over exactly the rows of coordinates no node in the set holds:
         # coordinates l*k + j - 1 of every missing systematic node j.
         missing = sorted(l * k + j - 1 for j in set(range(1, k + 1)) - set(ids) for l in range(k))
-        decoder = collection_matrix(ids, params).invert().int_rows()
+        decoder = collection_system(ids, params).invert().int_rows()
         assert len(calls) == 1 and calls[0][0] == [decoder[r] for r in missing]
 
 

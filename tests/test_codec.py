@@ -3,12 +3,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import ground_truth, random_block
+from conftest import collection_system, ground_truth, random_block
 from mscr.cluster import Cluster
 from mscr.codec import (DuplicateNodes, IndexOutOfRange, ParityBlock,
                         SourceBlock, collect, collection_matrix, dual_encode,
                         encode, encode_matrix, node_contents, z_column)
+from mscr.galois import FieldSpec
 from mscr.linalg import DimensionMismatch, Matrix, dot
+from mscr.params import generate
 
 
 def test_zero_block_encodes_to_zero(params63):
@@ -151,9 +153,52 @@ def test_collect_duplicate_nodes(params63):
 
 def test_collection_matrix_is_square_nonsingular(params63):
     for subset in combinations(range(1, 7), 3):
-        m = collection_matrix(subset, params63)
+        m = collection_system(subset, params63)
         assert m.shape == (9, 9)
         assert m.det().value != 0
+
+
+def _assert_decoder_is_the_inverse(ids, params):
+    # The decoder's rows are the system inverse's rows of the coordinates no node holds.
+    k = params.k
+    missing, rows = collection_matrix(ids, params)
+    assert missing == tuple(l * k + j - 1 for l in range(k) for j in range(1, k + 1)
+                            if j not in ids), ids
+    inverse = collection_system(ids, params).invert().int_rows()
+    assert [list(r) for r in rows] == [inverse[t] for t in missing], ids
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+@pytest.mark.parametrize("random_v", [False, True], ids=["identity-v", "random-v"])
+def test_decoder_rows_equal_the_system_inverse(degree, random_v):
+    for k in (2, 3, 4):
+        params = generate(k, FieldSpec(degree), seed=50 + k, random_v=random_v)
+        for ids in combinations(range(1, 2 * k + 1), k):
+            _assert_decoder_is_the_inverse(ids, params)
+
+
+@pytest.mark.parametrize("random_v", [False, True], ids=["identity-v", "random-v"])
+def test_decoder_rows_equal_the_system_inverse_k8(random_v):
+    params = generate(8, FieldSpec(8), seed=58, random_v=random_v)
+    for ids in [tuple(range(9, 17)), (*range(1, 8), 9), (*range(1, 5), *range(9, 13)),
+                (2, 3, 5, 8, 10, 11, 14, 16)]:
+        _assert_decoder_is_the_inverse(ids, params)
+
+
+def test_repeated_node_set_reuses_the_decoder(params_k4, monkeypatch):
+    # collect and decode_nodes share one cached decoder: a set seen before solves nothing.
+    data = random.Random(45).randbytes(500)
+    c = Cluster.ingest(data, params_k4, keep_oracle=False)
+    block, _, by_id = ground_truth(params_k4, random.Random(45))
+    ids = (2, 5, 6, 8)
+    assert c.extract(ids) == data
+    calls = []
+    for name in ("solve", "invert"):
+        method = getattr(Matrix, name)
+        monkeypatch.setattr(Matrix, name, lambda *a, f=method, n=name: calls.append(n) or f(*a))
+    assert c.extract(ids) == data
+    assert collect([by_id[i] for i in ids], params_k4).x == block.x
+    assert calls == []
 
 
 def test_matrix_caches_are_bounded(params_k5):

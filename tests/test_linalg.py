@@ -3,14 +3,15 @@ import random
 import pytest
 
 from conftest import is_super_regular
+from mscr.galois import FieldSpec
 from mscr.linalg import (CauchySpec, DimensionMismatch, DuplicateGenerators,
                          Matrix, SingularMatrix, TooLarge, cauchy,
                          cauchy_inverse, dot, first_singular_minor,
-                         random_matrix, random_nonsingular)
+                         random_nonsingular)
 
 
 def _rand(spec, r, c, rng):
-    return random_matrix(spec, r, c, rng)
+    return Matrix(spec, [[rng.randrange(spec.order) for _ in range(c)] for _ in range(r)])
 
 
 def _cauchy_spec(spec, k, rng):
@@ -37,6 +38,17 @@ def test_matmul_associative(gf256):
     for _ in range(100):
         a, b, c = (_rand(gf256, 3, 3, rng) for _ in range(3))
         assert (a @ b) @ c == a @ (b @ c)
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+def test_matmul_entries_are_dot_products(degree):
+    spec, rng = FieldSpec(degree), random.Random(degree)
+    for _ in range(50):
+        r, t, c = (rng.randrange(1, 6) for _ in range(3))
+        a, b = _rand(spec, r, t, rng), _rand(spec, t, c, rng)
+        a = Matrix(spec, [[v if rng.random() < 0.7 else 0 for v in row] for row in a.int_rows()])
+        assert (a @ b).int_rows() == [[dot(a.row(i), b.col(j)).value for j in range(c)]
+                                      for i in range(r)]
 
 
 def test_dimension_mismatch(gf256):
