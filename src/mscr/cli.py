@@ -1,10 +1,13 @@
 """Command-line entry points: gen-params, encode, extract, simulate, validate-params.
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
-A bad manifest, shard or scenario exits 1 with one ``error:`` line.
+A bad manifest, shard or scenario, or an output path that cannot be written,
+exits 1 with one ``error:`` line.
 Manifest v2 adds to v1 the SHA-256 of each shard and of the params, which
 ``extract`` checks before decoding, and of the input, which it checks before
-writing (v1 has none to check).
+writing (v1 has none to check).  A v3 shard is the node's bit planes as
+little-endian uint64 words, read and written without conversion; v1 and v2
+shards are block-major symbol bytes.
 All runs are reproducible from the seeds recorded in the files they read.
 """
 
@@ -17,12 +20,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import cluster as cluster_mod
 from . import params as params_mod
 from .galois import FieldSpec
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 def _parse_nodes(text: str) -> list[int]:
@@ -106,7 +111,8 @@ def cmd_encode(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     shards, digests = {}, {}
     for nid in range(1, code_params.n + 1):
-        name, payload = f"node_{nid:02d}.shard", c.node_symbols_bytes(nid)
+        name, planes = f"node_{nid:02d}.shard", np.ascontiguousarray(c.node_data[nid - 1], "<u8")
+        payload = planes.reshape(-1).view(np.uint8).data  # no copy on little-endian hosts
         (out_dir / name).write_bytes(payload)
         shards[str(nid)] = name
         digests[str(nid)] = hashlib.sha256(payload).hexdigest()
@@ -144,15 +150,18 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
         files = {nid: (in_dir / m["shards"][str(nid)],
                        m["sha256"][str(nid)] if "sha256" in m else None) for nid in nodes}
         nblocks, length = int(m["block_count"]), int(m["original_length"])
-        data_digest = m.get("data_sha256")
+        data_digest, version = m.get("data_sha256"), m["version"]
+        if type(version) is not int or not 1 <= version <= MANIFEST_VERSION:
+            raise ValueError(f"version {version!r} is not 1, 2 or 3")
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest ({exc})") from None
     if not same:
         raise ValueError(f"params differ from the ones the shards in {in_dir} were encoded with")
-    width = code_params.field.symbol_bytes
-    if length < 0 or nblocks != -(-length // (code_params.block_size * width)):
+    k, spec = code_params.k, code_params.field
+    rows = k * spec.degree  # bit planes a node holds
+    if length < 0 or nblocks != -(-length // (code_params.block_size * spec.symbol_bytes)):
         raise ValueError(f"{path}: original_length {length} does not fit block_count {nblocks}")
-    size = nblocks * code_params.k * width
+    size = rows * -(-nblocks // 64) * 8 if version == 3 else nblocks * k * spec.symbol_bytes
     arrays = {}
     for nid, (shard, digest) in files.items():
         raw = shard.read_bytes()
@@ -160,7 +169,8 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
             raise ValueError(f"shard {shard} (node {nid}) has {len(raw)} bytes, not {size}")
         if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
             raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
-        arrays[nid] = cluster_mod.bytes_to_planes(raw, code_params.field, code_params.k)
+        arrays[nid] = (np.frombuffer(raw, "<u8").reshape(rows, -1) if version == 3
+                       else cluster_mod.bytes_to_planes(raw, spec, k))
     return arrays, length, data_digest
 
 
@@ -244,18 +254,19 @@ def cmd_validate_params(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen-params":
-        return cmd_gen_params(args, parser)
-    if args.command == "encode":
-        return cmd_encode(args)
-    if args.command == "extract":
-        return cmd_extract(args, parser)
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "validate-params":
-        return cmd_validate_params(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    try:  # commands catch their input errors; this catches an output that cannot be written
+        if args.command == "gen-params":
+            return cmd_gen_params(args, parser)
+        if args.command == "encode":
+            return cmd_encode(args)
+        if args.command == "extract":
+            return cmd_extract(args, parser)
+        if args.command == "simulate":
+            return cmd_simulate(args)
+        return cmd_validate_params(args)  # argparse admits no other command
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

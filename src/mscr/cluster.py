@@ -5,8 +5,9 @@ independently.  Node j keeps its share of every chunk bit-sliced: a
 (k*m, words) uint64 array whose plane l*m + b holds bit b of coordinate l,
 block 64q + t at bit t of word q, pad blocks zero.  `bytes_to_planes` and
 `planes_to_bytes` convert to and from block-major bytes at the edge only:
-ingest input, `block_content`, and shard payloads and `decode_nodes` output
-(bytes-like bytearrays written once; a decode's held coordinates skip the kernel).
+ingest input, `decode_nodes` output and `node_symbols_bytes` (bytes-like
+bytearrays written once; a decode's held coordinates skip the kernel).  The
+CLI's v3 shards are these arrays' own little-endian words.
 
 Every operation is a fixed linear map applied to every block by the one
 kernel, :meth:`FieldSpec.scale_array`: the encode matrix, the decoder rows
@@ -209,18 +210,6 @@ class Cluster:
         if data is None:
             raise NotEnoughLiveNodes(f"node {node_id} is failed")
         return planes_to_bytes(data, self.nblocks * self.params.k * self.params.field.symbol_bytes)
-
-    def block_content(self, node_id: int, block: int) -> codec.NodeContent:
-        """Scalar view of one node's share of one block."""
-        data = self.node_data[node_id - 1]
-        if data is None:
-            raise NotEnoughLiveNodes(f"node {node_id} is failed")
-        if not 0 <= block < self.nblocks:
-            raise IndexError(f"block {block} outside 0..{self.nblocks - 1}")
-        spec, (word, bit) = self.params.field, divmod(block, 64)
-        bits = (data[:, word] >> bit) & 1
-        values = bits.reshape(self.params.k, spec.degree) << np.arange(spec.degree, dtype=np.uint64)
-        return codec.NodeContent(node_id, tuple(spec.element(int(v)) for v in values.sum(1)))
 
     # -- operations --------------------------------------------------------------
 

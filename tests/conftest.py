@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mscr import CodeParams, FieldSpec, SourceBlock, encode, generate
-from mscr.codec import encode_matrix, node_contents
+from mscr.cluster import NotEnoughLiveNodes
+from mscr.codec import NodeContent, encode_matrix, node_contents
 from mscr.linalg import Matrix, first_singular_minor
 from mscr.params import solve_dual_constants
 
@@ -94,3 +95,16 @@ def from_planes(planes: np.ndarray, m: int, n: int) -> list[list[int]]:
     bits = (planes[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
     bits = bits.reshape(planes.shape[0] // m, m, -1)[:, :, :n]
     return np.bitwise_or.reduce(bits << np.arange(m, dtype=np.uint64)[:, None], axis=1).tolist()
+
+
+def block_content(cluster, node_id: int, block: int) -> NodeContent:
+    """Scalar view of one node's share of one block of a cluster."""
+    data = cluster.node_data[node_id - 1]
+    if data is None:
+        raise NotEnoughLiveNodes(f"node {node_id} is failed")
+    if not 0 <= block < cluster.nblocks:
+        raise IndexError(f"block {block} outside 0..{cluster.nblocks - 1}")
+    spec, (word, bit) = cluster.params.field, divmod(block, 64)
+    bits = (data[:, word] >> bit) & 1
+    values = bits.reshape(cluster.params.k, spec.degree) << np.arange(spec.degree, dtype=np.uint64)
+    return NodeContent(node_id, tuple(spec.element(int(v)) for v in values.sum(1)))

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import random
+import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mscr.cli import main
+from mscr.cluster import Cluster, planes_to_bytes
 from mscr.params import load, validate
 
 
@@ -251,15 +255,21 @@ def _one_error_line(capsys) -> str:
     return err[0]
 
 
-def test_encode_writes_manifest_v2(tmp_path):
-    import hashlib
-    params_file, shard_dir = _encode(tmp_path, b"manifest payload")
+def test_encode_writes_manifest_v3(tmp_path):
+    payload = random.Random(2).randbytes(1000)  # 112 blocks of 9 bytes: 2 words a plane
+    params_file, shard_dir = _encode(tmp_path, payload)
     manifest = json.loads((shard_dir / "manifest.json").read_text())
-    assert manifest["version"] == 2
+    assert manifest["version"] == 3
+    assert manifest["block_count"] == 112 and manifest["symbols_per_node"] == 336
     assert manifest["shards"] == {str(i): f"node_{i:02d}.shard" for i in range(1, 7)}
+    cluster = Cluster.ingest(payload, load(params_file))
     for nid, name in manifest["shards"].items():
-        digest = hashlib.sha256((shard_dir / name).read_bytes()).hexdigest()
-        assert manifest["sha256"][nid] == digest
+        raw = (shard_dir / name).read_bytes()
+        assert len(raw) == 3 * 8 * 2 * 8  # k*m planes of ceil(blocks/64) uint64 words
+        assert manifest["sha256"][nid] == hashlib.sha256(raw).hexdigest()
+        planes = cluster.node_data[int(nid) - 1]
+        assert raw == planes.astype("<u8").tobytes()
+        assert planes_to_bytes(planes, 336) == cluster.node_symbols_bytes(int(nid))
     params_text = json.dumps(json.loads(params_file.read_text()), sort_keys=True)
     assert manifest["params_sha256"] == hashlib.sha256(params_text.encode()).hexdigest()
 
@@ -288,12 +298,26 @@ def test_extract_rejects_other_valid_params(tmp_path, capsys):
     assert "params differ" in _one_error_line(capsys)
 
 
-def _as_v1(shard_dir):
+def _as_v2(shard_dir):
+    """Rewrite a v3 directory as v2: block-major shards and their digests."""
     path = shard_dir / "manifest.json"
     manifest = json.loads(path.read_text())
+    k, width = manifest["k"], manifest["field"]["degree"] // 8
+    for nid, name in manifest["shards"].items():
+        planes = np.frombuffer((shard_dir / name).read_bytes(), "<u8").reshape(8 * k * width, -1)
+        raw = bytes(planes_to_bytes(planes, manifest["block_count"] * k * width))
+        (shard_dir / name).write_bytes(raw)
+        manifest["sha256"][nid] = hashlib.sha256(raw).hexdigest()
+    manifest["version"] = 2
+    path.write_text(json.dumps(manifest))
+    return manifest
+
+
+def _as_v1(shard_dir):
+    manifest = _as_v2(shard_dir)
     del manifest["sha256"], manifest["params_sha256"], manifest["data_sha256"]
     manifest["version"] = 1
-    path.write_text(json.dumps(manifest))
+    (shard_dir / "manifest.json").write_text(json.dumps(manifest))
     return manifest
 
 
@@ -315,9 +339,18 @@ def _edit_manifest(**changes):
     return edit
 
 
-def _truncate_shard(shard_dir):
+def _truncate_shard(shard_dir, nbytes=1):
     shard = shard_dir / "node_04.shard"
-    shard.write_bytes(shard.read_bytes()[:-1])
+    shard.write_bytes(shard.read_bytes()[:-nbytes])
+
+
+def _relabel(version):
+    """Change only the manifest's version (None drops it): the shards stay v3."""
+    def edit(shard_dir):
+        path = shard_dir / "manifest.json"
+        manifest = {**json.loads(path.read_text()), "version": version}
+        path.write_text(json.dumps({key: v for key, v in manifest.items() if v is not None}))
+    return edit
 
 
 def _v1_truncate_shard(shard_dir):
@@ -332,6 +365,11 @@ BAD_INPUTS = {
     "manifest misses a shard entry": lambda d: _edit_manifest(shards={"1": "node_01.shard"})(d),
     "missing shard file": lambda d: (d / "node_04.shard").unlink(),
     "truncated shard": _truncate_shard,
+    "v3 shard one word short": lambda d: _truncate_shard(d, 8),
+    "v3 manifest relabelled version 2": _relabel(2),
+    "manifest version not an integer": _relabel("3"),
+    "manifest without version": _relabel(None),
+    "unknown manifest version": _relabel(4),
     "v1 truncated shard": _v1_truncate_shard,
     "v1 manifest k differs": _edit_manifest(k=4),
     "v1 manifest field differs": _edit_manifest(field={"degree": 16,
@@ -367,16 +405,15 @@ def test_extract_checks_data_digest_before_writing(tmp_path, capsys, length):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_extract_reads_manifest_without_data_digest(tmp_path, version):
-    import hashlib
     payload = random.Random(8).randbytes(400)
     params_file, shard_dir = _encode(tmp_path, payload)
     path = shard_dir / "manifest.json"
     manifest = json.loads(path.read_text())
     assert manifest["data_sha256"] == hashlib.sha256(payload).hexdigest()
-    if version == 1:
-        manifest = _as_v1(shard_dir)
+    if version < 3:
+        manifest = (_as_v1 if version == 1 else _as_v2)(shard_dir)
     manifest.pop("data_sha256", None)
     path.write_text(json.dumps(manifest))
     for nodes in ("1,2,3", "2,4,6", "4,5,6"):
@@ -442,3 +479,53 @@ def test_extract_never_returns_wrong_bytes(encoded_k3, tmp_path_factory, data):
     finally:
         shard.write_bytes(original)
     assert rc == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("k, degree, length", [(3, 8, 1000), (4, 16, 3000)],
+                         ids=["k3-gf8", "k4-gf16"])
+def test_manifest_versions_extract_the_same_bytes(tmp_path, k, degree, length):
+    # Neither length fills whole 64-block words, so v3 shards are longer than v2 ones.
+    params_file = tmp_path / "params.json"
+    assert main(["gen-params", "--k", str(k), "--field-degree", str(degree), "--seed", "3",
+                 "--out", str(params_file)]) == 0
+    payload = random.Random(10).randbytes(length)
+    src = tmp_path / "input.bin"
+    src.write_bytes(payload)
+    dirs = {v: tmp_path / f"v{v}" for v in (1, 2, 3)}
+    assert main(["encode", "--params", str(params_file), "--in", str(src),
+                 "--out-dir", str(dirs[3])]) == 0
+    for version, convert in ((2, _as_v2), (1, _as_v1)):
+        shutil.copytree(dirs[3], dirs[version])
+        convert(dirs[version])
+    sizes = {v: (d / "node_01.shard").stat().st_size for v, d in dirs.items()}
+    assert sizes[1] == sizes[2] < sizes[3]
+    systematic, parity = list(range(1, k + 1)), list(range(k + 1, 2 * k + 1))
+    for nodes in (systematic, systematic[1:] + parity[:1], parity):
+        outs = []
+        for version, shard_dir in dirs.items():
+            out = tmp_path / f"o{version}.bin"
+            assert _extract(params_file, shard_dir, out, ",".join(map(str, nodes))) == 0
+            outs.append(out.read_bytes())
+        assert outs == [payload] * 3, nodes
+
+
+def _unwritable_output(tmp_path):
+    params_file, shard_dir = _encode(tmp_path, b"unwritable output")
+    missing = tmp_path / "no-such-dir"
+    return {
+        "gen-params": ["gen-params", "--k", "3", "--out", str(missing / "p.json")],
+        "encode": ["encode", "--params", str(params_file), "--in", str(tmp_path / "input.bin"),
+                   "--out-dir", str(params_file)],
+        "extract": ["extract", "--params", str(params_file), "--in-dir", str(shard_dir),
+                    "--nodes", "1,2,3", "--out", str(missing / "o.bin")],
+        "simulate": ["simulate", "--scenario", "six-node-all-pairs",
+                     "--report", str(missing / "r.json")],
+    }
+
+
+@pytest.mark.parametrize("command", ["gen-params", "encode", "extract", "simulate"])
+def test_output_that_cannot_be_written_exits_1(tmp_path, capsys, command):
+    argv = _unwritable_output(tmp_path)[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    _one_error_line(capsys)

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import collection_system, from_planes, to_planes
+from conftest import block_content, collection_system, from_planes, to_planes
 from mscr import cluster as cluster_mod
 from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
@@ -123,7 +123,7 @@ def test_ingest_single_block(params63):
     # Pad blocks 1..63 share the word, but only block 0 exists.
     for block in (1, -1):
         with pytest.raises(IndexError):
-            c.block_content(1, block)
+            block_content(c, 1, block)
 
 
 def test_ingest_pads_to_whole_blocks(params63):
@@ -158,7 +158,7 @@ def test_parity_columns_satisfy_encode_relation(params63):
     data = _data(45, seed=3)
     c = Cluster.ingest(data, params63)
     for block in range(c.nblocks):
-        contents = [c.block_content(nid, block) for nid in range(1, 7)]
+        contents = [block_content(c, nid, block) for nid in range(1, 7)]
         from mscr.codec import SourceBlock
         from mscr.linalg import Matrix
         x = Matrix.from_rows([[contents[j].vector[r] for j in range(3)]
@@ -221,7 +221,7 @@ def test_bulk_repair_matches_scalar_protocol(params63, params_k4_gf16, wide, fai
     params = params_k4_gf16 if wide else params63
     c = Cluster.ingest(_data(7 * params.block_size * params.field.symbol_bytes, seed=6),
                        params)
-    before = [[c.block_content(nid, bk) for nid in range(1, params.n + 1)]
+    before = [[block_content(c, nid, bk) for nid in range(1, params.n + 1)]
               for bk in range(c.nblocks)]
     c.fail(failed)
     pattern = FailurePattern.classify(failed, params.k)
@@ -232,7 +232,7 @@ def test_bulk_repair_matches_scalar_protocol(params63, params_k4_gf16, wide, fai
         msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params)
         scalar_out, _, _ = apply_repair(plan, msgs, params)
         for ct in scalar_out:
-            assert c.block_content(ct.node_id, bk).vector == ct.vector
+            assert block_content(c, ct.node_id, bk).vector == ct.vector
 
 
 def test_repair_verifies_against_oracle(params63):
