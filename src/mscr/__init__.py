@@ -12,13 +12,10 @@ from .params import (CodeParams, DegenerateConstants, GenerationExhausted,
                      Violation, generate, solve_dual_constants, validate)
 from .codec import (DuplicateNodes, IndexOutOfRange, NodeContent, ParityBlock,
                     SourceBlock, collect, dual_encode, encode, z_column)
-from .repair import (BandwidthReport, FailurePattern, InvalidRegime,
-                     MissingMessage, NonsingularityFailure, Phase1Message,
-                     Phase2Message, RepairPlan, SolveFailure,
+from .repair import (BandwidthReport, FailurePattern, InvalidRegime, Message,
+                     MissingMessage, NonsingularityFailure, RepairPlan, SolveFailure,
                      UnsupportedPattern, apply_repair, check_mixed_matrix,
-                     optimal_bandwidth, phase1_symbol, plan_repair,
-                     repair_mixed_pair, repair_parity_group,
-                     repair_systematic_group)
+                     optimal_bandwidth, phase1_symbol, plan_repair)
 from .cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes, Scenario,
                       TooManyFailures, VerificationFailure, run_scenario)
 

@@ -158,6 +158,8 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
     if not same:
         raise ValueError(f"params differ from the ones the shards in {in_dir} were encoded with")
     k, spec = code_params.k, code_params.field
+    if spec.degree != 8 * spec.symbol_bytes:  # the shards of no version can hold such symbols
+        raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
     rows = k * spec.degree  # bit planes a node holds
     if length < 0 or nblocks != -(-length // (code_params.block_size * spec.symbol_bytes)):
         raise ValueError(f"{path}: original_length {length} does not fit block_count {nblocks}")

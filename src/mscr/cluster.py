@@ -175,7 +175,6 @@ class Cluster:
         self.nblocks = nblocks
         self.original_length = original_length
         self.oracle = oracle
-        self.failed: set[int] = {i + 1 for i, d in enumerate(node_data) if d is None}
 
     # -- construction -----------------------------------------------------------
 
@@ -201,8 +200,13 @@ class Cluster:
     # -- queries ---------------------------------------------------------------
 
     @property
+    def failed(self) -> set[int]:
+        """Ids of the nodes whose data is gone."""
+        return {i + 1 for i, d in enumerate(self.node_data) if d is None}
+
+    @property
     def live_nodes(self) -> list[int]:
-        return [i for i in range(1, self.params.n + 1) if i not in self.failed]
+        return [i + 1 for i, d in enumerate(self.node_data) if d is not None]
 
     def node_symbols_bytes(self, node_id: int) -> bytearray:
         """Raw shard payload (a bytes-like bytearray): the node's symbols, block-major."""
@@ -227,20 +231,19 @@ class Cluster:
 
     def fail(self, nodes) -> "Cluster":
         """Erase the given live nodes' contents; the oracle is untouched."""
-        nodes = set(nodes)
+        nodes, failed = set(nodes), self.failed
         if not nodes:
             return self
         for nid in nodes:
             if not 1 <= nid <= self.params.n:
                 raise ValueError(f"node id {nid} outside 1..{self.params.n}")
-            if nid in self.failed:
+            if nid in failed:
                 raise AlreadyFailed(f"node {nid} is already failed")
-        if len(self.failed | nodes) > self.params.k:
+        if len(failed | nodes) > self.params.k:
             raise TooManyFailures(
-                f"{len(self.failed | nodes)} failures exceed the tolerance k={self.params.k}")
+                f"{len(failed | nodes)} failures exceed the tolerance k={self.params.k}")
         for nid in nodes:
             self.node_data[nid - 1] = None
-            self.failed.add(nid)
         return self
 
     def run_repair(self, pattern: repair.FailurePattern):
@@ -251,7 +254,7 @@ class Cluster:
         one call for all newcomers: `repair.linear_map`, one run of the
         protocol on coefficient rows, applied to the phase-1 planes of all edges.
         """
-        if pattern.failed != frozenset(self.failed):
+        if pattern.failed != self.failed:
             raise ValueError(
                 f"pattern {sorted(pattern.failed)} does not match failed set {sorted(self.failed)}")
         k, spec, plan = self.params.k, self.params.field, repair.plan_repair(pattern, self.params)
@@ -269,7 +272,6 @@ class Cluster:
                          out=[p for a in repaired for p in a])
         for nc, a in zip(plan.newcomers, repaired):
             self.node_data[nc - 1] = a
-            self.failed.discard(nc)
 
         if self.oracle is not None:
             for nc in plan.newcomers:

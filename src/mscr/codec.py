@@ -5,7 +5,7 @@ matrix X uncoded.  Nodes k+1..2k store the columns y_1..y_k of
 
     Y = delta * V_hat X^t U + epsilon * X P        (forward map F)
 
-and the inverse view treats Y as the information:
+and the inverse view, F on the mirror side (see `params.Side`), treats Y as the information:
 
     X = delta' * U_hat Y^t V + epsilon' * Y Q      (dual map G)
 
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .galois import FieldElement
 from .linalg import DimensionMismatch, Matrix, dot
-from .params import CodeParams
+from .params import CodeParams, Side
 
 __all__ = [
     "DuplicateNodes",
@@ -71,28 +71,23 @@ class NodeContent:
     vector: tuple[FieldElement, ...]
 
 
-def _check_block(m: Matrix, params: CodeParams) -> None:
+def _map(m: Matrix, side: Side, params: CodeParams) -> Matrix:
+    """delta * hat M^t probes + epsilon * M mix: F on the parity side, G on the systematic side."""
     if m.shape != (params.k, params.k) or m.spec != params.field:
         raise DimensionMismatch(
             f"block shape {m.shape} does not fit k={params.k} over {params.field!r}")
+    return ((side.hat @ m.transpose() @ side.probes).scalar_mul(side.delta)
+            + (m @ side.mix).scalar_mul(side.epsilon))
 
 
 def encode(block: SourceBlock, params: CodeParams) -> ParityBlock:
     """Forward map: parity matrix Y from source matrix X."""
-    x = block.x
-    _check_block(x, params)
-    aligned = (params.v_hat @ x.transpose() @ params.u).scalar_mul(params.delta)
-    mixed = (x @ params.p).scalar_mul(params.epsilon)
-    return ParityBlock(aligned + mixed)
+    return ParityBlock(_map(block.x, params.parity_side, params))
 
 
 def dual_encode(block: ParityBlock, params: CodeParams) -> SourceBlock:
     """Inverse map: source matrix X from parity matrix Y."""
-    y = block.y
-    _check_block(y, params)
-    aligned = (params.u_hat @ y.transpose() @ params.v).scalar_mul(params.delta_prime)
-    mixed = (y @ params.q).scalar_mul(params.epsilon_prime)
-    return SourceBlock(aligned + mixed)
+    return SourceBlock(_map(block.y, params.systematic_side, params))
 
 
 def z_column(x: Matrix, mix: Matrix, j: int) -> tuple[FieldElement, ...]:
@@ -121,9 +116,9 @@ def encode_matrix(params: CodeParams) -> Matrix:
     aligned term and epsilon P[a][c] through the mixed one when b = r, so
     E[rk + c][bk + a] = delta V_hat[r][a] U[b][c] + epsilon [b = r] P[a][c].
     """
-    k, field, mul = params.k, params.field, params.field.mul_int
-    d, e = params.delta.value, params.epsilon.value
-    v_hat, u, p = params.v_hat.int_rows(), params.u.int_rows(), params.p.int_rows()
+    k, field, mul, side = params.k, params.field, params.field.mul_int, params.parity_side
+    d, e = side.delta.value, side.epsilon.value
+    v_hat, u, p = side.hat.int_rows(), side.probes.int_rows(), side.mix.int_rows()
     return Matrix(field, [[mul(d, mul(v_hat[r][a], u[b][c])) ^ (mul(e, p[a][c]) if b == r else 0)
                            for b in range(k) for a in range(k)]
                           for r in range(k) for c in range(k)])

@@ -41,6 +41,7 @@ __all__ = [
     "DegenerateConstants",
     "GenerationExhausted",
     "PARAMS_VERSION",
+    "Side",
     "Violation",
     "from_document",
     "generate",
@@ -79,12 +80,34 @@ class Violation:
 
 
 @dataclass(frozen=True)
+class Side:
+    """One orientation of the code's primal/dual symmetry.
+
+    The parity side (U, P, V_hat, delta, epsilon) computes F and repairs
+    parity nodes; the systematic side (V, Q, U_hat, delta', epsilon') is its
+    mirror image, computing G and repairing systematic nodes.  Mixed-pair
+    repair also needs the other side's basis (dual) and the inverse of the
+    mixing matrix (unmix).  Basis index j (1-based) is coded node base + j,
+    whose probe is column j of probes, and raw node k - base + j.
+    """
+
+    probes: Matrix
+    mix: Matrix
+    hat: Matrix
+    dual: Matrix
+    unmix: Matrix
+    delta: FieldElement
+    epsilon: FieldElement
+    base: int
+
+
+@dataclass(frozen=True)
 class CodeParams:
     """A complete, immutable parameter set for one (n=2k, k) code.
 
     Only the free choices are fields, so equality and hashing (which the
     lru_caches in :mod:`mscr.codec` key on) cover exactly them; P, Q, U,
-    U_hat and V_hat are computed from `cauchy` and `v` on first use.
+    U_hat, V_hat and the two sides are computed from `cauchy` and `v` on first use.
     """
 
     k: int
@@ -125,6 +148,15 @@ class CodeParams:
     @cached_property
     def v_hat(self) -> Matrix:
         return self.v.transpose().invert()
+
+    @cached_property
+    def parity_side(self) -> Side:
+        return Side(self.u, self.p, self.v_hat, self.v, self.q, self.delta, self.epsilon, self.k)
+
+    @cached_property
+    def systematic_side(self) -> Side:
+        return Side(self.v, self.q, self.u_hat, self.u, self.p,
+                    self.delta_prime, self.epsilon_prime, 0)
 
 
 def solve_dual_constants(delta: FieldElement,

@@ -15,7 +15,7 @@ B(d+r-1) / (k(d+r-k)) with d = n - r helpers.
 
 Reconstruction functions consume (plan, messages, params) and nothing else;
 they never see survivor state or ground truth.  Their cores run on messages
-that are rows of E coefficients: the scalar API is E = 1, the reference, and
+that are rows of E coefficients: `apply_repair` is E = 1, the reference, and
 `linear_map` is one run on the E unit rows, the bulk map of every block.
 """
 
@@ -24,12 +24,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .codec import NodeContent
 from .galois import FieldElement
 from .linalg import Matrix, SingularMatrix, dot
-from .params import CodeParams
+from .params import CodeParams, Side
 
 Rows = Mapping[tuple[int, int], Sequence[int]]  # (sender, receiver) -> E coefficients
 
@@ -38,12 +38,11 @@ __all__ = [
     "FailurePattern",
     "InvalidRegime",
     "MixedPair",
+    "Message",
     "MissingMessage",
     "NewcomerBandwidth",
     "NonsingularityFailure",
     "ParityGroup",
-    "Phase1Message",
-    "Phase2Message",
     "RepairPlan",
     "SolveFailure",
     "SystematicGroup",
@@ -57,9 +56,6 @@ __all__ = [
     "phase1_symbol",
     "plan_repair",
     "probe_vector",
-    "repair_mixed_pair",
-    "repair_parity_group",
-    "repair_systematic_group",
     "sherman_morrison_check",
     "sherman_morrison_scalar",
 ]
@@ -144,14 +140,9 @@ class RepairPlan:
 
 
 @dataclass(frozen=True)
-class Phase1Message:
-    sender: int
-    receiver: int
-    symbol: FieldElement
+class Message:
+    """One symbol on one repair edge, in either phase."""
 
-
-@dataclass(frozen=True)
-class Phase2Message:
     sender: int
     receiver: int
     symbol: FieldElement
@@ -203,9 +194,8 @@ def probe_vector(params: CodeParams, node_id: int) -> tuple[FieldElement, ...]:
     """The inner-product vector helpers use for this newcomer."""
     if not 1 <= node_id <= params.n:
         raise ValueError(f"node id {node_id} outside 1..{params.n}")
-    if node_id <= params.k:
-        return params.v.col(node_id - 1)
-    return params.u.col(node_id - params.k - 1)
+    side = params.parity_side if node_id > params.k else params.systematic_side
+    return side.probes.col(node_id - side.base - 1)
 
 
 def plan_repair(pattern: FailurePattern, params: CodeParams) -> RepairPlan:
@@ -227,18 +217,18 @@ def phase1_symbol(helper: NodeContent, newcomer_id: int,
 
 
 def phase1_messages(plan: RepairPlan, helpers: Mapping[int, NodeContent],
-                    params: CodeParams) -> list[Phase1Message]:
+                    params: CodeParams) -> list[Message]:
     """Helper-side driver: compute the symbol for every planned edge."""
     out = []
     for h, nc, _ in plan.phase1_edges:
         if h not in helpers:
             raise MissingMessage(f"no content supplied for helper {h}")
-        out.append(Phase1Message(h, nc, phase1_symbol(helpers[h], nc, params)))
+        out.append(Message(h, nc, phase1_symbol(helpers[h], nc, params)))
     return out
 
 
 def _index_messages(plan: RepairPlan,
-                    phase1: Sequence[Phase1Message]) -> dict[tuple[int, int], FieldElement]:
+                    phase1: Sequence[Message]) -> dict[tuple[int, int], FieldElement]:
     seen: dict[tuple[int, int], FieldElement] = {}
     for m in phase1:
         key = (m.sender, m.receiver)
@@ -260,54 +250,13 @@ def _tally(plan: RepairPlan, downloaded: Counter, exchanged: Counter,
     return BandwidthReport(rows, optimal, all(r.gamma == optimal for r in rows))
 
 
-@dataclass(frozen=True)
-class _GroupSide:
-    """One orientation of the code's primal/dual symmetry.
-
-    Parity-node repair runs on (U, P, V_hat, delta, epsilon) with raw
-    inner products coming from the systematic side; systematic-node repair
-    is the mirror image on (V, Q, U_hat, delta', epsilon') with raw inner
-    products coming from the parity side.  Mixed-pair repair also needs the
-    other side's basis (dual) and the inverse of the mixing matrix (unmix).
-    """
-
-    probes: Matrix
-    mix: Matrix
-    hat: Matrix
-    dual: Matrix
-    unmix: Matrix
-    delta: FieldElement
-    epsilon: FieldElement
-    raw_node: Callable[[int], int]    # 1-based basis index -> node id
-    coded_node: Callable[[int], int]  # 1-based basis index -> node id
-    index_of: Callable[[int], int]    # newcomer node id -> 1-based basis index
-
-
-def _parity_side(params: CodeParams) -> _GroupSide:
-    k = params.k
-    return _GroupSide(params.u, params.p, params.v_hat, params.v, params.q,
-                      params.delta, params.epsilon,
-                      raw_node=lambda l: l,
-                      coded_node=lambda j: k + j,
-                      index_of=lambda nid: nid - k)
-
-
-def _systematic_side(params: CodeParams) -> _GroupSide:
-    k = params.k
-    return _GroupSide(params.v, params.q, params.u_hat, params.u, params.p,
-                      params.delta_prime, params.epsilon_prime,
-                      raw_node=lambda l: k + l,
-                      coded_node=lambda j: j,
-                      index_of=lambda nid: nid)
-
-
-def _received(plan: RepairPlan, rows: Rows, params: CodeParams, side: _GroupSide,
+def _received(plan: RepairPlan, rows: Rows, params: CodeParams, side: Side,
               receiver: int) -> tuple[Matrix, Matrix]:
-    """k x E raw-side and coded-side phase-1 rows of receiver: row l - 1 from node(l), or 0."""
+    """k x E raw-side and coded-side phase-1 rows of receiver: row l - 1 from node off + l, or 0."""
     zero = [0] * len(rows[(plan.helpers[0], receiver)])
-    return tuple(Matrix(params.field, [rows[node(l), receiver] if node(l) in plan.helpers else zero
+    return tuple(Matrix(params.field, [rows[off + l, receiver] if off + l in plan.helpers else zero
                                        for l in range(1, params.k + 1)])
-                 for node in (side.raw_node, side.coded_node))
+                 for off in (params.k - side.base, side.base))
 
 
 def _group_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
@@ -325,20 +274,20 @@ def _group_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
     then probes^t Z = W is solved and the content is
     delta * (hat @ S) + epsilon * Z.
     """
-    side = _parity_side(params) if plan.pattern.kind == ParityGroup else _systematic_side(params)
+    side = params.parity_side if plan.pattern.kind == ParityGroup else params.systematic_side
     spec, mix_t = params.field, side.mix.transpose()
     inbox = {nc: _received(plan, rows, params, side, nc) for nc in plan.newcomers}
     combos = {nc: mix_t @ s for nc, (s, _) in inbox.items()}
-    phase2 = {(a, b): combos[a].int_rows()[side.index_of(b) - 1] for a, b in plan.phase2_edges}
+    phase2 = {(a, b): combos[a].int_rows()[b - side.base - 1] for a, b in plan.phase2_edges}
     probes_t, inv_delta = side.probes.transpose(), side.delta.inverse()
     contents = []
     for nc in plan.newcomers:
-        (s, t), c, i = inbox[nc], combos[nc], side.index_of(nc)
+        (s, t), c, i = inbox[nc], combos[nc], nc - side.base
         w = (t + c.scalar_mul(side.epsilon)).scalar_mul(inv_delta).int_rows()
         w[i - 1] = c.int_rows()[i - 1]
         for a in plan.newcomers:
             if a != nc:
-                w[side.index_of(a) - 1] = phase2[(a, nc)]
+                w[a - side.base - 1] = phase2[(a, nc)]
         try:
             z = probes_t.solve(Matrix(spec, w))
         except SingularMatrix as exc:
@@ -347,29 +296,17 @@ def _group_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
     return contents, phase2
 
 
-def repair_parity_group(plan: RepairPlan, phase1: Sequence[Phase1Message],
-                        params: CodeParams):
-    """Repair r failed parity nodes; returns (contents, phase-2 msgs, report)."""
-    return _repair_scalar(plan, phase1, params, ParityGroup)
-
-
-def repair_systematic_group(plan: RepairPlan, phase1: Sequence[Phase1Message],
-                            params: CodeParams):
-    """Repair r failed systematic nodes; mirror image of the parity case."""
-    return _repair_scalar(plan, phase1, params, SystematicGroup)
-
-
 # -- mixed systematic + parity pair ------------------------------------------------
 
 
-def _leading_coeff(side: _GroupSide, s: int, t: int) -> FieldElement:
+def _leading_coeff(side: Side, s: int, t: int) -> FieldElement:
     """epsilon - (epsilon + delta) * mix_st * unmix_ts."""
     return (side.epsilon - (side.epsilon + side.delta)
             * side.mix.at(s - 1, t - 1) * side.unmix.at(t - 1, s - 1))
 
 
-def _mixed_matrix(params: CodeParams, side: _GroupSide, s: int, t: int) -> Matrix:
-    """The k x k system newcomer raw_node(s) solves when coded_node(t) also failed.
+def _mixed_matrix(params: CodeParams, side: Side, s: int, t: int) -> Matrix:
+    """The k x k system raw node k - base + s solves when coded node base + t also failed.
 
     Row 1 is c0 probe_t^t + delta mix_st dual_s^t, the remaining rows are
     delta probe_j^t + epsilon mix_sj dual_s^t for j != t.
@@ -396,7 +333,7 @@ def mixed_repair_matrix(params: CodeParams, a: int, b: int) -> Matrix:
     Row 1 is (epsilon - (epsilon+delta) p_ab q_ba) u_b^t + delta p_ab v_a^t,
     the remaining rows are delta u_j^t + epsilon p_aj v_a^t for j != b.
     """
-    return _mixed_matrix(params, _parity_side(params), a, b)
+    return _mixed_matrix(params, params.parity_side, a, b)
 
 
 def check_mixed_matrix(params: CodeParams, a: int, b: int) -> bool:
@@ -414,7 +351,7 @@ def sherman_morrison_scalar(params: CodeParams, a: int, b: int) -> FieldElement:
     case split is handled by :func:`sherman_morrison_check`).
     """
     k = params.k
-    c0 = _leading_coeff(_parity_side(params), a, b)
+    c0 = _leading_coeff(params.parity_side, a, b)
     if not c0:
         raise ValueError("leading diagonal entry is zero; scalar branch inapplicable")
     p_ab = params.p.at(a - 1, b - 1)
@@ -438,7 +375,7 @@ def sherman_morrison_check(params: CodeParams, a: int, b: int) -> bool:
     stacked over delta * u_j^t (j != b), which is tested directly; otherwise
     the Sherman-Morrison scalar decides.
     """
-    c0 = _leading_coeff(_parity_side(params), a, b)
+    c0 = _leading_coeff(params.parity_side, a, b)
     if not c0:
         if not params.delta or not params.p.at(a - 1, b - 1):
             return False
@@ -450,14 +387,28 @@ def sherman_morrison_check(params: CodeParams, a: int, b: int) -> bool:
 
 
 def _mixed_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
-    """Core of mixed-pair repair (see repair_mixed_pair) on rows of E coefficients.
+    """Repair systematic node a and parity node k+b together, on rows of E coefficients.
 
+    Phase 2 carries one combination each way.  Newcomer k+b sends
+
+        sum_{j!=b} q_ja (u_b^t y_j) + (delta+epsilon) q_ba sum_{i!=a} p_ib (u_b^t x_i)
+          = delta v_a^t z_b + (epsilon - (epsilon+delta) p_ab q_ba) u_b^t x_a
+
+    and newcomer a sends the mirror combination
+
+        sum_{j!=a} p_jb (v_a^t x_j) + (delta'+epsilon') p_ab sum_{i!=b} q_ia (v_a^t y_i)
+          = delta' u_b^t z'_a + (epsilon' - (epsilon'+delta') q_ba p_ab) v_a^t y_b.
+
+    Each newcomer subtracts its known phase-1 terms and solves its k x k
+    mixed-repair system.  The two halves are one computation on the two
+    sides of the code: newcomer a solves on the parity side with
+    (s, t) = (a, b), newcomer k+b on the systematic side with (s, t) = (b, a).
     Rows from the two newcomers are zero, so sums over all of X or Y skip them.
     """
     a, b = plan.pattern.mixed_pair
     phase2, contents = {}, []
-    for side, s, t in ((_parity_side(params), a, b), (_systematic_side(params), b, a)):
-        solver, sender = side.raw_node(s), side.coded_node(t)
+    for side, s, t in ((params.parity_side, a, b), (params.systematic_side, b, a)):
+        solver, sender = params.k - side.base + s, side.base + t
 
         # The sender combines its own phase-1 rows only.
         x, y = _received(plan, rows, params, side, sender)
@@ -480,47 +431,11 @@ def _mixed_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
     return contents, phase2
 
 
-def repair_mixed_pair(plan: RepairPlan, phase1: Sequence[Phase1Message],
-                      params: CodeParams):
-    """Repair systematic node a and parity node k+b together.
-
-    Phase 2 carries one combination each way.  Newcomer k+b sends
-
-        sum_{j!=b} q_ja (u_b^t y_j) + (delta+epsilon) q_ba sum_{i!=a} p_ib (u_b^t x_i)
-          = delta v_a^t z_b + (epsilon - (epsilon+delta) p_ab q_ba) u_b^t x_a
-
-    and newcomer a sends the mirror combination
-
-        sum_{j!=a} p_jb (v_a^t x_j) + (delta'+epsilon') p_ab sum_{i!=b} q_ia (v_a^t y_i)
-          = delta' u_b^t z'_a + (epsilon' - (epsilon'+delta') q_ba p_ab) v_a^t y_b.
-
-    Each newcomer subtracts its known phase-1 terms and solves its k x k
-    mixed-repair system.  The two halves are one computation in the two
-    orientations of :class:`_GroupSide`: newcomer a solves on the parity
-    side with (s, t) = (a, b), newcomer k+b on the systematic side with
-    (s, t) = (b, a).
-    """
-    contents, phase2, report = _repair_scalar(plan, phase1, params, MixedPair)
-    return tuple(contents), phase2, report
-
-
 def _run(plan: RepairPlan, rows: Rows, params: CodeParams, downloaded: Counter):
     """The plan's core on rows: (k x E contents in newcomer order, phase-2 rows, report)."""
     core = _mixed_rows if plan.pattern.kind == MixedPair else _group_rows
     contents, sent = core(plan, rows, params)
     return contents, sent, _tally(plan, downloaded, Counter(b for _, b in sent), params)
-
-
-def _repair_scalar(plan: RepairPlan, phase1: Sequence[Phase1Message], params: CodeParams,
-                   kind: str):
-    """The reference protocol: the core with E = 1, each message's symbol its row."""
-    if plan.pattern.kind != kind:
-        raise ValueError(f"plan is for {plan.pattern.kind}, not {kind}")
-    rows = {edge: [sym.value] for edge, sym in _index_messages(plan, phase1).items()}
-    contents, sent, report = _run(plan, rows, params, Counter(m.receiver for m in phase1))
-    phase2 = [Phase2Message(a, b, FieldElement(row[0], params.field))
-              for (a, b), row in sent.items()]
-    return [NodeContent(nc, c.col(0)) for nc, c in zip(plan.newcomers, contents)], phase2, report
 
 
 def linear_map(plan: RepairPlan, params: CodeParams):
@@ -538,7 +453,12 @@ def linear_map(plan: RepairPlan, params: CodeParams):
     return [row for c in contents for row in c.int_rows()], report
 
 
-def apply_repair(plan: RepairPlan, phase1: Sequence[Phase1Message],
-                 params: CodeParams):
-    """Dispatch on the plan's pattern kind; contents come back in id order."""
-    return _repair_scalar(plan, phase1, params, plan.pattern.kind)
+def apply_repair(plan: RepairPlan, phase1: Sequence[Message], params: CodeParams):
+    """The reference protocol: (contents in id order, phase-2 messages, report).
+
+    It runs the plan's core with E = 1, so each message's symbol is its row.
+    """
+    rows = {edge: [sym.value] for edge, sym in _index_messages(plan, phase1).items()}
+    contents, sent, report = _run(plan, rows, params, Counter(m.receiver for m in phase1))
+    phase2 = [Message(a, b, FieldElement(row[0], params.field)) for (a, b), row in sent.items()]
+    return [NodeContent(nc, c.col(0)) for nc, c in zip(plan.newcomers, contents)], phase2, report

@@ -451,6 +451,24 @@ def test_simulate_rejects_field_that_does_not_fill_whole_bytes(tmp_path, capsys)
     assert "degree 8 or 16" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_extract_refuses_field_that_does_not_fill_whole_bytes(tmp_path, capsys, version):
+    # encode refuses such params, so the directory is made by hand: one block,
+    # each shard zero bytes of the size its version reads.
+    params_file = _gen(tmp_path, "--field-degree", "4")
+    shard_dir, size = tmp_path / "shards", 3 * 4 * 8 if version == 3 else 3
+    shard_dir.mkdir()
+    shards = {str(nid): f"node_{nid:02d}.shard" for nid in range(1, 7)}
+    for name in shards.values():
+        (shard_dir / name).write_bytes(bytes(size))
+    (shard_dir / "manifest.json").write_text(json.dumps({
+        "version": version, "k": 3, "field": json.loads(params_file.read_text())["field"],
+        "original_length": 4, "block_count": 1, "shards": shards}))
+    capsys.readouterr()
+    assert _extract(params_file, shard_dir, tmp_path / "o.bin") == 1
+    assert "field degree 8 or 16, not 4" in _one_error_line(capsys)
+
+
 @pytest.fixture(scope="module")
 def encoded_k3(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("encoded")

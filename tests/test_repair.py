@@ -12,14 +12,12 @@ from mscr.codec import NodeContent, z_column
 from mscr.galois import FieldSpec
 from mscr.linalg import CauchySpec, Matrix, dot
 from mscr.params import generate, validate
-from mscr.repair import (FailurePattern, InvalidRegime, MissingMessage,
-                         MixedPair, ParityGroup, Phase1Message, SystematicGroup,
+from mscr.repair import (FailurePattern, InvalidRegime, Message, MissingMessage,
+                         MixedPair, ParityGroup, SystematicGroup,
                          UnsupportedPattern, apply_repair, check_mixed_matrix,
                          linear_map, mixed_repair_matrix, optimal_bandwidth,
                          phase1_messages, phase1_symbol, plan_repair,
-                         repair_mixed_pair, repair_parity_group,
-                         repair_systematic_group, sherman_morrison_check,
-                         sherman_morrison_scalar)
+                         sherman_morrison_check, sherman_morrison_scalar)
 
 
 def _run(pattern_ids, params, by_id):
@@ -208,17 +206,7 @@ def test_missing_message_detected(params63):
     plan = plan_repair(pattern, params63)
     msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params63)
     with pytest.raises(MissingMessage):
-        repair_parity_group(plan, msgs[:-1], params63)
-
-
-def test_group_kind_guard(params63):
-    rng = random.Random(61)
-    _, _, by_id = ground_truth(params63, rng)
-    pattern = FailurePattern.classify({4, 5}, 3)
-    plan = plan_repair(pattern, params63)
-    msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params63)
-    with pytest.raises(ValueError):
-        repair_systematic_group(plan, msgs, params63)
+        apply_repair(plan, msgs[:-1], params63)
 
 
 # -- mixed pair ---------------------------------------------------------------------
@@ -236,7 +224,7 @@ def test_mixed_pair_exchange_identity_primal(gf256):
             a, b = (1, 2) if trial == 0 else (rng.randrange(1, 4), rng.randrange(1, 4))
             plan = plan_repair(FailurePattern.classify({a, 3 + b}, 3), p)
             msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
-            _, phase2, _ = repair_mixed_pair(plan, msgs, p)
+            _, phase2, _ = apply_repair(plan, msgs, p)
             sent = {(m.sender, m.receiver): m.symbol for m in phase2}
             z_b = z_column(block.x, p.p, b)
             c0 = (p.epsilon
@@ -257,7 +245,7 @@ def test_mixed_pair_exchange_identity_dual(gf256):
             a, b = (1, 2) if trial == 0 else (rng.randrange(1, 4), rng.randrange(1, 4))
             plan = plan_repair(FailurePattern.classify({a, 3 + b}, 3), p)
             msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
-            _, phase2, _ = repair_mixed_pair(plan, msgs, p)
+            _, phase2, _ = apply_repair(plan, msgs, p)
             sent = {(m.sender, m.receiver): m.symbol for m in phase2}
             zp_a = z_column(parity.y, p.q, a)
             c0p = (p.epsilon_prime
@@ -279,7 +267,7 @@ def test_mixed_pair_exchange_identity_primal_wider_k(gf256, k):
                 block, parity, by_id = ground_truth(p, rng)
                 plan = plan_repair(FailurePattern.classify({a, k + b}, k), p)
                 msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
-                _, phase2, _ = repair_mixed_pair(plan, msgs, p)
+                _, phase2, _ = apply_repair(plan, msgs, p)
                 sent = {(m.sender, m.receiver): m.symbol for m in phase2}
                 z_b = z_column(block.x, p.p, b)
                 c0 = (p.epsilon - (p.epsilon + p.delta)
@@ -300,7 +288,7 @@ def test_mixed_pair_exchange_identity_dual_wider_k(gf256, k):
                 block, parity, by_id = ground_truth(p, rng)
                 plan = plan_repair(FailurePattern.classify({a, k + b}, k), p)
                 msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
-                _, phase2, _ = repair_mixed_pair(plan, msgs, p)
+                _, phase2, _ = apply_repair(plan, msgs, p)
                 sent = {(m.sender, m.receiver): m.symbol for m in phase2}
                 zp_a = z_column(parity.y, p.q, a)
                 c0p = (p.epsilon_prime - (p.epsilon_prime + p.delta_prime)
@@ -364,7 +352,7 @@ def test_mixed_matrix_rows_dual(params63, params_k4):
         k = p.k
         for a in range(1, k + 1):
             for b in range(1, k + 1):
-                m = repair_mod._mixed_matrix(p, repair_mod._systematic_side(p), b, a)
+                m = repair_mod._mixed_matrix(p, p.systematic_side, b, a)
                 p_ab, q_ba = p.p.at(a - 1, b - 1), p.q.at(b - 1, a - 1)
                 c0p = p.epsilon_prime - (p.epsilon_prime + p.delta_prime) * q_ba * p_ab
                 u_b, v_a = p.u.col(b - 1), p.v.col(a - 1)
@@ -468,9 +456,7 @@ def test_optimal_bandwidth_invalid_regime():
 def test_reconstruction_interface_is_message_only():
     # Newcomer logic sees (plan, messages, params); nothing else is even a
     # parameter, and the repair module has no handle on the simulator.
-    for fn in (repair_parity_group, repair_systematic_group, repair_mixed_pair):
-        names = list(inspect.signature(fn).parameters)
-        assert names == ["plan", "phase1", "params"]
+    assert list(inspect.signature(apply_repair).parameters) == ["plan", "phase1", "params"]
     imported = {getattr(v, "__name__", "") for v in vars(repair_mod).values()}
     assert "mscr.cluster" not in imported
     assert "cluster" not in imported
@@ -484,7 +470,7 @@ def _probing_map(plan, params):
     spec, edges = params.field, plan.phase1_edges
     cols, report = [], None
     for m in range(len(edges)):
-        msgs = [Phase1Message(h, nc, spec.one if t == m else spec.zero)
+        msgs = [Message(h, nc, spec.one if t == m else spec.zero)
                 for t, (h, nc, _) in enumerate(edges)]
         contents, _, report = apply_repair(plan, msgs, params)
         cols.append([sym.value for c in contents for sym in c.vector])
@@ -532,9 +518,7 @@ def test_linear_map_equals_probing_k8_sample(gf256):
 def test_bulk_repair_runs_no_scalar_protocol(params63, monkeypatch):
     def refuse(*args):
         raise AssertionError("the bulk repair ran the scalar protocol")
-    for name in ("apply_repair", "repair_parity_group", "repair_systematic_group",
-                 "repair_mixed_pair"):
-        monkeypatch.setattr(repair_mod, name, refuse)
+    monkeypatch.setattr(repair_mod, "apply_repair", refuse)
     data = random.Random(9).randbytes(500)
     cluster = Cluster.ingest(data, params63)
     for failed in ({1, 3}, {4, 5, 6}, {2, 6}):
@@ -551,7 +535,7 @@ def test_conflicting_duplicate_message_rejected(params63):
     plan = plan_repair(FailurePattern.classify({4, 5}, 3), params63)
     msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params63)
     first = msgs[0]
-    other = Phase1Message(first.sender, first.receiver, first.symbol + params63.field.one)
+    other = Message(first.sender, first.receiver, first.symbol + params63.field.one)
     with pytest.raises(MissingMessage, match="conflicting"):
         apply_repair(plan, msgs + [other], params63)
 

@@ -46,3 +46,16 @@ def test_trace_targets_resolve_and_kernel_calls_carry_bytes(params63):
     nbytes = [note for note, _, _ in tracer.annotations[scale]]
     assert len(nbytes) == tracer.calls[scale] and all(n > 0 for n in nbytes)
     assert cluster.extract([1, 2, 3]) == data
+
+
+# The other spans `perfbench/run.py` derives per-layer metrics from.
+PER_LAYER_NAMES = ("linalg.Matrix.invert", "linalg.first_singular_minor", "params.generate",
+                   "params.validate", "codec.encode_matrix", "codec.collection_matrix",
+                   "repair.plan_repair", "repair.apply_repair")
+
+
+def test_per_layer_metric_names_resolve_and_are_traced():
+    for name in PER_LAYER_NAMES:
+        layer, attr = name.split(".", 1)
+        assert callable(_resolve(name)), name
+        assert attr in bench_trace.TARGETS[layer], name
