@@ -10,10 +10,10 @@ from .linalg import (CauchySpec, DimensionMismatch, DuplicateGenerators,
                      Matrix, SingularMatrix, TooLarge, cauchy, cauchy_inverse)
 from .params import (CodeParams, DegenerateConstants, GenerationExhausted,
                      Violation, generate, solve_dual_constants, validate)
-from .codec import (DuplicateNodes, IndexOutOfRange, NodeContent, ParityBlock,
-                    SourceBlock, collect, dual_encode, encode, z_column)
+from .codec import (DuplicateNodes, NodeContent, ParityBlock, SourceBlock, collect,
+                    dual_encode, encode)
 from .repair import (BandwidthReport, FailurePattern, InvalidRegime, Message,
-                     MissingMessage, NonsingularityFailure, RepairPlan, SolveFailure,
+                     MissingMessage, NonsingularityFailure, RepairPlan,
                      UnsupportedPattern, apply_repair, check_mixed_matrix,
                      optimal_bandwidth, phase1_symbol, plan_repair)
 from .cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes, Scenario,

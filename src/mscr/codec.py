@@ -27,7 +27,6 @@ from .params import CodeParams, Side
 
 __all__ = [
     "DuplicateNodes",
-    "IndexOutOfRange",
     "NodeContent",
     "ParityBlock",
     "SourceBlock",
@@ -36,17 +35,11 @@ __all__ = [
     "dual_encode",
     "encode",
     "encode_matrix",
-    "node_contents",
-    "z_column",
 ]
 
 
 class DuplicateNodes(ValueError):
     """The same node id appears twice in a collection request."""
-
-
-class IndexOutOfRange(IndexError):
-    """A 1-based column index falls outside 1..k."""
 
 
 @dataclass(frozen=True)
@@ -88,24 +81,6 @@ def encode(block: SourceBlock, params: CodeParams) -> ParityBlock:
 def dual_encode(block: ParityBlock, params: CodeParams) -> SourceBlock:
     """Inverse map: source matrix X from parity matrix Y."""
     return SourceBlock(_map(block.y, params.systematic_side, params))
-
-
-def z_column(x: Matrix, mix: Matrix, j: int) -> tuple[FieldElement, ...]:
-    """Column j (1-based) of x @ mix: the combination sum_l mix[l][j] x_l.
-
-    Used for both mixing directions: (X, P) gives z_j, (Y, Q) gives z'_j.
-    """
-    if not 1 <= j <= mix.cols:
-        raise IndexOutOfRange(f"column {j} outside 1..{mix.cols}")
-    return (x @ mix).col(j - 1)
-
-
-def node_contents(block: SourceBlock, parity: ParityBlock,
-                  params: CodeParams) -> list[NodeContent]:
-    """All 2k node vectors for one chunk, in node-id order."""
-    out = [NodeContent(j + 1, block.x.col(j)) for j in range(params.k)]
-    out += [NodeContent(params.k + j + 1, parity.y.col(j)) for j in range(params.k)]
-    return out
 
 
 @lru_cache(maxsize=128)

@@ -93,16 +93,6 @@ class Matrix:
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
         return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "Matrix":
-        return cls(spec, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def column(cls, elems: Sequence[FieldElement]) -> "Matrix":
-        if not elems:
-            raise DimensionMismatch("empty column")
-        return cls(elems[0].spec, [[e.value] for e in elems])
-
     # -- accessors ------------------------------------------------------------
 
     def at(self, i: int, j: int) -> FieldElement:

@@ -44,7 +44,6 @@ __all__ = [
     "NonsingularityFailure",
     "ParityGroup",
     "RepairPlan",
-    "SolveFailure",
     "SystematicGroup",
     "UnsupportedPattern",
     "apply_repair",
@@ -67,10 +66,6 @@ class UnsupportedPattern(ValueError):
 
 class MissingMessage(ValueError):
     """A planned repair edge has no message."""
-
-
-class SolveFailure(RuntimeError):
-    """A newcomer's linear system was singular; the params are invalid."""
 
 
 class NonsingularityFailure(RuntimeError):
@@ -131,8 +126,8 @@ class RepairPlan:
     pattern: FailurePattern
     newcomers: tuple[int, ...]
     helpers: tuple[int, ...]
-    phase1_edges: tuple[tuple[int, int, str], ...]  # (helper, newcomer, probe id)
-    phase2_edges: tuple[tuple[int, int], ...]       # (sender, receiver)
+    phase1_edges: tuple[tuple[int, int], ...]  # (helper, newcomer)
+    phase2_edges: tuple[tuple[int, int], ...]  # (sender, receiver)
 
     @property
     def d(self) -> int:
@@ -186,10 +181,6 @@ def optimal_bandwidth(block_size: int, k: int, d: int, r: int) -> Fraction:
     return Fraction(block_size * (d + r - 1), k * (d + r - k))
 
 
-def _probe_id(node_id: int, k: int) -> str:
-    return f"v{node_id}" if node_id <= k else f"u{node_id - k}"
-
-
 def probe_vector(params: CodeParams, node_id: int) -> tuple[FieldElement, ...]:
     """The inner-product vector helpers use for this newcomer."""
     if not 1 <= node_id <= params.n:
@@ -204,8 +195,7 @@ def plan_repair(pattern: FailurePattern, params: CodeParams) -> RepairPlan:
         raise ValueError(f"pattern is for k={pattern.k}, params have k={params.k}")
     newcomers = tuple(sorted(pattern.failed))
     helpers = tuple(i for i in range(1, params.n + 1) if i not in pattern.failed)
-    phase1 = tuple((h, nc, _probe_id(nc, params.k))
-                   for nc in newcomers for h in helpers)
+    phase1 = tuple((h, nc) for nc in newcomers for h in helpers)
     phase2 = tuple((s, r) for s in newcomers for r in newcomers if s != r)
     return RepairPlan(pattern, newcomers, helpers, phase1, phase2)
 
@@ -220,7 +210,7 @@ def phase1_messages(plan: RepairPlan, helpers: Mapping[int, NodeContent],
                     params: CodeParams) -> list[Message]:
     """Helper-side driver: compute the symbol for every planned edge."""
     out = []
-    for h, nc, _ in plan.phase1_edges:
+    for h, nc in plan.phase1_edges:
         if h not in helpers:
             raise MissingMessage(f"no content supplied for helper {h}")
         out.append(Message(h, nc, phase1_symbol(helpers[h], nc, params)))
@@ -235,7 +225,7 @@ def _index_messages(plan: RepairPlan,
         if key in seen and seen[key] != m.symbol:
             raise MissingMessage(f"conflicting duplicate message on edge {key}")
         seen[key] = m.symbol
-    for h, nc, _ in plan.phase1_edges:
+    for h, nc in plan.phase1_edges:
         if (h, nc) not in seen:
             raise MissingMessage(f"phase-1 edge {h} -> {nc} has no message")
     return seen
@@ -288,10 +278,9 @@ def _group_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
         for a in plan.newcomers:
             if a != nc:
                 w[a - side.base - 1] = phase2[(a, nc)]
-        try:
-            z = probes_t.solve(Matrix(spec, w))
-        except SingularMatrix as exc:
-            raise SolveFailure("probe vectors are not independent") from exc
+        # V and U = VP (P Cauchy) are singular together, and then building the side
+        # already raised SingularMatrix inverting Vt or Ut: this solve cannot fail.
+        z = probes_t.solve(Matrix(spec, w))
         contents.append((side.hat @ s).scalar_mul(side.delta) + z.scalar_mul(side.epsilon))
     return contents, phase2
 
@@ -447,9 +436,8 @@ def linear_map(plan: RepairPlan, params: CodeParams):
     per-block tally of one message per planned edge.
     """
     edges = plan.phase1_edges
-    unit = {(h, nc): [int(e == f) for f in range(len(edges))]
-            for e, (h, nc, _) in enumerate(edges)}
-    contents, _, report = _run(plan, unit, params, Counter(nc for _, nc, _ in edges))
+    unit = {edge: [int(e == f) for f in range(len(edges))] for e, edge in enumerate(edges)}
+    contents, _, report = _run(plan, unit, params, Counter(nc for _, nc in edges))
     return [row for c in contents for row in c.int_rows()], report
 
 

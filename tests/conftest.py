@@ -5,7 +5,7 @@ import pytest
 
 from mscr import CodeParams, FieldSpec, SourceBlock, encode, generate
 from mscr.cluster import NotEnoughLiveNodes
-from mscr.codec import NodeContent, encode_matrix, node_contents
+from mscr.codec import NodeContent, encode_matrix
 from mscr.linalg import Matrix, first_singular_minor
 from mscr.params import solve_dual_constants
 
@@ -73,7 +73,9 @@ def ground_truth(params, rng: random.Random):
     """A random block, its parity, and all 2k node contents keyed by id."""
     block = random_block(params, rng)
     parity = encode(block, params)
-    by_id = {c.node_id: c for c in node_contents(block, parity, params)}
+    k = params.k
+    by_id = {j + 1: NodeContent(j + 1, block.x.col(j)) for j in range(k)}
+    by_id |= {k + j + 1: NodeContent(k + j + 1, parity.y.col(j)) for j in range(k)}
     return block, parity, by_id
 
 

@@ -13,7 +13,7 @@ from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
                           bytes_to_planes, decode_nodes, planes_to_bytes,
                           run_scenario)
-from mscr.codec import encode, encode_matrix, node_contents
+from mscr.codec import encode, encode_matrix
 from mscr.galois import _GATHER_WORDS, FieldSpec
 from mscr.params import generate
 from mscr.repair import (FailurePattern, apply_repair, phase1_messages,
@@ -163,10 +163,10 @@ def test_parity_columns_satisfy_encode_relation(params63):
         from mscr.linalg import Matrix
         x = Matrix.from_rows([[contents[j].vector[r] for j in range(3)]
                               for r in range(3)])
-        expected = node_contents(SourceBlock(x), encode(SourceBlock(x), params63),
-                                 params63)
+        y = encode(SourceBlock(x), params63).y
+        expected = [x.col(j) for j in range(3)] + [y.col(j) for j in range(3)]
         for got, want in zip(contents, expected):
-            assert got.vector == want.vector
+            assert got.vector == want
 
 
 def test_fail_rules(params63):

@@ -74,7 +74,7 @@ def test_invert_involution(gf256):
 
 def test_invert_singular(gf256):
     with pytest.raises(SingularMatrix):
-        Matrix.zeros(gf256, 2, 2).invert()
+        Matrix(gf256, [[0, 0], [0, 0]]).invert()
 
 
 def test_solve_identity_and_consistency(gf256):

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -8,15 +9,15 @@ import pytest
 import mscr.repair as repair_mod
 from conftest import ground_truth, make_params
 from mscr.cluster import Cluster
-from mscr.codec import NodeContent, z_column
+from mscr.codec import NodeContent
 from mscr.galois import FieldSpec
-from mscr.linalg import CauchySpec, Matrix, dot
+from mscr.linalg import CauchySpec, Matrix, SingularMatrix, dot
 from mscr.params import generate, validate
 from mscr.repair import (FailurePattern, InvalidRegime, Message, MissingMessage,
-                         MixedPair, ParityGroup, SystematicGroup,
+                         MixedPair, NonsingularityFailure, ParityGroup, SystematicGroup,
                          UnsupportedPattern, apply_repair, check_mixed_matrix,
                          linear_map, mixed_repair_matrix, optimal_bandwidth,
-                         phase1_messages, phase1_symbol, plan_repair,
+                         phase1_messages, phase1_symbol, plan_repair, probe_vector,
                          sherman_morrison_check, sherman_morrison_scalar)
 
 
@@ -53,10 +54,10 @@ def test_plan_parity_pair(params63):
     assert plan.newcomers == (4, 5)
     assert plan.helpers == (1, 2, 3, 6)
     assert plan.d == 4
-    # Four phase-1 symbols per newcomer, one probe id each.
+    # Four phase-1 symbols per newcomer, all taken with its probe u_1.
     to_four = [e for e in plan.phase1_edges if e[1] == 4]
-    assert len(to_four) == 4
-    assert {e[2] for e in to_four} == {"u1"}
+    assert to_four == [(1, 4), (2, 4), (3, 4), (6, 4)]
+    assert probe_vector(params63, 4) == params63.u.col(0)
     assert sorted(plan.phase2_edges) == [(4, 5), (5, 4)]
 
 
@@ -64,7 +65,8 @@ def test_plan_single_failure(params63):
     plan = plan_repair(FailurePattern.classify({1}, 3), params63)
     assert plan.d == 5
     assert plan.phase2_edges == ()
-    assert {e[2] for e in plan.phase1_edges} == {"v1"}
+    assert plan.phase1_edges == ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1))
+    assert probe_vector(params63, 1) == params63.v.col(0)
 
 
 # -- phase 1 -----------------------------------------------------------------------
@@ -92,10 +94,10 @@ def test_phase1_parity_helper_decomposes(params63):
     p = params63
     for i in range(1, 4):
         u_i = p.u.col(i - 1)
-        z_i = z_column(block.x, p.p, i)
+        z_i = (block.x @ p.p).col(i - 1)
         for j in range(1, 4):
             u_j = p.u.col(j - 1)
-            z_j = z_column(block.x, p.p, j)
+            z_j = (block.x @ p.p).col(j - 1)
             got = phase1_symbol(by_id[3 + j], 3 + i, p)
             assert got == dot(u_i, parity.y.col(j - 1))
             assert got == p.delta * dot(u_j, z_i) + p.epsilon * dot(u_i, z_j)
@@ -121,7 +123,7 @@ def test_parity_pair_exact_with_expected_exchange(params63):
     for c in contents:
         assert c.vector == by_id[c.node_id].vector
     # Newcomer 4 (probe u_1) hands newcomer 5 the product u_1 . z_2.
-    z_2 = z_column(block.x, params63.p, 2)
+    z_2 = (block.x @ params63.p).col(1)
     sent = {(m.sender, m.receiver): m.symbol for m in phase2}
     assert sent[(4, 5)] == dot(params63.u.col(0), z_2)
     expect = params63.field.zero
@@ -226,7 +228,7 @@ def test_mixed_pair_exchange_identity_primal(gf256):
             msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
             _, phase2, _ = apply_repair(plan, msgs, p)
             sent = {(m.sender, m.receiver): m.symbol for m in phase2}
-            z_b = z_column(block.x, p.p, b)
+            z_b = (block.x @ p.p).col(b - 1)
             c0 = (p.epsilon
                   - (p.epsilon + p.delta) * p.p.at(a - 1, b - 1) * p.q.at(b - 1, a - 1))
             expect = (p.delta * dot(p.v.col(a - 1), z_b)
@@ -247,7 +249,7 @@ def test_mixed_pair_exchange_identity_dual(gf256):
             msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
             _, phase2, _ = apply_repair(plan, msgs, p)
             sent = {(m.sender, m.receiver): m.symbol for m in phase2}
-            zp_a = z_column(parity.y, p.q, a)
+            zp_a = (parity.y @ p.q).col(a - 1)
             c0p = (p.epsilon_prime
                    - (p.epsilon_prime + p.delta_prime)
                    * p.q.at(b - 1, a - 1) * p.p.at(a - 1, b - 1))
@@ -269,7 +271,7 @@ def test_mixed_pair_exchange_identity_primal_wider_k(gf256, k):
                 msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
                 _, phase2, _ = apply_repair(plan, msgs, p)
                 sent = {(m.sender, m.receiver): m.symbol for m in phase2}
-                z_b = z_column(block.x, p.p, b)
+                z_b = (block.x @ p.p).col(b - 1)
                 c0 = (p.epsilon - (p.epsilon + p.delta)
                       * p.p.at(a - 1, b - 1) * p.q.at(b - 1, a - 1))
                 expect = (p.delta * dot(p.v.col(a - 1), z_b)
@@ -290,7 +292,7 @@ def test_mixed_pair_exchange_identity_dual_wider_k(gf256, k):
                 msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, p)
                 _, phase2, _ = apply_repair(plan, msgs, p)
                 sent = {(m.sender, m.receiver): m.symbol for m in phase2}
-                zp_a = z_column(parity.y, p.q, a)
+                zp_a = (parity.y @ p.q).col(a - 1)
                 c0p = (p.epsilon_prime - (p.epsilon_prime + p.delta_prime)
                        * p.q.at(b - 1, a - 1) * p.p.at(a - 1, b - 1))
                 expect = (p.delta_prime * dot(p.u.col(b - 1), zp_a)
@@ -428,6 +430,40 @@ def test_sherman_morrison_scalar_zero_when_product_is_one(gf256):
     assert not check_mixed_matrix(bad, a, b)
 
 
+def _zero_messages(plan, params):
+    return [Message(h, nc, params.field.zero) for h, nc in plan.phase1_edges]
+
+
+def test_mixed_pair_with_product_one_raises_nonsingularity_failure(gf256):
+    bad = _cauchy_params_with_product_one(gf256, 3, random.Random(3))
+    (a, b), = [v.indices for v in validate(bad)]
+    pattern = FailurePattern.classify({a, 3 + b}, 3)
+    plan = plan_repair(pattern, bad)
+    with pytest.raises(NonsingularityFailure):
+        linear_map(plan, bad)
+    with pytest.raises(NonsingularityFailure):
+        apply_repair(plan, _zero_messages(plan, bad), bad)
+    cluster = Cluster.ingest(random.Random(4).randbytes(90), bad).fail(pattern.failed)
+    with pytest.raises(NonsingularityFailure):
+        cluster.run_repair(pattern)
+    assert cluster.failed == pattern.failed  # no newcomer was written
+
+
+@pytest.mark.parametrize("failed", [{1}, {1, 2}, {4}, {4, 5}, {1, 4}])
+def test_singular_v_raises_before_any_repair_solve(failed):
+    # V and U = VP are singular together, so the side the repair reads fails to
+    # invert Vt or Ut, before a group's probe solve or a mixed pair's system.
+    rows = [[1, 2, 3], [2, 4, 6], [0, 0, 1]]  # row 2 is twice row 1 in GF(2^8)
+    base = generate(3)
+    bad = dataclasses.replace(base, v=Matrix(base.field, rows))
+    assert not bad.v.det()
+    plan = plan_repair(FailurePattern.classify(failed, 3), bad)
+    with pytest.raises(SingularMatrix):
+        linear_map(plan, bad)
+    with pytest.raises(SingularMatrix):
+        apply_repair(plan, _zero_messages(plan, bad), bad)
+
+
 # -- bandwidth bound ---------------------------------------------------------------
 
 
@@ -471,7 +507,7 @@ def _probing_map(plan, params):
     cols, report = [], None
     for m in range(len(edges)):
         msgs = [Message(h, nc, spec.one if t == m else spec.zero)
-                for t, (h, nc, _) in enumerate(edges)]
+                for t, (h, nc) in enumerate(edges)]
         contents, _, report = apply_repair(plan, msgs, params)
         cols.append([sym.value for c in contents for sym in c.vector])
     return [list(row) for row in zip(*cols)], report
@@ -494,7 +530,7 @@ def _check_map(failed, params, rng):
     # Applied to the phase-1 symbols of a block, the map rebuilds the lost nodes.
     _, _, by_id = ground_truth(params, rng)
     msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params)
-    rebuilt = Matrix(params.field, rows) @ Matrix.column([m.symbol for m in msgs])
+    rebuilt = Matrix(params.field, rows) @ Matrix(params.field, [[m.symbol.value] for m in msgs])
     assert list(rebuilt.col(0)) == [s for nc in plan.newcomers for s in by_id[nc].vector]
 
 

@@ -1,0 +1,56 @@
+"""Source hygiene of the package: no unused top-level import, no line over 100 characters.
+
+`__init__.py` is exempt from the import check: its imports are the package API.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mscr"
+MODULES = sorted(SRC.glob("*.py"))
+MAX_LINE = 100
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's top-level imports that nothing else in it reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    # Quoted annotations and __all__ entries name what they use in strings.
+    strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+               and isinstance(n.value, str)]
+    used = {n.id for part in [tree, *map(_expression, strings)] for n in ast.walk(part)
+            if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def _expression(text: str) -> ast.AST:
+    try:
+        return ast.parse(text, mode="eval")
+    except SyntaxError:
+        return ast.Module(body=[], type_ignores=[])
+
+
+def test_unused_import_is_detected():
+    assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["os (line 1)"]
+    assert unused_imports("from typing import Sequence\nx: 'Sequence[int]' = []\n") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_line_over_limit(path):
+    long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > MAX_LINE]
+    assert long == [], f"{path.name}: lines {long} exceed {MAX_LINE} characters"

@@ -59,3 +59,25 @@ def test_per_layer_metric_names_resolve_and_are_traced():
         layer, attr = name.split(".", 1)
         assert callable(_resolve(name)), name
         assert attr in bench_trace.TARGETS[layer], name
+
+
+# Traced names that no longer exist in the package.  A deletion of a traced name
+# must be added here; the next perfbench change drops them from TARGETS.
+STALE_TARGETS = {
+    "galois.FieldSpec.sample_distinct", "linalg.solve_vector", "linalg.is_super_regular",
+    "linalg.random_matrix", "codec.z_column", "codec.node_contents",
+    "repair.repair_parity_group", "repair.repair_systematic_group",
+    "repair.repair_mixed_pair", "cluster.bytes_to_symbols", "cluster.symbols_to_bytes",
+    "cluster.Cluster.block_content",
+}
+
+
+def test_unresolved_trace_targets_are_the_known_stale_set():
+    unresolved = set()
+    for layer, names in bench_trace.TARGETS.items():
+        for name in names:
+            try:
+                _resolve(f"{layer}.{name}")
+            except AttributeError:
+                unresolved.add(f"{layer}.{name}")
+    assert unresolved == STALE_TARGETS
