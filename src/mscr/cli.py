@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -77,7 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str) -> None:
+    """Refuse, before any work, an output whose directory is missing or not writable."""
+    folder = Path(path).parent
+    if not folder.is_dir() or not os.access(folder, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write {path}: {folder} is not a writable directory")
+
+
 def cmd_gen_params(args, parser) -> int:
+    _check_output(args.out)
     try:
         spec = FieldSpec(args.field_degree, args.reduction_poly)
         code_params = params_mod.generate(args.k, spec, seed=args.seed,
@@ -100,15 +109,14 @@ def _params_sha256(doc: dict) -> str:
 
 def cmd_encode(args) -> int:
     try:
-        code_params = params_mod.load(args.params)
+        code_params, out_dir = params_mod.load(args.params), Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)  # before the input is read
         data = Path(args.infile).read_bytes()
         c = cluster_mod.Cluster.ingest(data, code_params, keep_oracle=False)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     doc = params_mod.to_document(code_params)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     shards, digests = {}, {}
     for nid in range(1, code_params.n + 1):
         name, planes = f"node_{nid:02d}.shard", np.ascontiguousarray(c.node_data[nid - 1], "<u8")
@@ -178,6 +186,7 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
 
 def cmd_extract(args, parser) -> int:
     nodes = sorted(set(args.nodes))
+    _check_output(args.out)
     try:
         code_params = params_mod.load(args.params)
         if len(nodes) != code_params.k:
@@ -225,6 +234,8 @@ def _print_report(result: cluster_mod.ScenarioResult) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.report:
+        _check_output(args.report)
     try:
         result = cluster_mod.run_scenario(_resolve_scenario(args.scenario))
     except (OSError, ValueError) as exc:

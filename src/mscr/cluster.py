@@ -182,6 +182,9 @@ class Cluster:
     def ingest(cls, data: bytes, params: CodeParams,
                keep_oracle: bool = True) -> "Cluster":
         """Chunk, zero-pad, encode and place a byte stream on 2k nodes (m = 8 or 16)."""
+        violations = params_mod.validate(params)  # else a fault shows only when a repair fails
+        if violations:
+            raise ValueError("invalid params: " + "; ".join(map(str, violations)))
         k, spec = params.k, params.field
         nblocks = -(-len(data) // (params.block_size * spec.symbol_bytes))
         parity = [np.empty((k * spec.degree, -(-nblocks // 64)), dtype=np.uint64) for _ in range(k)]

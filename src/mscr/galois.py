@@ -4,8 +4,8 @@ A symbol is an integer in [0, 2^m) whose bits are the coefficients of a
 polynomial over GF(2); arithmetic is modulo an irreducible reduction
 polynomial of degree m.  Addition and subtraction are both XOR.
 Multiplication, division and inversion go through log/antilog tables built
-once per field from a primitive element, so the per-symbol cost is a couple
-of list lookups.  Tables are cached per (degree, polynomial) pair.
+once per field from a primitive element, so the per-symbol cost is two or three
+table lookups.  Tables are cached per (degree, polynomial) pair.
 
 The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of
 constants to bit-sliced symbols as XORs of whole bit planes: the bitmatrix
@@ -16,6 +16,8 @@ input planes (Four Russians) and XORs one entry per group into each output.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -78,59 +80,61 @@ def _clmul_mod(a: int, b: int, poly: int, degree: int) -> int:
     return acc
 
 
-def _poly_rem(a: int, b: int) -> int:
-    """Remainder of a divided by b in GF(2)[x], integers as bit vectors."""
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
 def _is_irreducible(poly: int, degree: int) -> bool:
     # Trial division by every polynomial of degree 1..degree//2; a reducible
     # polynomial of degree <= 16 must have a factor in that range.
-    for d in range(1, degree // 2 + 1):
-        for cand in range(1 << d, 1 << (d + 1)):
-            if _poly_rem(poly, cand) == 0:
-                return False
+    for cand in range(2, 1 << degree // 2 + 1):
+        rem = poly
+        while rem.bit_length() >= cand.bit_length():
+            rem ^= cand << rem.bit_length() - cand.bit_length()
+        if rem == 0:
+            return False
     return True
 
 
 def _build_tables(degree: int, poly: int):
-    """(exp, log) tables of the first primitive element g, from a walk of its powers.
+    """(exp, log) tables of the first primitive element g; exp is twice over, for exp[i+j].
 
-    Past 256 powers (m > 8), exp[s:2s] = exp[:s] * g^s by numpy shift-and-reduce steps.
-    exp is stored twice over so that exp[i+j] needs no reduction modulo 2^m - 1."""
+    Up to m = 8, lists from a walk of all the powers of g.  Past that, uint32 arrays of
+    one outer product over w = 2^ceil(m/2): exp[h*w + l] = g^(h*w) * g^l, l < w, looked
+    up per 4 bits of g^(h*w) = (g^h)^w (linear in g^h) in tables of g^l * v * x^(4j)."""
     n = (1 << degree) - 1
+    w = n if degree <= 8 else 1 << (degree + 1) // 2
+    log = [0] * (n + 1) if w == n else array("I", [0]) * (n + 1)  # past m = 8: scratch at first
     for g in range(2 - (degree == 1), n + 1):
-        exp, log, x = [1] * min(n, 256), [0] * (n + 1), g
-        for i in range(1, len(exp)):
+        lo, x = [1] * w, g
+        for i in range(1, w):
             if x == 1:
                 break  # the cycle closed early: g is not primitive
-            exp[i], log[x], x = x, i, _clmul_mod(x, g, poly, degree)
+            lo[i], log[x], x = x, i, _clmul_mod(x, g, poly, degree)
         else:
-            if len(exp) == n:
-                return exp * 2, log
-        if x == 1:
-            continue
-        exp, s = np.resize(np.array(exp, dtype=np.uint32), n), 256
-        while s < n:  # x = g^s
-            part, acc = exp[:min(s, n - s)], 0
-            for b in range(x.bit_length()):
-                if x >> b & 1:
-                    acc = acc ^ part
-                part = (part << 1) ^ (part >> (degree - 1)) * poly
-            exp[s:s + acc.size], s, x = acc, 2 * s, _clmul_mod(x, x, poly, degree)
-        del part, acc  # freed before the lists below are built, for a lower peak RSS
-        if np.count_nonzero(exp == 1) == 1:  # no power but the 0th is 1
-            log = np.zeros(n + 1, dtype=np.uint32)
-            log[exp] = np.arange(n, dtype=np.uint32)
-            return exp.tolist() * 2, log.tolist()
+            if w == n:
+                return lo * 2, log
+            frob = [1, 2]  # x^(b*w): x^w by squaring x, then its powers
+            for _ in range((degree + 1) // 2):
+                frob[1] = _clmul_mod(frob[1], frob[1], poly, degree)
+            while len(frob) < degree:
+                frob.append(_clmul_mod(frob[-1], frob[1], poly, degree))
+            exp = array("I", [0]) * (2 * n)
+            e, lg = np.frombuffer(exp, np.uint32), np.frombuffer(log, np.uint32)
+            t, frob = e[:n + 1].reshape(-1, w), np.array(frob, np.uint32)[:, None]
+            row, shifts = np.array(lo, np.uint32), np.arange(degree, dtype=np.uint32)[:, None]
+            col = np.bitwise_xor.reduce((row[:len(t)] >> shifts & 1) * frob, 0)  # g^(h*w)
+            tab = np.zeros((-(-degree // 4), 16, w), np.uint32)  # [j, v]: g^l * v * x^(4j)
+            for b in range(degree):  # row = g^l * x^b
+                tab[b // 4, 1 << b % 4:2 << b % 4] = tab[b // 4, :1 << b % 4] ^ row
+                row = (row << 1) ^ (row >> (degree - 1)) * np.uint32(poly)
+            for j in range(len(tab)):  # t[h, l] = exp[h*w + l]; the log is scratch
+                t ^= np.take(tab[j], col >> 4 * j & 15, 0, out=lg.reshape(-1, w))
+            if e[1:n].min() == 1:
+                continue  # g^i = 1 for some 0 < i < n: g is not primitive
+            e[n + 1:] = e[1:n]
+            lg[0], lg[e[:n]] = 0, np.arange(n, dtype=np.uint32)
+            return exp, log
     raise AssertionError(f"no primitive element in GF(2^{degree}) mod 0x{poly:x}")
 
 
-# Shared per (degree, poly): (exp, log).
-_TABLE_CACHE: dict[tuple[int, int], tuple] = {}
+_TABLE_CACHE: dict[tuple[int, int], tuple] = {}  # (degree, poly) -> (exp, log), shared
 
 
 class FieldSpec:
@@ -157,7 +161,8 @@ class FieldSpec:
         self.order = 1 << degree
         key = (degree, reduction_poly)
         if key not in _TABLE_CACHE:  # only irreducible keys enter, so a cached one needs no check
-            if not _is_irreducible(reduction_poly, degree):
+            trusted = reduction_poly == DEFAULT_POLYS[degree]  # a test checks each default
+            if not (trusted or _is_irreducible(reduction_poly, degree)):
                 raise ValueError(f"reduction polynomial 0x{reduction_poly:x} is reducible")
             _TABLE_CACHE[key] = _build_tables(degree, reduction_poly)
         self._exp, self._log = _TABLE_CACHE[key]
@@ -281,20 +286,15 @@ class FieldElement:
         return other
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        other = self._check(other)
-        return FieldElement(self.value ^ other.value, self.spec)
+        return FieldElement(self.value ^ self._check(other).value, self.spec)
 
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        other = self._check(other)
-        return FieldElement(self.value ^ other.value, self.spec)
+    __sub__ = __add__
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        other = self._check(other)
-        return FieldElement(self.spec.mul_int(self.value, other.value), self.spec)
+        return FieldElement(self.spec.mul_int(self.value, self._check(other).value), self.spec)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        other = self._check(other)
-        return FieldElement(self.spec.div_int(self.value, other.value), self.spec)
+        return FieldElement(self.spec.div_int(self.value, self._check(other).value), self.spec)
 
     def __neg__(self) -> "FieldElement":
         return self

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mscr.cluster as cluster_mod
+import mscr.params as params_mod
 from mscr.cli import main
 from mscr.cluster import Cluster, planes_to_bytes
 from mscr.params import load, validate
@@ -542,8 +544,16 @@ def _unwritable_output(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["gen-params", "encode", "extract", "simulate"])
-def test_output_that_cannot_be_written_exits_1(tmp_path, capsys, command):
+def test_output_that_cannot_be_written_exits_1(tmp_path, capsys, monkeypatch, command):
     argv = _unwritable_output(tmp_path)[command]
+
+    def heavy(*args, **kwargs):
+        raise AssertionError("the output was checked only after the work")
+
+    # Each command checks its output before its heavy step, so none of these may run.
+    for owner, name in ((params_mod, "generate"), (cluster_mod, "decode_nodes"),
+                        (cluster_mod, "run_scenario"), (Cluster, "ingest")):
+        monkeypatch.setattr(owner, name, heavy)
     capsys.readouterr()
     assert main(argv) == 1
     _one_error_line(capsys)

@@ -1,5 +1,6 @@
 import operator
 import random
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -65,13 +66,29 @@ def test_mul_known_value_and_oracle(gf256):
         assert gf256.mul_int(a, b) == _oracle_mul(a, b, exp, log, 256)
 
 
-@pytest.mark.parametrize("degree, poly", sorted(DEFAULT_POLYS.items()) + [(8, 0x11D), (16, 0x1002B)])
+# x is not primitive modulo the last three: its order is 73, 45 and 21 845, so the
+# search rejects g = 2 once while walking its powers and twice from the full table.
+@pytest.mark.parametrize("degree, poly", sorted(DEFAULT_POLYS.items())
+                         + [(8, 0x11D), (9, 0x203), (12, 0x1009), (16, 0x1002B)])
 def test_tables_equal_the_oracle_walk(degree, poly):
-    # Fields past 2^8 double the walk with numpy; the tables must not change.
+    # Fields past 2^8 build their tables with numpy; the tables must not change.
     exp, log = _oracle_tables(poly, degree)
     f, n = FieldSpec(degree, poly), (1 << degree) - 1
-    assert f._exp == [exp[i % n] for i in range(2 * n)]
-    assert f._log[1:] == [log[v] for v in range(1, n + 1)]
+    assert list(f._exp) == [exp[i % n] for i in range(2 * n)]
+    assert list(f._log[1:]) == [log[v] for v in range(1, n + 1)]
+
+
+def test_gf2_16_tables_hold_four_bytes_an_entry():
+    # 2 x 65 535 exp and 65 536 log entries at 4 bytes are 0.75 MiB; as Python ints they
+    # held 5 MiB.  The build may briefly hold about as much again.
+    tracemalloc.start()
+    try:
+        tables = galois._build_tables(16, 0x1100B)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tables[0]) == 2 * 65535 and len(tables[1]) == 65536
+    assert retained <= 1 << 20 and peak <= 2 << 20
 
 
 def test_mul_identity(gf256):
@@ -158,6 +175,22 @@ def test_reducible_poly_rejected():
         FieldSpec(8, 0x11C)  # even: divisible by x
     with pytest.raises(ValueError):
         FieldSpec(8, 0x1B)  # wrong degree
+
+
+@pytest.mark.parametrize("degree, poly", sorted(DEFAULT_POLYS.items()))
+def test_default_poly_is_irreducible(degree, poly):
+    # FieldSpec trusts these constants without the trial division.
+    assert poly.bit_length() == degree + 1 and galois._is_irreducible(poly, degree)
+
+
+def test_default_poly_skips_the_irreducibility_check(monkeypatch):
+    monkeypatch.delitem(galois._TABLE_CACHE, (12, DEFAULT_POLYS[12]), raising=False)
+    calls, check = [], galois._is_irreducible
+    monkeypatch.setattr(galois, "_is_irreducible", lambda *a: calls.append(a) or check(*a))
+    assert FieldSpec(12).reduction_poly == DEFAULT_POLYS[12] and not calls
+    with pytest.raises(ValueError, match="reducible"):
+        FieldSpec(12, DEFAULT_POLYS[12] ^ 1)  # even: divisible by x
+    assert calls == [(DEFAULT_POLYS[12] ^ 1, 12)]
 
 
 def test_cached_field_skips_the_irreducibility_check(monkeypatch):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import mscr.repair as repair_mod
@@ -443,7 +444,11 @@ def test_mixed_pair_with_product_one_raises_nonsingularity_failure(gf256):
         linear_map(plan, bad)
     with pytest.raises(NonsingularityFailure):
         apply_repair(plan, _zero_messages(plan, bad), bad)
-    cluster = Cluster.ingest(random.Random(4).randbytes(90), bad).fail(pattern.failed)
+    with pytest.raises(ValueError, match=rf"invalid params: product_one at \({a}, {b}\)"):
+        Cluster.ingest(random.Random(4).randbytes(90), bad)
+    # A cluster made by hand under these params still refuses the repair and writes nothing.
+    nodes = [np.zeros((3 * 8, 1), dtype=np.uint64) for _ in range(6)]
+    cluster = Cluster(bad, nodes, 10, 90, None).fail(pattern.failed)
     with pytest.raises(NonsingularityFailure):
         cluster.run_repair(pattern)
     assert cluster.failed == pattern.failed  # no newcomer was written

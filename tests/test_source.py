@@ -1,9 +1,11 @@
-"""Source hygiene of the package: no unused top-level import, no line over 100 characters.
+"""Source hygiene of the package: no unused top-level import, no line over 100 characters,
+and no import from outside the standard library, numpy (the one dependency) and mscr.
 
-`__init__.py` is exempt from the import check: its imports are the package API.
+`__init__.py` is exempt from the unused-import check: its imports are the package API.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "mscr"
 MODULES = sorted(SRC.glob("*.py"))
 MAX_LINE = 100
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "mscr"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,3 +57,25 @@ def test_no_unused_top_level_import(path):
 def test_no_line_over_limit(path):
     long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > MAX_LINE]
     assert long == [], f"{path.name}: lines {long} exceed {MAX_LINE} characters"
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level packages a module imports, anywhere in it, that ALLOWED_IMPORTS lacks."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+            names.add(node.module.split(".")[0])
+    return sorted(names - ALLOWED_IMPORTS)
+
+
+def test_foreign_import_is_detected():
+    source = "import json\nfrom numpy import uint8\nfrom . import galois\n"
+    assert foreign_imports(source) == []
+    assert foreign_imports(source + "def f():\n    import scipy.linalg\n") == ["scipy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_mscr(path):
+    assert foreign_imports(path.read_text()) == []
