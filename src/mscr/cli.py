@@ -110,8 +110,8 @@ def _params_sha256(doc: dict) -> str:
 def cmd_encode(args) -> int:
     try:
         code_params, out_dir = params_mod.load(args.params), Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)  # before the input is read
-        data = Path(args.infile).read_bytes()
+        data = Path(args.infile).read_bytes()  # first: a bad --in leaves no out_dir behind
+        out_dir.mkdir(parents=True, exist_ok=True)  # a bad out_dir fails before the ingest
         c = cluster_mod.Cluster.ingest(data, code_params, keep_oracle=False)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

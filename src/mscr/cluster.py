@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -67,45 +68,53 @@ class VerificationFailure(RuntimeError):
 # -- bytes <-> bit planes -----------------------------------------------------------
 
 _CHUNK_BYTES = 1 << 19  # bytes a pass: buffers stay small; 128 KiB made 8 MiB ~25% slower
-_TRANSPOSE8 = [(np.uint64(shift), np.uint64(mask)) for shift, mask in (
-    (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))]
 
 
-def _transpose8(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """In place with scratch t, bit j of byte i of each uint64 becomes bit i of byte j (HD 7-3)."""
-    for shift, mask in _TRANSPOSE8:
-        np.bitwise_and(np.bitwise_xor(np.right_shift(x, shift, out=t), x, out=t), mask, out=t)
-        x ^= t
-        x ^= np.left_shift(t, shift, out=t)
-    return x
+def _swap8(x: np.ndarray, t: np.ndarray) -> None:
+    """In place with scratch t (half of x): bit j of row i of x's 8 rows becomes bit i of row j."""
+    for shift, mask in (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555):
+        # HD 7-3 across arrays: rows i and i + shift swap off-diagonal blocks, half the data each
+        a, b = x.reshape(8 // (2 * shift), 2, -1).swapaxes(0, 1)
+        d = t[:a.size].reshape(a.shape)
+        np.bitwise_and(np.bitwise_xor(np.right_shift(a, shift, out=d), b, out=d), mask, out=d)
+        b ^= d
+        a ^= np.left_shift(d, shift, out=d)
+
+
+def _passes(row: int, words: int):
+    """(q, n, s, swap) per pass of at most _CHUNK_BYTES; s is the slab of words q..q+n.
+
+    s[i, c, g] is byte c of block 8g + i; after swap() (`_swap8`), s[b, c, g] is
+    byte g of plane 8c + b.  Rows are 8 bytes longer than s: a power-of-two stride
+    made the transposing copies ~2x slower."""
+    step = max(1, min(words, _CHUNK_BYTES // (64 * row)))
+    slab, scratch = (np.empty(size * row * (step + 1), dtype=np.uint64) for size in (8, 4))
+    for q in range(0, words, step):
+        n = min(step, words - q)
+        x = slab[:8 * row * (n + 1)]
+        yield q, n, x.view(np.uint8).reshape(8, row, -1)[..., :8 * n], partial(_swap8, x, scratch)
 
 
 def bytes_to_planes(data: bytes, spec: FieldSpec, symbols: int) -> np.ndarray:
-    """Block-major bytes, `symbols` symbols a block, to zero-padded (symbols*m, words) planes.
-
-    A byte column of 8 blocks is one word; its 8x8 bit transpose holds one
-    byte of each of the column's 8 planes.
-    """
+    """Block-major bytes, `symbols` symbols a block, to zero-padded (symbols*m, words) planes."""
     if spec.degree != 8 * spec.symbol_bytes:  # some byte patterns would be no symbol
         raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
     row = symbols * spec.symbol_bytes
     words = -(-len(data) // (64 * row))
     out = np.empty((8 * row, words), dtype=np.uint64)
-    dst = out.view(np.uint8).reshape(row, 8, words, 8)  # [byte, bit, word, byte of word]
-    src = np.frombuffer(data, dtype=np.uint8)
-    step = max(1, min(words, _CHUNK_BYTES // (64 * row)))  # words a pass; buffers fit the call
-    block, scratch = (np.empty(8 * row * step, dtype=np.uint64) for _ in range(2))
-    for q in range(0, words, step):
-        n = min(step, words - q)
-        part, x = src[64 * row * q:64 * row * (q + n)], block[:8 * row * n]
-        columns = x.view(np.uint8).reshape(row, 64 * n)
-        columns[:, part.size // row:] = 0  # pad blocks, in a short last pass
-        for c in range(row):  # a column at a time beats one transposed copy
-            column = part[c::row]
-            columns[c, :column.size] = column
-        x = _transpose8(x, scratch[:x.size]).view(np.uint8).reshape(row, n, 8, 8)
-        for b in range(8):
-            dst[:, b, q:q + n] = x[..., b]
+    dst, src = out.view(np.uint8).reshape(row, 8, 8 * words), np.frombuffer(data, dtype=np.uint8)
+    tile = max(1, (1 << 15) // (8 * row))  # groups a copy: 32 KiB of source stays in L1
+    for q, n, s, swap in _passes(row, words):
+        part = src[64 * row * q:64 * row * (q + n)]
+        full = part.size // (8 * row)  # whole groups of 8 blocks
+        groups, head = part[:8 * row * full].reshape(full, 8, row), s[..., :full]
+        for g in range(0, full, tile):  # the one transposing copy
+            head[..., g:g + tile] = groups[g:g + tile].transpose(1, 2, 0)
+        if full < 8 * n:  # a short last pass: a partial group, then pad blocks
+            tail, s[..., full + 1:] = part[8 * row * full:], 0
+            s[..., full] = np.pad(tail, (0, 8 * row - tail.size)).reshape(8, row)
+        swap()
+        dst[..., 8 * q:8 * (q + n)] = s.transpose(1, 0, 2)  # [byte c, bit b, group g]
     return out
 
 
@@ -117,26 +126,17 @@ def planes_to_bytes(planes, nbytes: int) -> bytearray:
     """
     if isinstance(planes, np.ndarray):
         planes = [(planes, {c: c for c in range(planes.shape[0] // 8)})]
-    words, order, loads = planes[0][0].shape[1], [], []
-    for a, cols in planes:  # one load per source and bit, of all its columns
-        src = np.ascontiguousarray(a).view(np.uint8).reshape(a.shape[0] // 8, 8, words, 8)
-        pick = slice(None) if list(cols) == list(range(len(src))) else list(cols)
-        loads.append((src, pick, slice(len(order), len(order) + len(cols))))
-        order += cols.values()
-    row, buf = len(order), bytearray(64 * words * len(order))
-    out = np.frombuffer(buf, dtype=np.uint8).reshape(64 * words, row)
-    step = max(1, min(words, _CHUNK_BYTES // (64 * row)))
-    block, scratch = (np.empty(8 * row * step, dtype=np.uint64) for _ in range(2))
-    for q in range(0, words, step):
-        n = min(step, words - q)
-        x = block[:8 * row * n]
-        xb = x.view(np.uint8).reshape(row, n, 8, 8)
-        for src, cols, at in loads:
-            for b in range(8):
-                xb[at, ..., b] = src[cols, b, q:q + n]
-        xb = _transpose8(x, scratch[:x.size]).view(np.uint8).reshape(row, 64 * n)
-        for c, col in enumerate(order):
-            out[64 * q:64 * (q + n), col] = xb[c]
+    words, row = planes[0][0].shape[1], sum(len(cols) for _, cols in planes)
+    sources = [(np.ascontiguousarray(a).view(np.uint8).reshape(len(a) // 8, 8, 8 * words), cols)
+               for a, cols in planes]  # [column, bit, group]
+    buf = bytearray(64 * words * row)
+    out = np.frombuffer(buf, dtype=np.uint8).reshape(8 * words, 8, row)  # [group, block, byte]
+    for q, n, s, swap in _passes(row, words):
+        for src, cols in sources:  # each column's 8 planes, contiguous rows
+            for c, col in cols.items():
+                s[:, col] = src[c, :, 8 * q:8 * (q + n)]
+        swap()
+        out[8 * q:8 * (q + n)] = s.transpose(2, 0, 1)  # the one transposing copy
     del out, buf[nbytes:]  # trimmed in place: the tail is the pad blocks
     return buf
 

@@ -95,12 +95,12 @@ def _is_irreducible(poly: int, degree: int) -> bool:
 def _build_tables(degree: int, poly: int):
     """(exp, log) tables of the first primitive element g; exp is twice over, for exp[i+j].
 
-    Up to m = 8, lists from a walk of all the powers of g.  Past that, uint32 arrays of
+    Up to m = 8, lists from a walk of all the powers of g.  Past that, uint16 arrays of
     one outer product over w = 2^ceil(m/2): exp[h*w + l] = g^(h*w) * g^l, l < w, looked
     up per 4 bits of g^(h*w) = (g^h)^w (linear in g^h) in tables of g^l * v * x^(4j)."""
     n = (1 << degree) - 1
     w = n if degree <= 8 else 1 << (degree + 1) // 2
-    log = [0] * (n + 1) if w == n else array("I", [0]) * (n + 1)  # past m = 8: scratch at first
+    log = [0] * (n + 1) if w == n else array("H", [0]) * (n + 1)  # past m = 8: scratch at first
     for g in range(2 - (degree == 1), n + 1):
         lo, x = [1] * w, g
         for i in range(1, w):
@@ -115,12 +115,12 @@ def _build_tables(degree: int, poly: int):
                 frob[1] = _clmul_mod(frob[1], frob[1], poly, degree)
             while len(frob) < degree:
                 frob.append(_clmul_mod(frob[-1], frob[1], poly, degree))
-            exp = array("I", [0]) * (2 * n)
-            e, lg = np.frombuffer(exp, np.uint32), np.frombuffer(log, np.uint32)
+            exp = array("H", [0]) * (2 * n)  # computed in uint32 (x^b * poly), stored in 16 bits
+            e, lg = np.frombuffer(exp, np.uint16), np.frombuffer(log, np.uint16)
             t, frob = e[:n + 1].reshape(-1, w), np.array(frob, np.uint32)[:, None]
             row, shifts = np.array(lo, np.uint32), np.arange(degree, dtype=np.uint32)[:, None]
             col = np.bitwise_xor.reduce((row[:len(t)] >> shifts & 1) * frob, 0)  # g^(h*w)
-            tab = np.zeros((-(-degree // 4), 16, w), np.uint32)  # [j, v]: g^l * v * x^(4j)
+            tab = np.zeros((-(-degree // 4), 16, w), np.uint16)  # [j, v]: g^l * v * x^(4j)
             for b in range(degree):  # row = g^l * x^b
                 tab[b // 4, 1 << b % 4:2 << b % 4] = tab[b // 4, :1 << b % 4] ^ row
                 row = (row << 1) ^ (row >> (degree - 1)) * np.uint32(poly)
@@ -129,7 +129,7 @@ def _build_tables(degree: int, poly: int):
             if e[1:n].min() == 1:
                 continue  # g^i = 1 for some 0 < i < n: g is not primitive
             e[n + 1:] = e[1:n]
-            lg[0], lg[e[:n]] = 0, np.arange(n, dtype=np.uint32)
+            lg[0], lg[e[:n]] = 0, np.arange(n, dtype=np.uint16)
             return exp, log
     raise AssertionError(f"no primitive element in GF(2^{degree}) mod 0x{poly:x}")
 

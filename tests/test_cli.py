@@ -257,6 +257,26 @@ def _one_error_line(capsys) -> str:
     return err[0]
 
 
+@pytest.mark.parametrize("bad", ["in", "out-dir"])
+def test_encode_checks_both_paths_before_it_makes_or_ingests(tmp_path, capsys, monkeypatch, bad):
+    params_file, src = _gen(tmp_path), tmp_path / "input.bin"
+    src.write_bytes(b"payload")
+    out_dir = tmp_path / "new" / "shards"
+    if bad == "in":  # a missing input leaves no output directory behind
+        src = tmp_path / "missing.bin"
+    else:  # an output directory under a file fails before the ingest runs
+        out_dir = params_file / "shards"
+
+    def heavy(*args, **kwargs):
+        raise AssertionError("the ingest ran before both paths were checked")
+    monkeypatch.setattr(Cluster, "ingest", heavy)
+    capsys.readouterr()
+    assert main(["encode", "--params", str(params_file), "--in", str(src),
+                 "--out-dir", str(out_dir)]) == 1
+    _one_error_line(capsys)
+    assert not (tmp_path / "new").exists()
+
+
 def test_encode_writes_manifest_v3(tmp_path):
     payload = random.Random(2).randbytes(1000)  # 112 blocks of 9 bytes: 2 words a plane
     params_file, shard_dir = _encode(tmp_path, payload)

@@ -44,6 +44,36 @@ def test_byte_planes_round_trip_and_layout(degree, symbols):
         assert planes_to_bytes(planes, len(raw) // 2) == raw[:len(raw) // 2]
 
 
+@pytest.mark.parametrize("degree, row", [(8, 1), (8, 9), (8, 18), (8, 32), (8, 64),
+                                         (16, 18), (16, 32), (16, 64)])
+@pytest.mark.parametrize("chunks", [1, 2, 3, 4])
+def test_byte_planes_round_trip_across_chunk_edges(degree, row, chunks, monkeypatch):
+    # 9 words a pass, so a 64-byte row's pass is more than one 64-group copy of the
+    # converter.  The last pass is short, ends in a group of 1-7 blocks and, for two
+    # chunks, in a partial block; its pad blocks follow full passes.
+    monkeypatch.setattr(cluster_mod, "_CHUNK_BYTES", 9 * 64 * row)
+    spec, symbols = FieldSpec(degree), row * 8 // degree
+    dtype = np.uint8 if degree == 8 else np.dtype("<u2")
+    blocks = 9 * 64 * (chunks - 1) + 8 * (chunks + 1) + chunks + 2
+    raw = _data(blocks * row - (chunks == 2), seed=row + chunks)
+    planes = bytes_to_planes(raw, spec, symbols)
+    values = np.frombuffer(raw + bytes(chunks == 2), dtype=dtype).reshape(blocks, symbols).T
+    assert np.array_equal(planes, to_planes(values, degree))
+    assert planes_to_bytes(planes, len(raw)) == raw
+
+
+def test_planes_to_bytes_reads_scrambled_sources_across_chunk_edges(monkeypatch):
+    # As below, in passes of 2 words: 3 passes, the last one short.
+    monkeypatch.setattr(cluster_mod, "_CHUNK_BYTES", 2 * 64 * 11)
+    raw = _data((5 * 64 - 3) * 11 - 4, seed=5)
+    planes = bytes_to_planes(raw, FieldSpec(8), 11)
+    cols = list(range(11))
+    random.Random(5).shuffle(cols)
+    sources = [(np.concatenate([planes[8 * c:8 * c + 8] for c in cols[4:]]),
+                dict(enumerate(cols[4:]))), (planes, {c: c for c in cols[:4]})]
+    assert planes_to_bytes(sources, len(raw)) == raw
+
+
 def test_bytes_to_planes_zero_pads_partial_blocks(gf256):
     planes = bytes_to_planes(b"\xff" * 5, gf256, 3)  # one full block, then 2 of 3 symbols
     assert from_planes(planes, 8, 3) == [[0xff, 0xff, 0], [0xff, 0xff, 0], [0xff, 0, 0]]
@@ -377,14 +407,19 @@ def test_planes_to_bytes_reads_scrambled_sources():
     assert planes_to_bytes(sources, 70 * 11 - 3) == whole
 
 
-def _decode_peak(cluster, ids):
-    arrays = {nid: cluster.node_data[nid - 1] for nid in ids}
+def _peak(f, *args, **kwargs):
+    """f's result and the tracemalloc peak of the call."""
     tracemalloc.start()
     try:
-        out = decode_nodes(arrays, cluster.params, cluster.original_length)
+        out = f(*args, **kwargs)
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _decode_peak(cluster, ids):
+    arrays = {nid: cluster.node_data[nid - 1] for nid in ids}
+    return _peak(decode_nodes, arrays, cluster.params, cluster.original_length)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
@@ -400,6 +435,19 @@ def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wid
     assert out == data and peak <= size + buffers
     out, peak = _decode_peak(c, range(k + 1, 2 * k + 1))
     assert out == data and peak <= 2 * size + buffers
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
+def test_put_holds_no_full_size_temporary(params63, params_k4_gf16, wide):
+    # As for the decode: the converter holds its output planes and at most two chunk
+    # buffers (its slab and its half-size scratch).  Ingest holds vec(X)'s planes, the
+    # 2k node arrays and at most two chunk buffers more, the kernel's included.
+    params = params_k4_gf16 if wide else params63
+    data, buffers = _data(5 << 19, seed=6), 2 * cluster_mod._CHUNK_BYTES + (64 << 10)
+    planes, peak = _peak(bytes_to_planes, data, params.field, params.block_size)
+    assert peak <= planes.nbytes + buffers
+    c, peak = _peak(Cluster.ingest, data, params, keep_oracle=False)
+    assert peak <= planes.nbytes + sum(d.nbytes for d in c.node_data) + buffers
 
 
 def test_wide_symbol_field_end_to_end():
