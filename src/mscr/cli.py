@@ -1,8 +1,11 @@
 """Command-line entry points: gen-params, encode, extract, simulate, validate-params.
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
-A bad manifest, shard or scenario, or an output path that cannot be written,
-exits 1 with one ``error:`` line.
+Exit 2 comes from argparse: a bad option, and the ``parser.error`` calls of
+``gen-params`` (arguments ``generate`` refuses) and ``extract`` (``--nodes``).
+Each command lets OSError, ValueError and ``params.GenerationExhausted``
+propagate, and ``main`` alone turns them into one ``error:`` line and exit 1:
+a bad manifest, shard, params or scenario, or an output that cannot be written.
 Manifest v2 adds to v1 the SHA-256 of each shard and of the params, which
 ``extract`` checks before decoding, and of the input, which it checks before
 writing (v1 has none to check).  A v3 shard is the node's bit planes as
@@ -26,6 +29,7 @@ import numpy as np
 from . import cluster as cluster_mod
 from . import params as params_mod
 from .galois import FieldSpec
+from .params import json_int
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 3
@@ -46,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-params", help="generate a parameter file")
+    g.set_defaults(run=cmd_gen_params)
     g.add_argument("--k", type=int, required=True, help="systematic node count (2..8)")
     g.add_argument("--field-degree", type=int, default=8, help="symbol bits m (default 8)")
     g.add_argument("--reduction-poly", type=lambda s: int(s, 16), default=None,
@@ -57,11 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output params file")
 
     e = sub.add_parser("encode", help="shard a file onto 2k per-node files")
+    e.set_defaults(run=cmd_encode)
     e.add_argument("--params", required=True)
     e.add_argument("--in", dest="infile", required=True)
     e.add_argument("--out-dir", required=True)
 
     x = sub.add_parser("extract", help="rebuild a file from any k shards")
+    x.set_defaults(run=cmd_extract)
     x.add_argument("--params", required=True)
     x.add_argument("--in-dir", required=True, help="directory holding shards and manifest")
     x.add_argument("--nodes", type=_parse_nodes, required=True,
@@ -69,11 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--out", required=True)
 
     s = sub.add_parser("simulate", help="run a failure/repair scenario")
+    s.set_defaults(run=cmd_simulate)
     s.add_argument("--scenario", required=True,
                    help="scenario file path or bundled name (e.g. six-node-all-pairs)")
     s.add_argument("--report", default=None, help="write the JSON report here")
 
     v = sub.add_parser("validate-params", help="check the conditions of a parameter file")
+    v.set_defaults(run=cmd_validate_params)
     v.add_argument("--params", required=True)
     return parser
 
@@ -92,9 +101,6 @@ def cmd_gen_params(args, parser) -> int:
         code_params = params_mod.generate(args.k, spec, seed=args.seed,
                                           max_retries=args.max_retries,
                                           random_v=args.random_v)
-    except params_mod.GenerationExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:  # k out of range, bad field, field too small
         parser.error(str(exc))
     params_mod.save(code_params, args.out)
@@ -107,15 +113,11 @@ def _params_sha256(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def cmd_encode(args) -> int:
-    try:
-        code_params, out_dir = params_mod.load(args.params), Path(args.out_dir)
-        data = Path(args.infile).read_bytes()  # first: a bad --in leaves no out_dir behind
-        out_dir.mkdir(parents=True, exist_ok=True)  # a bad out_dir fails before the ingest
-        c = cluster_mod.Cluster.ingest(data, code_params, keep_oracle=False)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_encode(args, parser) -> int:
+    code_params, out_dir = params_mod.load(args.params), Path(args.out_dir)
+    data = Path(args.infile).read_bytes()  # first: a bad --in leaves no out_dir behind
+    out_dir.mkdir(parents=True, exist_ok=True)  # a bad out_dir fails before the ingest
+    c = cluster_mod.Cluster.ingest(data, code_params, keep_oracle=False)
     doc = params_mod.to_document(code_params)
     shards, digests = {}, {}
     for nid in range(1, code_params.n + 1):
@@ -144,7 +146,7 @@ def cmd_encode(args) -> int:
 
 
 def _read_shards(in_dir: Path, nodes: list[int], code_params):
-    """Read the shards of `nodes` and check them against the manifest (OSError/ValueError).
+    """Read the shards of `nodes` and check them against the manifest.
 
     Returns the node arrays, the original length and the manifest's
     data_sha256 (None when the manifest has none).
@@ -153,13 +155,15 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
     fingerprint = _params_sha256(doc)
     try:
         m = json.loads(path.read_text())
-        same = (m["k"] == doc["k"] and m["field"] == doc["field"]
+        same = (json_int(m["k"], "k") == doc["k"] and m["field"] == doc["field"]
+                and json_int(m["field"]["degree"], "field.degree") == doc["field"]["degree"]
                 and m.get("params_sha256", fingerprint) == fingerprint)
         files = {nid: (in_dir / m["shards"][str(nid)],
                        m["sha256"][str(nid)] if "sha256" in m else None) for nid in nodes}
-        nblocks, length = int(m["block_count"]), int(m["original_length"])
-        data_digest, version = m.get("data_sha256"), m["version"]
-        if type(version) is not int or not 1 <= version <= MANIFEST_VERSION:
+        nblocks, length, version = (json_int(m[key], key)
+                                    for key in ("block_count", "original_length", "version"))
+        data_digest = m.get("data_sha256")
+        if not 1 <= version <= MANIFEST_VERSION:
             raise ValueError(f"version {version!r} is not 1, 2 or 3")
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest ({exc})") from None
@@ -187,20 +191,16 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
 def cmd_extract(args, parser) -> int:
     nodes = sorted(set(args.nodes))
     _check_output(args.out)
-    try:
-        code_params = params_mod.load(args.params)
-        if len(nodes) != code_params.k:
-            parser.error(f"--nodes must name exactly k={code_params.k} distinct shards")
-        if any(not 1 <= nid <= code_params.n for nid in nodes):
-            parser.error(f"--nodes must be within 1..{code_params.n}")
-        arrays, length, data_digest = _read_shards(Path(args.in_dir), nodes, code_params)
-        data = cluster_mod.decode_nodes(arrays, code_params, length)
-        if data_digest is not None and hashlib.sha256(data).hexdigest() != data_digest:
-            raise ValueError(f"extracted bytes do not match data_sha256 in "
-                             f"{Path(args.in_dir) / MANIFEST_NAME}")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    code_params = params_mod.load(args.params)
+    if len(nodes) != code_params.k:
+        parser.error(f"--nodes must name exactly k={code_params.k} distinct shards")
+    if any(not 1 <= nid <= code_params.n for nid in nodes):
+        parser.error(f"--nodes must be within 1..{code_params.n}")
+    arrays, length, data_digest = _read_shards(Path(args.in_dir), nodes, code_params)
+    data = cluster_mod.decode_nodes(arrays, code_params, length)
+    if data_digest is not None and hashlib.sha256(data).hexdigest() != data_digest:
+        raise ValueError(f"extracted bytes do not match data_sha256 in "
+                         f"{Path(args.in_dir) / MANIFEST_NAME}")
     Path(args.out).write_bytes(data)
     print(f"extracted {len(data)} bytes from nodes {nodes}")
     return 0
@@ -233,14 +233,10 @@ def _print_report(result: cluster_mod.ScenarioResult) -> None:
           f"result={'ok' if result.ok else 'FAILED'}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, parser) -> int:
     if args.report:
         _check_output(args.report)
-    try:
-        result = cluster_mod.run_scenario(_resolve_scenario(args.scenario))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = cluster_mod.run_scenario(_resolve_scenario(args.scenario))
     if args.report:
         Path(args.report).write_text(
             json.dumps(result.to_document(), indent=2, sort_keys=True) + "\n")
@@ -248,12 +244,8 @@ def cmd_simulate(args) -> int:
     return 0 if result.ok else 1
 
 
-def cmd_validate_params(args) -> int:
-    try:
-        code_params = params_mod.load(args.params, check=False)
-    except (ValueError, OSError) as exc:
-        print(f"error: cannot load params: {exc}", file=sys.stderr)
-        return 1
+def cmd_validate_params(args, parser) -> int:
+    code_params = params_mod.load(args.params, check=False)
     violations = params_mod.validate(code_params)
     if violations:
         for v in violations:
@@ -267,17 +259,9 @@ def cmd_validate_params(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:  # commands catch their input errors; this catches an output that cannot be written
-        if args.command == "gen-params":
-            return cmd_gen_params(args, parser)
-        if args.command == "encode":
-            return cmd_encode(args)
-        if args.command == "extract":
-            return cmd_extract(args, parser)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_validate_params(args)  # argparse admits no other command
-    except OSError as exc:
+    try:  # the one place a command's input, output or search failure becomes exit 1
+        return args.run(args, parser)
+    except (OSError, ValueError, params_mod.GenerationExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

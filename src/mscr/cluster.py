@@ -32,7 +32,7 @@ import numpy as np
 
 from . import codec, params as params_mod, repair
 from .galois import FieldSpec
-from .params import CodeParams
+from .params import CodeParams, json_int
 
 __all__ = [
     "AlreadyFailed",
@@ -223,9 +223,6 @@ class Cluster:
     def extract(self, from_nodes) -> bytearray:
         """Rebuild the ingested stream (a bytearray) from any k live nodes."""
         ids = sorted(set(from_nodes))
-        if len(ids) != self.params.k:
-            raise NotEnoughLiveNodes(
-                f"need exactly k={self.params.k} distinct nodes, got {sorted(from_nodes)}")
         for nid in ids:
             if not 1 <= nid <= self.params.n or self.node_data[nid - 1] is None:
                 raise NotEnoughLiveNodes(f"node {nid} is not live")
@@ -308,11 +305,11 @@ class Scenario:
                 else:
                     code_params = params_mod.from_document(ref)
             elif "k" in doc:
-                degree = int(doc.get("field", {}).get("degree", 8))
+                degree = json_int(doc.get("field", {}).get("degree", 8), "field.degree")
                 poly_text = doc.get("field", {}).get("reduction_poly")
                 spec = FieldSpec(degree, int(poly_text, 16) if poly_text else None)
-                code_params = params_mod.generate(int(doc["k"]), spec,
-                                                  seed=int(doc.get("seed", 0)))
+                code_params = params_mod.generate(json_int(doc["k"], "k"), spec,
+                                                  seed=json_int(doc.get("seed", 0), "seed"))
             else:
                 raise ValueError("scenario names neither 'k' nor 'params'")
             data_doc = doc["data"]
@@ -320,8 +317,12 @@ class Scenario:
                 data = (base / data_doc["path"]).read_bytes()
             else:
                 rnd = data_doc["random"]
-                data = random.Random(int(rnd.get("seed", 0))).randbytes(int(rnd["bytes"]))
-            steps = [frozenset(int(i) for i in step["fail"]) for step in doc.get("steps", [])]
+                seed = json_int(rnd.get("seed", 0), "data.random.seed")
+                data = random.Random(seed).randbytes(json_int(rnd["bytes"], "data.random.bytes"))
+            fails = [step["fail"] for step in doc.get("steps", [])]
+            if any(type(fail) is not list for fail in fails):
+                raise TypeError("each step's fail must be a list of node ids")
+            steps = [frozenset(json_int(nid, "fail id") for nid in fail) for fail in fails]
             verify = doc.get("verify", "exact")
             if verify not in ("exact", "mds_also"):
                 raise ValueError(f"unknown verify mode {verify!r}")

@@ -148,11 +148,7 @@ class Matrix:
     def invert(self) -> "Matrix":
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices invert")
-        a = self.int_rows()
-        b = Matrix.identity(self.spec, self.rows).int_rows()
-        if not _gauss_jordan(self.spec, a, b):
-            raise SingularMatrix("matrix is singular")
-        return Matrix(self.spec, b)
+        return self.solve(Matrix.identity(self.spec, self.rows))
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """Solve self @ X = rhs for X (self square nonsingular)."""

@@ -45,6 +45,7 @@ __all__ = [
     "Violation",
     "from_document",
     "generate",
+    "json_int",
     "load",
     "save",
     "solve_dual_constants",
@@ -285,6 +286,13 @@ def to_document(params: CodeParams) -> dict:
     }
 
 
+def json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer; a string, float or bool raises TypeError naming `name`."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def from_document(doc: dict, check: bool = True) -> CodeParams:
     """Rebuild params from the file form.
 
@@ -294,23 +302,23 @@ def from_document(doc: dict, check: bool = True) -> CodeParams:
     :func:`validate` and a ValueError carries any violations.
     """
     try:
-        if doc.get("version") != PARAMS_VERSION:
-            raise ValueError(f"unsupported params version {doc.get('version')!r}")
-        field = FieldSpec(int(doc["field"]["degree"]),
+        if json_int(doc["version"], "version") != PARAMS_VERSION:
+            raise ValueError(f"unsupported params version {doc['version']!r}")
+        field = FieldSpec(json_int(doc["field"]["degree"], "field.degree"),
                           int(doc["field"]["reduction_poly"], 16))
 
         def element(text):
             return field.element(int(text, 16))
 
         params = CodeParams(
-            k=int(doc["k"]), field=field,
+            k=json_int(doc["k"], "k"), field=field,
             cauchy=CauchySpec(tuple(map(element, doc["cauchy"]["a"])),
                               tuple(map(element, doc["cauchy"]["b"]))),
             v=Matrix.from_rows([[element(x) for x in row] for row in doc["V"]]),
             delta=element(doc["delta"]), epsilon=element(doc["epsilon"]),
             delta_prime=element(doc["delta_prime"]),
             epsilon_prime=element(doc["epsilon_prime"]),
-            seed=int(doc["seed"]))
+            seed=json_int(doc["seed"], "seed"))
     except (LookupError, TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed params document: {type(exc).__name__}: {exc}") from None
     if check:

@@ -186,6 +186,10 @@ MALFORMED_PARAMS = {
     "singular V": lambda doc: {**doc, "V": [["0x0"] * len(row) for row in doc["V"]]},
     "V entry outside the field": lambda doc: {**doc, "V": [["-0x1"] + row[1:]
                                                             for row in doc["V"]]},
+    "k a string": lambda doc: {**doc, "k": str(doc["k"])},
+    "seed a float": lambda doc: {**doc, "seed": doc["seed"] + 0.9},
+    "field degree a float": lambda doc: {**doc, "field": {**doc["field"], "degree": 8.0}},
+    "version a bool": lambda doc: {**doc, "version": True},
 }
 
 
@@ -221,6 +225,15 @@ MALFORMED_SCENARIOS = {
     "random without bytes": lambda doc: {**doc, "data": {"random": {"seed": 2}}},
     "fail not a list": lambda doc: {**doc, "steps": [{"fail": 3}]},
     "field not an object": lambda doc: {**doc, "field": 8},
+    "fail a string of digits": lambda doc: {**doc, "steps": [{"fail": "12"}]},
+    "fail an object": lambda doc: {**doc, "steps": [{"fail": {}}]},
+    "fail id a float": lambda doc: {**doc, "steps": [{"fail": [1.5]}]},
+    "fail id a bool": lambda doc: {**doc, "steps": [{"fail": [True]}]},
+    "k a string": lambda doc: {**doc, "k": "3"},
+    "seed a float": lambda doc: {**doc, "seed": 7.9},
+    "field degree a string": lambda doc: {**doc, "field": {"degree": "8"}},
+    "random bytes a float": lambda doc: {**doc, "data": {"random": {"bytes": 64.0, "seed": 2}}},
+    "random seed a string": lambda doc: {**doc, "data": {"random": {"bytes": 64, "seed": "2"}}},
 }
 
 
@@ -375,6 +388,15 @@ def _relabel(version):
     return edit
 
 
+def _retype(key, convert):
+    """Store the manifest's own `key` value as another JSON type (`convert` of it)."""
+    def edit(shard_dir):
+        path = shard_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, key: convert(manifest[key])}))
+    return edit
+
+
 def _v1_truncate_shard(shard_dir):
     _as_v1(shard_dir)
     _truncate_shard(shard_dir)
@@ -390,6 +412,13 @@ BAD_INPUTS = {
     "v3 shard one word short": lambda d: _truncate_shard(d, 8),
     "v3 manifest relabelled version 2": _relabel(2),
     "manifest version not an integer": _relabel("3"),
+    "manifest version a float": _relabel(3.0),
+    "block count a string": _retype("block_count", str),
+    "block count a float": _retype("block_count", float),
+    "original length a string": _retype("original_length", str),
+    "original length a float": _retype("original_length", float),
+    "manifest k a float": _retype("k", float),
+    "manifest field degree a float": _retype("field", lambda f: {**f, "degree": 8.0}),
     "manifest without version": _relabel(None),
     "unknown manifest version": _relabel(4),
     "v1 truncated shard": _v1_truncate_shard,
@@ -577,3 +606,50 @@ def test_output_that_cannot_be_written_exits_1(tmp_path, capsys, monkeypatch, co
     capsys.readouterr()
     assert main(argv) == 1
     _one_error_line(capsys)
+
+
+def _library_calls(tmp_path):
+    """Per command: the owner and name of one library call it makes, and its argv."""
+    params_file, shard_dir = _encode(tmp_path, b"one error boundary")
+    return {
+        "gen-params": (params_mod, "save",
+                       ["gen-params", "--k", "3", "--out", str(tmp_path / "p.json")]),
+        "encode": (Cluster, "ingest",
+                   ["encode", "--params", str(params_file), "--in", str(tmp_path / "input.bin"),
+                    "--out-dir", str(tmp_path / "again")]),
+        "extract": (params_mod, "load",
+                    ["extract", "--params", str(params_file), "--in-dir", str(shard_dir),
+                     "--nodes", "1,2,3", "--out", str(tmp_path / "o.bin")]),
+        "simulate": (cluster_mod, "run_scenario",
+                     ["simulate", "--scenario", "six-node-all-pairs"]),
+        "validate-params": (params_mod, "load",
+                            ["validate-params", "--params", str(params_file)]),
+    }
+
+
+@pytest.mark.parametrize("error", [OSError, ValueError], ids=lambda e: e.__name__)
+@pytest.mark.parametrize("command",
+                         ["gen-params", "encode", "extract", "simulate", "validate-params"])
+def test_library_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, command, error):
+    owner, name, argv = _library_calls(tmp_path)[command]
+
+    def fail(*args, **kwargs):
+        raise error("injected")
+    monkeypatch.setattr(owner, name, fail)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert _one_error_line(capsys) == "error: injected"
+
+
+def test_gen_params_exit_codes_of_generate_errors(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "p.json")
+    assert main(["gen-params", "--k", "3", "--max-retries", "0", "--out", out]) == 1
+    assert "within 0 retries" in _one_error_line(capsys)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+    monkeypatch.setattr(params_mod, "generate", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-params", "--k", "3", "--out", out])
+    assert exc.value.code == 2
+    assert not (tmp_path / "p.json").exists()

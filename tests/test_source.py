@@ -79,3 +79,28 @@ def test_foreign_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_only_stdlib_numpy_and_mscr(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def error_printers(source: str) -> list[str]:
+    """Top-level functions of a module that pass a string starting `error:` to a call."""
+    names = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and node.args:
+                first = node.args[0]
+                if isinstance(first, ast.JoinedStr) and first.values:
+                    first = first.values[0]
+                if isinstance(first, ast.Constant) and str(first.value).startswith("error:"):
+                    names.add(getattr(top, "name", "<module>"))
+    return sorted(names)
+
+
+def test_error_printer_is_detected():
+    source = ("def main():\n    print(f'error: {1}')\n"
+              "def cmd(parser):\n    parser.error('bad')\n    print('error: x')\n")
+    assert error_printers(source) == ["cmd", "main"]
+
+
+def test_only_main_prints_cli_errors():
+    # One boundary: commands raise, and main alone turns that into an `error:` line.
+    assert error_printers((SRC / "cli.py").read_text()) == ["main"]
