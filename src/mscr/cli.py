@@ -8,9 +8,9 @@ propagate, and ``main`` alone turns them into one ``error:`` line and exit 1:
 a bad manifest, shard, params or scenario, or an output that cannot be written.
 Manifest v2 adds to v1 the SHA-256 of each shard and of the params, which
 ``extract`` checks before decoding, and of the input, which it checks before
-writing (v1 has none to check).  A v3 shard is the node's bit planes as
-little-endian uint64 words, read and written without conversion; v1 and v2
-shards are block-major symbol bytes.
+writing (v1 has none to check).  ``encode`` writes v4: a shard is the node's
+bit planes as little-endian uint64 words, node-major, so the systematic shards
+in order are the zero-padded input.  ``extract`` also reads the block-major v1-v3.
 All runs are reproducible from the seeds recorded in the files they read.
 """
 
@@ -32,7 +32,7 @@ from .galois import FieldSpec
 from .params import json_int
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 
 def _parse_nodes(text: str) -> list[int]:
@@ -122,7 +122,7 @@ def cmd_encode(args, parser) -> int:
     shards, digests = {}, {}
     for nid in range(1, code_params.n + 1):
         name, planes = f"node_{nid:02d}.shard", np.ascontiguousarray(c.node_data[nid - 1], "<u8")
-        payload = planes.reshape(-1).view(np.uint8).data  # no copy on little-endian hosts
+        payload = planes.reshape(-1).view(np.uint8).data  # node_symbols_bytes, with no copy
         (out_dir / name).write_bytes(payload)
         shards[str(nid)] = name
         digests[str(nid)] = hashlib.sha256(payload).hexdigest()
@@ -148,8 +148,8 @@ def cmd_encode(args, parser) -> int:
 def _read_shards(in_dir: Path, nodes: list[int], code_params):
     """Read the shards of `nodes` and check them against the manifest.
 
-    Returns the node arrays, the original length and the manifest's
-    data_sha256 (None when the manifest has none).
+    Returns the node arrays, the original length, the manifest's
+    data_sha256 (None when the manifest has none) and its version.
     """
     path, doc = in_dir / MANIFEST_NAME, params_mod.to_document(code_params)
     fingerprint = _params_sha256(doc)
@@ -164,7 +164,7 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
                                     for key in ("block_count", "original_length", "version"))
         data_digest = m.get("data_sha256")
         if not 1 <= version <= MANIFEST_VERSION:
-            raise ValueError(f"version {version!r} is not 1, 2 or 3")
+            raise ValueError(f"version {version!r} is not 1, 2, 3 or 4")
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest ({exc})") from None
     if not same:
@@ -175,7 +175,7 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
     rows = k * spec.degree  # bit planes a node holds
     if length < 0 or nblocks != -(-length // (code_params.block_size * spec.symbol_bytes)):
         raise ValueError(f"{path}: original_length {length} does not fit block_count {nblocks}")
-    size = rows * -(-nblocks // 64) * 8 if version == 3 else nblocks * k * spec.symbol_bytes
+    size = rows * -(-nblocks // 64) * 8 if version >= 3 else nblocks * k * spec.symbol_bytes
     arrays = {}
     for nid, (shard, digest) in files.items():
         raw = shard.read_bytes()
@@ -183,9 +183,9 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
             raise ValueError(f"shard {shard} (node {nid}) has {len(raw)} bytes, not {size}")
         if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
             raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
-        arrays[nid] = (np.frombuffer(raw, "<u8").reshape(rows, -1) if version == 3
+        arrays[nid] = (np.frombuffer(raw, "<u8").reshape(rows, -1) if version >= 3
                        else cluster_mod.bytes_to_planes(raw, spec, k))
-    return arrays, length, data_digest
+    return arrays, length, data_digest, version
 
 
 def cmd_extract(args, parser) -> int:
@@ -196,8 +196,8 @@ def cmd_extract(args, parser) -> int:
         parser.error(f"--nodes must name exactly k={code_params.k} distinct shards")
     if any(not 1 <= nid <= code_params.n for nid in nodes):
         parser.error(f"--nodes must be within 1..{code_params.n}")
-    arrays, length, data_digest = _read_shards(Path(args.in_dir), nodes, code_params)
-    data = cluster_mod.decode_nodes(arrays, code_params, length)
+    arrays, length, data_digest, version = _read_shards(Path(args.in_dir), nodes, code_params)
+    data = cluster_mod.decode_nodes(arrays, code_params, length, node_major=version == 4)
     if data_digest is not None and hashlib.sha256(data).hexdigest() != data_digest:
         raise ValueError(f"extracted bytes do not match data_sha256 in "
                          f"{Path(args.in_dir) / MANIFEST_NAME}")

@@ -1,13 +1,13 @@
 """Deterministic in-memory storage cluster simulator.
 
-A byte stream is zero-padded to whole chunks of k^2 symbols, each encoded
-independently.  Node j keeps its share of every chunk bit-sliced: a
-(k*m, words) uint64 array whose plane l*m + b holds bit b of coordinate l,
-block 64q + t at bit t of word q, pad blocks zero.  `bytes_to_planes` and
-`planes_to_bytes` convert to and from block-major bytes at the edge only:
-ingest input, `decode_nodes` output and `node_symbols_bytes` (bytes-like
-bytearrays written once; a decode's held coordinates skip the kernel).  The
-CLI's v3 shards are these arrays' own little-endian words.
+A stream of n bytes is ceil(n / (B*w)) blocks of B = k^2 symbols of w bytes,
+each encoded independently.  Node j keeps its share bit-sliced: a (k*m, words)
+uint64 array whose plane l*m + b holds bit b of coordinate l, block 64q + t at
+bit t of word q.  The zero-padded stream is the systematic nodes' planes in
+order, as little-endian words: ingest slices them from one copy of it, a decode
+copies them into the bytes it returns, and a v4 shard is a node's words.
+`bytes_to_planes` and `planes_to_bytes` convert the block-major bytes of v1-v3
+(block p is bytes p*B*w onwards) for the CLI's reading of such directories.
 
 Every operation is a fixed linear map applied to every block by the one
 kernel, :meth:`FieldSpec.scale_array`: the encode matrix, the decoder rows
@@ -65,7 +65,7 @@ class VerificationFailure(RuntimeError):
     """Repaired contents differ from the oracle: an implementation bug."""
 
 
-# -- bytes <-> bit planes -----------------------------------------------------------
+# -- block-major bytes <-> bit planes (v1-v3 directories) ------------------------------
 
 _CHUNK_BYTES = 1 << 19  # bytes a pass: buffers stay small; 128 KiB made 8 MiB ~25% slower
 
@@ -118,23 +118,14 @@ def bytes_to_planes(data: bytes, spec: FieldSpec, symbols: int) -> np.ndarray:
     return out
 
 
-def planes_to_bytes(planes, nbytes: int) -> bytearray:
-    """The first `nbytes` block-major bytes of planes, written once into a bytes-like bytearray.
-
-    `planes` is one (8*row, words) array or a list of (array, {column: output
-    column}) sources that fill each output byte column once; column c is planes 8c..8c+7.
-    """
-    if isinstance(planes, np.ndarray):
-        planes = [(planes, {c: c for c in range(planes.shape[0] // 8)})]
-    words, row = planes[0][0].shape[1], sum(len(cols) for _, cols in planes)
-    sources = [(np.ascontiguousarray(a).view(np.uint8).reshape(len(a) // 8, 8, 8 * words), cols)
-               for a, cols in planes]  # [column, bit, group]
+def planes_to_bytes(planes: np.ndarray, nbytes: int) -> bytearray:
+    """The first `nbytes` block-major bytes (a bytearray) of planes; column c is planes 8c..8c+7."""
+    row, words = planes.shape[0] // 8, planes.shape[1]
+    src = np.ascontiguousarray(planes).view(np.uint8).reshape(row, 8, 8 * words)  # [c, bit, g]
     buf = bytearray(64 * words * row)
     out = np.frombuffer(buf, dtype=np.uint8).reshape(8 * words, 8, row)  # [group, block, byte]
     for q, n, s, swap in _passes(row, words):
-        for src, cols in sources:  # each column's 8 planes, contiguous rows
-            for c, col in cols.items():
-                s[:, col] = src[c, :, 8 * q:8 * (q + n)]
+        s[:] = src[..., 8 * q:8 * (q + n)].swapaxes(0, 1)  # each column's 8 planes, contiguous rows
         swap()
         out[8 * q:8 * (q + n)] = s.transpose(2, 0, 1)  # the one transposing copy
     del out, buf[nbytes:]  # trimmed in place: the tail is the pad blocks
@@ -142,36 +133,42 @@ def planes_to_bytes(planes, nbytes: int) -> bytearray:
 
 
 def decode_nodes(arrays: dict[int, np.ndarray], params: CodeParams,
-                 original_length: int) -> bytearray:
+                 original_length: int, node_major: bool = True) -> bytearray:
     """Rebuild the byte stream (a bytes-like bytearray) from exactly k (k*m, words) node arrays.
 
-    The systematic nodes' coordinates are read in place; one kernel call
-    applies the decoder rows (`codec.collection_matrix`) for the rest.  Any k
-    arrays decode without error, so corrupt inputs decode to wrong bytes:
-    callers check outside bytes first (the CLI compares shard digests).
+    One kernel call solves the missing coordinates (`codec.collection_matrix`); after its
+    input is freed, they and the systematic nodes' planes are copied into the stream, or for
+    v1-v3 into vec(X)-ordered planes for `planes_to_bytes`.  Any k arrays decode without
+    error, so corrupt inputs decode to wrong bytes: callers check outside bytes first.
     """
     ids = tuple(sorted(arrays))
     if len(ids) != params.k:
         raise NotEnoughLiveNodes(f"need exactly k={params.k} nodes, got {len(ids)}")
-    k, w = params.k, params.field.symbol_bytes
+    k, m, words = params.k, params.field.degree, arrays[ids[0]].shape[1]
     missing, rows = codec.collection_matrix(ids, params)
-    # (source, [(its coordinate, vec(X) index)]): systematic node j holds X[l][j-1] as l.
-    picks = [(arrays[nid], [(l, l * k + nid - 1) for l in range(k)]) for nid in ids if nid <= k]
-    if rows:  # the concatenated input is freed before the output is allocated
-        solved = params.field.scale_array(rows, np.concatenate([arrays[nid] for nid in ids]))
-        picks.append((solved, list(enumerate(missing))))
-    return planes_to_bytes([(a, {s * w + b: o * w + b for s, o in p for b in range(w)})
-                            for a, p in picks], original_length)
+    solved = rows and params.field.scale_array(rows, np.concatenate([arrays[nid] for nid in ids]))
+    buf = bytearray(8 * k * k * m * words)
+    planes = np.frombuffer(buf, "<u8").reshape(k, k, m, words)
+    coord = planes if node_major else planes.swapaxes(0, 1)  # [j, l]: X[l][j], node j+1's l
+    for j in [nid - 1 for nid in ids if nid <= k]:  # systematic node j+1 holds column j of X
+        coord[j] = arrays[j + 1].reshape(k, m, words)
+    for i, t in enumerate(missing):  # vec(X) index t is X[t // k][t % k]
+        coord[t % k, t // k] = solved[i * m:(i + 1) * m]
+    del solved  # before a v1-v3 conversion allocates the bytes
+    if not node_major:
+        return planes_to_bytes(planes.reshape(k * k * m, words), original_length)
+    del planes, coord, buf[original_length:]  # trimmed in place: the tail is the pad blocks
+    return buf
 
 
 class Cluster:
     """2k nodes, many blocks, scripted failures, verified repairs."""
 
-    def __init__(self, params: CodeParams, node_data: list[np.ndarray | None],
-                 nblocks: int, original_length: int,
-                 oracle: list[np.ndarray] | None):
+    def __init__(self, params: CodeParams, stream: np.ndarray, parity: list[np.ndarray],
+                 nblocks: int, original_length: int, oracle: list[np.ndarray] | None):
         self.params = params
-        self.node_data = node_data
+        self.stream = stream  # the padded stream: its rows j*k*m.. are systematic node j+1
+        self.node_data: list[np.ndarray | None] = [*np.split(stream, params.k), *parity]
         self.nblocks = nblocks
         self.original_length = original_length
         self.oracle = oracle
@@ -181,24 +178,26 @@ class Cluster:
     @classmethod
     def ingest(cls, data: bytes, params: CodeParams,
                keep_oracle: bool = True) -> "Cluster":
-        """Chunk, zero-pad, encode and place a byte stream on 2k nodes (m = 8 or 16)."""
+        """Place a stream on 2k nodes (m = 8 or 16): one padded copy, sliced, and one encode."""
         violations = params_mod.validate(params)  # else a fault shows only when a repair fails
         if violations:
             raise ValueError("invalid params: " + "; ".join(map(str, violations)))
         k, spec = params.k, params.field
+        if spec.degree != 8 * spec.symbol_bytes:  # the planes would hold fewer bytes than blocks
+            raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
         nblocks = -(-len(data) // (params.block_size * spec.symbol_bytes))
-        parity = [np.empty((k * spec.degree, -(-nblocks // 64)), dtype=np.uint64) for _ in range(k)]
-        x = bytes_to_planes(data, spec, params.block_size)  # vec(X) per block
-        enc = codec.encode_matrix(params).int_rows()
-        # Node j holds column j of X (or Y): coordinates j, j+k, ... of vec(X) (or vec(Y)).
-        plane = np.arange(k * k * spec.degree).reshape(k, k, spec.degree)  # [l, j, bit]
-        node_data: list[np.ndarray | None] = [x[plane[:, j].reshape(-1)] for j in range(k)]
-        spec.scale_array(sum((enc[j::k] for j in range(k)), []), x,
-                         out=[p for d in parity for p in d])
-        node_data += parity
-        del x  # before the oracle copies, so that the two are not held at once
-        oracle = [d.copy() for d in node_data] if keep_oracle else None
-        return cls(params, node_data, nblocks, len(data), oracle)
+        rows, words = k * spec.degree, -(-nblocks // 64)
+        parity = [np.empty((rows, words), dtype=np.uint64) for _ in range(k)]
+        stream = np.empty((k * rows, words), dtype="<u8")  # the systematic nodes' planes
+        flat = stream.reshape(-1).view(np.uint8)
+        flat[:len(data)], flat[len(data):] = np.frombuffer(data, dtype=np.uint8), 0
+        # vec(Y) = E vec(X); E[r*k + c][b*k + a] maps X[b][a] to Y[r][c], coordinate r of
+        # node k+c+1 from coordinate b of node a+1: rows and columns taken node-major.
+        enc = np.array(codec.encode_matrix(params).int_rows(), dtype=np.uint32)
+        spec.scale_array(enc.reshape((k,) * 4).transpose(1, 0, 3, 2).reshape(k * k, k * k),
+                         stream, out=[p for d in parity for p in d])
+        oracle = [*np.split(stream.copy(), k), *map(np.copy, parity)] if keep_oracle else None
+        return cls(params, stream, parity, nblocks, len(data), oracle)
 
     # -- queries ---------------------------------------------------------------
 
@@ -211,12 +210,12 @@ class Cluster:
     def live_nodes(self) -> list[int]:
         return [i + 1 for i, d in enumerate(self.node_data) if d is not None]
 
-    def node_symbols_bytes(self, node_id: int) -> bytearray:
-        """Raw shard payload (a bytes-like bytearray): the node's symbols, block-major."""
+    def node_symbols_bytes(self, node_id: int) -> bytes:
+        """The node's v4 shard payload (a copy): its planes as little-endian uint64 words."""
         data = self.node_data[node_id - 1]
         if data is None:
             raise NotEnoughLiveNodes(f"node {node_id} is failed")
-        return planes_to_bytes(data, self.nblocks * self.params.k * self.params.field.symbol_bytes)
+        return data.astype("<u8", copy=False).tobytes()
 
     # -- operations --------------------------------------------------------------
 
@@ -259,9 +258,10 @@ class Cluster:
                 f"pattern {sorted(pattern.failed)} does not match failed set {sorted(self.failed)}")
         k, spec, plan = self.params.k, self.params.field, repair.plan_repair(pattern, self.params)
         r, d, m, words = len(plan.newcomers), len(plan.helpers), spec.degree, -(-self.nblocks // 64)
-        # As in ingest, arrays that outlive the call are allocated before its temporaries,
-        # so that freeing those leaves no holes between live arrays and does not trim the heap.
-        repaired = [np.empty((k * m, words), dtype=np.uint64) for _ in range(r)]
+        # Arrays that outlive the call come before its temporaries, so that freeing those leaves
+        # no holes and does not trim the heap; a systematic newcomer's are its stream rows.
+        repaired = [np.empty((k * m, words), dtype=np.uint64) if nc > k
+                    else self.stream[(nc - 1) * k * m:nc * k * m] for nc in plan.newcomers]
         phase1 = np.empty((r, d, m, words), dtype=np.uint64)  # the edges run newcomer-major
         probes = [[e.value for e in repair.probe_vector(self.params, nc)] for nc in plan.newcomers]
         for i, helper in enumerate(plan.helpers):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,15 @@ from hypothesis import strategies as st
 
 import mscr.cluster as cluster_mod
 import mscr.params as params_mod
-from mscr.cli import main
-from mscr.cluster import Cluster, planes_to_bytes
+from mscr.cli import _print_report, main
+from mscr.cluster import Cluster, ScenarioResult, StepReport, planes_to_bytes
 from mscr.params import load, validate
+
+# v3 directories, each with its params.json, written by `mscr encode` when it wrote v3:
+# the input is random.Random(10).randbytes(length), encoded under `gen-params --k 3 --seed 7`
+# (the params `_gen` writes) and `gen-params --k 4 --field-degree 16 --seed 3`.
+DATA = Path(__file__).resolve().parent / "data"
+LEGACY = {"k3-gf8": 1000, "k4-gf16": 3000}
 
 
 def _gen(tmp_path, *extra):
@@ -33,6 +40,13 @@ def test_gen_params_deterministic(tmp_path):
     assert main(["gen-params", "--k", "3", "--seed", "5", "--out", str(first)]) == 0
     assert main(["gen-params", "--k", "3", "--seed", "5", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_gen_params_reads_the_reduction_poly_as_hex(tmp_path):
+    out = tmp_path / "p.json"
+    assert main(["gen-params", "--k", "3", "--field-degree", "16", "--reduction-poly", "1100b",
+                 "--out", str(out)]) == 0
+    assert load(out).field.reduction_poly == 0x1100B
 
 
 def test_gen_params_usage_errors(tmp_path):
@@ -118,6 +132,15 @@ def test_simulate_bundled_all_pairs(tmp_path, capsys):
             assert row["gamma"] == 5
     out = capsys.readouterr().out
     assert "result=ok" in out
+
+
+def test_report_says_yes_only_for_an_exact_and_optimal_step(capsys):
+    row = {"newcomer": 1, "downloaded": 4, "exchanged": 1, "gamma": 5}
+    steps = [StepReport((1,), "systematic", [row], "5", 1, exact=exact, optimal=optimal)
+             for exact, optimal in ((True, True), (True, False), (False, True))]
+    _print_report(ScenarioResult(steps, extracted_ok=True, ok=False))
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines[1:4]] == ["yes", "NO", "NO"]
 
 
 def test_simulate_unsupported_pattern(tmp_path):
@@ -290,21 +313,21 @@ def test_encode_checks_both_paths_before_it_makes_or_ingests(tmp_path, capsys, m
     assert not (tmp_path / "new").exists()
 
 
-def test_encode_writes_manifest_v3(tmp_path):
+def test_encode_writes_manifest_v4(tmp_path):
     payload = random.Random(2).randbytes(1000)  # 112 blocks of 9 bytes: 2 words a plane
     params_file, shard_dir = _encode(tmp_path, payload)
     manifest = json.loads((shard_dir / "manifest.json").read_text())
-    assert manifest["version"] == 3
+    assert manifest["version"] == 4
     assert manifest["block_count"] == 112 and manifest["symbols_per_node"] == 336
     assert manifest["shards"] == {str(i): f"node_{i:02d}.shard" for i in range(1, 7)}
     cluster = Cluster.ingest(payload, load(params_file))
-    for nid, name in manifest["shards"].items():
-        raw = (shard_dir / name).read_bytes()
+    shards = [(shard_dir / f"node_{nid:02d}.shard").read_bytes() for nid in range(1, 7)]
+    for nid, raw in enumerate(shards, 1):
         assert len(raw) == 3 * 8 * 2 * 8  # k*m planes of ceil(blocks/64) uint64 words
-        assert manifest["sha256"][nid] == hashlib.sha256(raw).hexdigest()
-        planes = cluster.node_data[int(nid) - 1]
-        assert raw == planes.astype("<u8").tobytes()
-        assert planes_to_bytes(planes, 336) == cluster.node_symbols_bytes(int(nid))
+        assert manifest["sha256"][str(nid)] == hashlib.sha256(raw).hexdigest()
+        assert raw == cluster.node_data[nid - 1].astype("<u8").tobytes()
+        assert raw == cluster.node_symbols_bytes(nid)
+    assert b"".join(shards[:3]) == payload.ljust(3 * 3 * 8 * 2 * 8, b"\0")
     params_text = json.dumps(json.loads(params_file.read_text()), sort_keys=True)
     assert manifest["params_sha256"] == hashlib.sha256(params_text.encode()).hexdigest()
 
@@ -333,8 +356,25 @@ def test_extract_rejects_other_valid_params(tmp_path, capsys):
     assert "params differ" in _one_error_line(capsys)
 
 
-def _as_v2(shard_dir):
-    """Rewrite a v3 directory as v2: block-major shards and their digests."""
+def _legacy(shard_dir, name="k3-gf8"):
+    """Replace shard_dir with a copy of v3 directory `name`; returns its params file and input."""
+    shutil.rmtree(shard_dir, ignore_errors=True)
+    shutil.copytree(DATA / f"v3-{name}", shard_dir)
+    return shard_dir / "params.json", random.Random(10).randbytes(LEGACY[name])
+
+
+def test_legacy_directories_hold_their_input_and_params(tmp_path):
+    for name in LEGACY:
+        _, payload = _legacy(tmp_path / name, name)
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["version"] == 3 and len(payload) == manifest["original_length"]
+        assert manifest["data_sha256"] == hashlib.sha256(payload).hexdigest()
+    assert (tmp_path / "k3-gf8" / "params.json").read_bytes() == _gen(tmp_path).read_bytes()
+
+
+def _as_v2(shard_dir, name="k3-gf8"):
+    """Write the v3 directory `name` to shard_dir as v2: block-major shards and their digests."""
+    _legacy(shard_dir, name)
     path = shard_dir / "manifest.json"
     manifest = json.loads(path.read_text())
     k, width = manifest["k"], manifest["field"]["degree"] // 8
@@ -348,8 +388,8 @@ def _as_v2(shard_dir):
     return manifest
 
 
-def _as_v1(shard_dir):
-    manifest = _as_v2(shard_dir)
+def _as_v1(shard_dir, name="k3-gf8"):
+    manifest = _as_v2(shard_dir, name)
     del manifest["sha256"], manifest["params_sha256"], manifest["data_sha256"]
     manifest["version"] = 1
     (shard_dir / "manifest.json").write_text(json.dumps(manifest))
@@ -357,8 +397,8 @@ def _as_v1(shard_dir):
 
 
 def test_extract_reads_v1_manifest(tmp_path):
-    payload = random.Random(6).randbytes(777)
-    params_file, shard_dir = _encode(tmp_path, payload)
+    shard_dir = tmp_path / "shards"
+    params_file, payload = _legacy(shard_dir)
     _as_v1(shard_dir)
     for nodes in ("1,2,3", "4,5,6", "2,4,6", "1,5,6"):
         out = tmp_path / "o.bin"
@@ -380,7 +420,7 @@ def _truncate_shard(shard_dir, nbytes=1):
 
 
 def _relabel(version):
-    """Change only the manifest's version (None drops it): the shards stay v3."""
+    """Change only the manifest's version (None drops it): the shards stay as they are."""
     def edit(shard_dir):
         path = shard_dir / "manifest.json"
         manifest = {**json.loads(path.read_text()), "version": version}
@@ -409,8 +449,10 @@ BAD_INPUTS = {
     "manifest misses a shard entry": lambda d: _edit_manifest(shards={"1": "node_01.shard"})(d),
     "missing shard file": lambda d: (d / "node_04.shard").unlink(),
     "truncated shard": _truncate_shard,
-    "v3 shard one word short": lambda d: _truncate_shard(d, 8),
-    "v3 manifest relabelled version 2": _relabel(2),
+    "v3 shard one word short": lambda d: (_legacy(d), _truncate_shard(d, 8)),
+    "v3 manifest relabelled version 2": lambda d: (_legacy(d), _relabel(2)(d)),
+    "v4 shard one word short": lambda d: _truncate_shard(d, 8),
+    "v4 manifest relabelled version 3": _relabel(3),  # v3 sizes: only data_sha256 fails
     "manifest version not an integer": _relabel("3"),
     "manifest version a float": _relabel(3.0),
     "block count a string": _retype("block_count", str),
@@ -420,7 +462,7 @@ BAD_INPUTS = {
     "manifest k a float": _retype("k", float),
     "manifest field degree a float": _retype("field", lambda f: {**f, "degree": 8.0}),
     "manifest without version": _relabel(None),
-    "unknown manifest version": _relabel(4),
+    "unknown manifest version": _relabel(5),
     "v1 truncated shard": _v1_truncate_shard,
     "v1 manifest k differs": _edit_manifest(k=4),
     "v1 manifest field differs": _edit_manifest(field={"degree": 16,
@@ -456,15 +498,19 @@ def test_extract_checks_data_digest_before_writing(tmp_path, capsys, length):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_extract_reads_manifest_without_data_digest(tmp_path, version):
-    payload = random.Random(8).randbytes(400)
-    params_file, shard_dir = _encode(tmp_path, payload)
+    shard_dir = tmp_path / "shards"
+    if version == 4:
+        payload = random.Random(8).randbytes(400)
+        params_file, shard_dir = _encode(tmp_path, payload)
+    else:  # the v3 directory, as it is or rewritten
+        params_file, payload = _legacy(shard_dir)
+        if version < 3:
+            (_as_v1 if version == 1 else _as_v2)(shard_dir)
     path = shard_dir / "manifest.json"
     manifest = json.loads(path.read_text())
-    assert manifest["data_sha256"] == hashlib.sha256(payload).hexdigest()
-    if version < 3:
-        manifest = (_as_v1 if version == 1 else _as_v2)(shard_dir)
+    assert manifest["version"] == version
     manifest.pop("data_sha256", None)
     path.write_text(json.dumps(manifest))
     for nodes in ("1,2,3", "2,4,6", "4,5,6"):
@@ -502,12 +548,12 @@ def test_simulate_rejects_field_that_does_not_fill_whole_bytes(tmp_path, capsys)
     assert "degree 8 or 16" in _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_extract_refuses_field_that_does_not_fill_whole_bytes(tmp_path, capsys, version):
     # encode refuses such params, so the directory is made by hand: one block,
     # each shard zero bytes of the size its version reads.
     params_file = _gen(tmp_path, "--field-degree", "4")
-    shard_dir, size = tmp_path / "shards", 3 * 4 * 8 if version == 3 else 3
+    shard_dir, size = tmp_path / "shards", 3 * 4 * 8 if version >= 3 else 3
     shard_dir.mkdir()
     shards = {str(nid): f"node_{nid:02d}.shard" for nid in range(1, 7)}
     for name in shards.values():
@@ -550,32 +596,44 @@ def test_extract_never_returns_wrong_bytes(encoded_k3, tmp_path_factory, data):
     assert rc == 1 and not out.exists()
 
 
-@pytest.mark.parametrize("k, degree, length", [(3, 8, 1000), (4, 16, 3000)],
-                         ids=["k3-gf8", "k4-gf16"])
-def test_manifest_versions_extract_the_same_bytes(tmp_path, k, degree, length):
-    # Neither length fills whole 64-block words, so v3 shards are longer than v2 ones.
-    params_file = tmp_path / "params.json"
-    assert main(["gen-params", "--k", str(k), "--field-degree", str(degree), "--seed", "3",
-                 "--out", str(params_file)]) == 0
-    payload = random.Random(10).randbytes(length)
+@pytest.mark.parametrize("name", sorted(LEGACY))
+def test_manifest_versions_extract_the_same_bytes(tmp_path, name):
+    # v1-v3 from the v3 directory, v4 encoded now from its input and params.  Neither
+    # length fills whole 64-block words, so v3 and v4 shards are longer than v2 ones.
+    dirs = {v: tmp_path / f"v{v}" for v in (1, 2, 3, 4)}
+    _as_v1(dirs[1], name)
+    _as_v2(dirs[2], name)
+    params_file, payload = _legacy(dirs[3], name)
     src = tmp_path / "input.bin"
     src.write_bytes(payload)
-    dirs = {v: tmp_path / f"v{v}" for v in (1, 2, 3)}
     assert main(["encode", "--params", str(params_file), "--in", str(src),
-                 "--out-dir", str(dirs[3])]) == 0
-    for version, convert in ((2, _as_v2), (1, _as_v1)):
-        shutil.copytree(dirs[3], dirs[version])
-        convert(dirs[version])
+                 "--out-dir", str(dirs[4])]) == 0
     sizes = {v: (d / "node_01.shard").stat().st_size for v, d in dirs.items()}
-    assert sizes[1] == sizes[2] < sizes[3]
+    assert sizes[1] == sizes[2] < sizes[3] == sizes[4]
+    k = load(params_file).k
     systematic, parity = list(range(1, k + 1)), list(range(k + 1, 2 * k + 1))
-    for nodes in (systematic, systematic[1:] + parity[:1], parity):
+    for nodes in (systematic, [1, 2] + parity[:k - 2], systematic[1:] + parity[-1:], parity):
         outs = []
         for version, shard_dir in dirs.items():
             out = tmp_path / f"o{version}.bin"
             assert _extract(params_file, shard_dir, out, ",".join(map(str, nodes))) == 0
             outs.append(out.read_bytes())
-        assert outs == [payload] * 3, nodes
+        assert outs == [payload] * 4, nodes
+
+
+def test_v4_encode_and_extract_never_call_the_block_major_converters(tmp_path, monkeypatch):
+    calls, swap8 = [], cluster_mod._swap8
+
+    def spy(*args):
+        calls.append(args)
+        return swap8(*args)
+    monkeypatch.setattr(cluster_mod, "_swap8", spy)
+    params_file, shard_dir = _encode(tmp_path, random.Random(11).randbytes(5000))
+    for nodes in ("1,2,3", "1,2,4", "2,3,6", "4,5,6"):
+        assert _extract(params_file, shard_dir, tmp_path / "o.bin", nodes) == 0
+    assert calls == []
+    _legacy(shard_dir)  # the spy sees the v3 read path
+    assert _extract(params_file, shard_dir, tmp_path / "o.bin", "4,5,6") == 0 and calls
 
 
 def _unwritable_output(tmp_path):

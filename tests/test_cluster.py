@@ -62,18 +62,6 @@ def test_byte_planes_round_trip_across_chunk_edges(degree, row, chunks, monkeypa
     assert planes_to_bytes(planes, len(raw)) == raw
 
 
-def test_planes_to_bytes_reads_scrambled_sources_across_chunk_edges(monkeypatch):
-    # As below, in passes of 2 words: 3 passes, the last one short.
-    monkeypatch.setattr(cluster_mod, "_CHUNK_BYTES", 2 * 64 * 11)
-    raw = _data((5 * 64 - 3) * 11 - 4, seed=5)
-    planes = bytes_to_planes(raw, FieldSpec(8), 11)
-    cols = list(range(11))
-    random.Random(5).shuffle(cols)
-    sources = [(np.concatenate([planes[8 * c:8 * c + 8] for c in cols[4:]]),
-                dict(enumerate(cols[4:]))), (planes, {c: c for c in cols[:4]})]
-    assert planes_to_bytes(sources, len(raw)) == raw
-
-
 def test_bytes_to_planes_zero_pads_partial_blocks(gf256):
     planes = bytes_to_planes(b"\xff" * 5, gf256, 3)  # one full block, then 2 of 3 symbols
     assert from_planes(planes, 8, 3) == [[0xff, 0xff, 0], [0xff, 0xff, 0], [0xff, 0, 0]]
@@ -104,19 +92,19 @@ def test_kernel_through_the_byte_edge(degree):
         assert np.frombuffer(out, dtype=dtype).tolist() == [f.mul_int(c, int(v)) for v in column]
 
 
-# SHA-256 of all 2k shards in node order, pinned so that no change of the
+# SHA-256 of all 2k v4 shards in node order, pinned so that no change of the
 # in-memory layout can change the bytes a shard holds.
 PINNED_SHARDS = {
     ("k3-gf8", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("k3-gf8", 1): "bd05f29a790bd01280a20860351549e1e42e065aac8a7b98d2654fb5f5581899",
-    ("k3-gf8", 63): "62455eee4dd1e478dd88b13d2745a3a09d6023cdc49972614fd5f625de8a442b",
-    ("k3-gf8", 64): "723ac87a1330067d3f860e4785fb1d6c2ac085bdfde315c62b1f6d283128872d",
-    ("k3-gf8", 65): "604e648901d0db6219d005cb15d3cd66492e0aab4fce6b33ff415bc629e333b5",
+    ("k3-gf8", 1): "e4e66cb79a577eed48c252d5eda7cca7e02a39a274d9b3bc32d9f6dc5c0a006a",
+    ("k3-gf8", 63): "5ed1cc1761a8d94a5f6cd9baa3aa33ab2c4b0df1f36a23a0fa93213c32ba6a29",
+    ("k3-gf8", 64): "3950b80b7c47dac99e232d33f490c83d59d7cff9e5c1a5b8a7a6f1d4b93a381d",
+    ("k3-gf8", 65): "dcbcf2806a2a9c40aaa3c22d7d306bbbb74b5d46a5a2e2d4e32c91cb020b4e99",
     ("k4-gf16", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("k4-gf16", 1): "d021c60100732234dcbec5dc393a79c822cd428f7d5bef8b816fd3ac05b4f00d",
-    ("k4-gf16", 63): "2faab0c311345a5352db262edf4faee3eb1fa45570bb40fd2d1df57c924a15fe",
-    ("k4-gf16", 64): "c3447a296673bb4105875a302714a37975b1b93f87d82b77284c7d202a93d5c0",
-    ("k4-gf16", 65): "f669f0acea4031953cf95fb28aa7585c284a29fa509be4f9ade7286c2cc27fed",
+    ("k4-gf16", 1): "d776c0848b01d516ccdb69e57be7f826817f9788949de13d0e3691240f0dc610",
+    ("k4-gf16", 63): "bb06d015c0d4aea8fa4c04ceeba2740a60f52162246f27353582bbcf73b13d2e",
+    ("k4-gf16", 64): "a038aef6956c3b593c6f02ce1ff91d2229b227e911e06bbf435de16cabd86995",
+    ("k4-gf16", 65): "b350bd94074ce756c27c758f4ac6a1a91293dbc5ae8cfeb9d92e0c29ce7c3e0d",
 }
 
 
@@ -281,8 +269,10 @@ def test_production_mode_drops_oracle(params63):
     assert c.oracle is None
     c.fail({1, 6})
     c.run_repair(FailurePattern.classify({1, 6}, 3))
-    # Stored nodes own their memory: a view would pin a whole ingest or repair output.
-    assert all(d.base is None for d in c.node_data)
+    # Parity nodes own their memory: a view would pin a whole repair output.  Systematic
+    # nodes are slices of the ingest's one copy of the stream, repaired node 1 too.
+    assert all(d.base is None for d in c.node_data[3:])
+    assert all(d.base is c.stream for d in c.node_data[:3])
     assert c.extract({1, 2, 3}) == data
     assert c.extract({4, 5, 6}) == data
 
@@ -309,10 +299,12 @@ def test_ingest_encodes_all_parity_nodes_in_one_call(params63, params_k4_gf16, w
         c = Cluster.ingest(data, params)
         assert len(calls) == 1
         monkeypatch.undo()
-        x = bytes_to_planes(data, spec, params.block_size)
-        enc = encode_matrix(params).int_rows()
-        for j in range(k):  # equal to one apply per parity node
-            assert np.array_equal(c.node_data[k + j], spec.scale_array(enc[j::k], x))
+        x = np.concatenate(c.node_data[:k])  # coordinate j*k + l is X[l][j], node-major
+        enc = encode_matrix(params).int_rows()  # over vec(X), whose index l*k + j is X[l][j]
+        for j in range(k):  # equal to one apply per parity node: its rows, columns node-major
+            rows = [[enc[l * k + j][b * k + a] for a in range(k) for b in range(k)]
+                    for l in range(k)]
+            assert np.array_equal(c.node_data[k + j], spec.scale_array(rows, x))
 
 
 @pytest.mark.parametrize("failed", [{1}, {4}, {1, 2}, {4, 5, 6}, {1, 4}])
@@ -358,11 +350,10 @@ def _node_sets(k):
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
 @pytest.mark.parametrize("blocks", [0, 1, 63, 64, 65, "chunk"])
-def test_decode_every_node_set_class(params63, params_k4_gf16, wide, blocks, monkeypatch):
+def test_decode_every_node_set_class(params63, params_k4_gf16, wide, blocks):
     params = params_k4_gf16 if wide else params63
     row = params.block_size * params.field.symbol_bytes
-    if blocks == "chunk":  # 3 passes of 2 words of the converter, the last one short
-        monkeypatch.setattr(cluster_mod, "_CHUNK_BYTES", 2 * 64 * row)
+    if blocks == "chunk":  # 5 words a plane, the last one short
         blocks = 5 * 64 - 7
     data = _data(blocks * row - (blocks > 1), seed=blocks)
     c = Cluster.ingest(data, params)
@@ -391,20 +382,44 @@ def test_unit_decoder_rows_bypass_the_kernel(params63, params_k4_gf16, wide, mon
         assert len(calls) == 1 and calls[0][0] == [decoder[r] for r in missing]
 
 
-def test_planes_to_bytes_reads_scrambled_sources():
-    planes = bytes_to_planes(_data(70 * 11, seed=4), FieldSpec(8), 11)  # 11 byte columns
-    whole = planes_to_bytes(planes, 70 * 11 - 3)
-    cols = list(range(11))
-    random.Random(4).shuffle(cols)
+# 0, 1 and 9 bytes; one word in each of the k^2*m runs (8 k^2 m bytes, 64 blocks) -1, +0
+# and +1 byte; and 8 MiB + 5.
+LAYOUT_LENGTHS = {"0": 0, "1": 1, "9": 9, "word-1": -1, "word": 0, "word+1": 1,
+                  "8MiB+5": (8 << 20) + 5}
 
-    def part(columns):  # the planes of these output byte columns, in this order
-        return np.concatenate([planes[8 * c:8 * c + 8] for c in columns])
-    sources = [(part(cols[:3]), dict(enumerate(cols[:3]))), (part(cols[3:4]), {0: cols[3]}),
-               (part(cols[4:]), dict(enumerate(cols[4:])))]
-    assert planes_to_bytes(sources, 70 * 11 - 3) == whole
-    # A source may give only some of its columns, as a node gives the coordinates it holds.
-    sources = [(part(cols[5:]), dict(enumerate(cols[5:]))), (planes, {c: c for c in cols[:5]})]
-    assert planes_to_bytes(sources, 70 * 11 - 3) == whole
+
+@pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
+@pytest.mark.parametrize("length", sorted(LAYOUT_LENGTHS))
+def test_systematic_shards_are_the_padded_stream_and_every_class_extracts(
+        params63, params_k4_gf16, wide, length):
+    params = params_k4_gf16 if wide else params63
+    k, m = params.k, params.field.degree
+    n = LAYOUT_LENGTHS[length] + (8 * k * k * m if length.startswith("word") else 0)
+    data = _data(n, seed=n)
+    c = Cluster.ingest(data, params, keep_oracle=False)
+    assert c.nblocks == -(-n // (params.block_size * params.field.symbol_bytes))
+    stream = b"".join(c.node_symbols_bytes(nid) for nid in range(1, k + 1))
+    assert len(stream) == 8 * k * k * m * -(-c.nblocks // 64)
+    assert stream == data.ljust(len(stream), b"\0")
+    for ids in _node_sets(k):
+        out = c.extract(ids)
+        assert isinstance(out, bytearray) and out == data, ids
+
+
+def test_ingest_and_decode_never_call_the_block_major_converters(params63, params_k4_gf16,
+                                                                 monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block-major converter ran")
+    for name in ("_swap8", "_passes", "bytes_to_planes", "planes_to_bytes"):
+        monkeypatch.setattr(cluster_mod, name, refuse)
+    for params in (params63, params_k4_gf16):
+        data = _data(70 * params.block_size * params.field.symbol_bytes - 3, seed=params.k)
+        c = Cluster.ingest(data, params)
+        for ids in _node_sets(params.k):
+            assert c.extract(ids) == data
+        c.fail({1, params.n})
+        c.run_repair(FailurePattern.classify({1, params.n}, params.k))
+        assert c.node_symbols_bytes(1) == c.oracle[0].astype("<u8").tobytes()
 
 
 def _peak(f, *args, **kwargs):
@@ -417,37 +432,50 @@ def _peak(f, *args, **kwargs):
         tracemalloc.stop()
 
 
-def _decode_peak(cluster, ids):
+def _decode_peak(cluster, ids, **kwargs):
     arrays = {nid: cluster.node_data[nid - 1] for nid in ids}
-    return _peak(decode_nodes, arrays, cluster.params, cluster.original_length)
+    return _peak(decode_nodes, arrays, cluster.params, cluster.original_length, **kwargs)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
 def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wide):
     # Deterministic and untimed: the tracemalloc peak of one decode of an S-byte
-    # stream.  The converter's fixed chunk buffers are its block and its scratch.
+    # stream, for every node-set class.  A set with f of its k nodes parity holds the
+    # kernel's input (S, concatenated) and its output (f*S), then that output and the
+    # buffer it returns (S), never all three: (1 + f)*S plus the kernel's XOR table.
+    # Up to _GATHER_WORDS words (k=4 GF(2^16) here) the kernel also gathers the planes
+    # one output plane picks, at most S; the whole stays within the 2S bound of the
+    # block-major layout.  The v1-v3 order also holds the block-major bytes (S) and the
+    # converter's chunk buffers (the bytes are not checked: these arrays are v4).
     params = params_k4_gf16 if wide else params63
     data = _data(5 << 19, seed=5)
     size, buffers = len(data), 2 * cluster_mod._CHUNK_BYTES + (64 << 10)
     c = Cluster.ingest(data, params, keep_oracle=False)
     k = params.k
-    out, peak = _decode_peak(c, range(1, k + 1))
-    assert out == data and peak <= size + buffers
-    out, peak = _decode_peak(c, range(k + 1, 2 * k + 1))
-    assert out == data and peak <= 2 * size + buffers
+    gathered = size if -(-c.nblocks // 64) <= _GATHER_WORDS else 0
+    assert gathered == (size if wide else 0)
+    for ids in _node_sets(k):
+        f = sum(nid > k for nid in ids) / k
+        out, peak = _decode_peak(c, ids)
+        extra = min(size, f * size + (gathered if f else 0))
+        assert out == data and peak <= size + extra + buffers, ids
+        _, peak = _decode_peak(c, ids, node_major=False)
+        assert peak <= 2 * size + buffers, ids
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
 def test_put_holds_no_full_size_temporary(params63, params_k4_gf16, wide):
-    # As for the decode: the converter holds its output planes and at most two chunk
-    # buffers (its slab and its half-size scratch).  Ingest holds vec(X)'s planes, the
-    # 2k node arrays and at most two chunk buffers more, the kernel's included.
+    # Ingest holds the 2k node arrays, 2S for an S-byte stream (the systematic ones are
+    # slices of its one copy of the stream), and at most the kernel's buffers more: its
+    # XOR table or gathered planes, 0.6-0.9 MiB here.
+    # The legacy converter holds its output planes and at most two chunk buffers (its
+    # slab and its half-size scratch).
     params = params_k4_gf16 if wide else params63
     data, buffers = _data(5 << 19, seed=6), 2 * cluster_mod._CHUNK_BYTES + (64 << 10)
     planes, peak = _peak(bytes_to_planes, data, params.field, params.block_size)
     assert peak <= planes.nbytes + buffers
     c, peak = _peak(Cluster.ingest, data, params, keep_oracle=False)
-    assert peak <= planes.nbytes + sum(d.nbytes for d in c.node_data) + buffers
+    assert peak <= sum(d.nbytes for d in c.node_data) + buffers
 
 
 def test_wide_symbol_field_end_to_end():

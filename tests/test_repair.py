@@ -447,8 +447,9 @@ def test_mixed_pair_with_product_one_raises_nonsingularity_failure(gf256):
     with pytest.raises(ValueError, match=rf"invalid params: product_one at \({a}, {b}\)"):
         Cluster.ingest(random.Random(4).randbytes(90), bad)
     # A cluster made by hand under these params still refuses the repair and writes nothing.
-    nodes = [np.zeros((3 * 8, 1), dtype=np.uint64) for _ in range(6)]
-    cluster = Cluster(bad, nodes, 10, 90, None).fail(pattern.failed)
+    parity = [np.zeros((3 * 8, 1), dtype=np.uint64) for _ in range(3)]
+    cluster = Cluster(bad, np.zeros((9 * 8, 1), dtype=np.uint64), parity, 10, 90, None)
+    cluster.fail(pattern.failed)
     with pytest.raises(NonsingularityFailure):
         cluster.run_repair(pattern)
     assert cluster.failed == pattern.failed  # no newcomer was written
@@ -485,7 +486,7 @@ def test_optimal_bandwidth_group_identity():
 
 
 def test_optimal_bandwidth_invalid_regime():
-    with pytest.raises(InvalidRegime):
+    with pytest.raises(InvalidRegime, match=r"^bound undefined for d \+ r = 3 <= k = 3$"):
         optimal_bandwidth(9, 3, 2, 1)
     with pytest.raises(ValueError):
         optimal_bandwidth(9, 3, 0, 2)
