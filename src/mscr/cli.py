@@ -146,11 +146,9 @@ def cmd_encode(args, parser) -> int:
 
 
 def _read_shards(in_dir: Path, nodes: list[int], code_params):
-    """Read the shards of `nodes` and check them against the manifest.
-
-    Returns the node arrays, the original length, the manifest's
-    data_sha256 (None when the manifest has none) and its version.
-    """
+    """Check the manifest; return fill(nid, out), which checks node nid's shard and writes
+    its planes into `out` (v4: reads it in), the original length, the manifest's
+    data_sha256 (None when the manifest has none) and its version."""
     path, doc = in_dir / MANIFEST_NAME, params_mod.to_document(code_params)
     fingerprint = _params_sha256(doc)
     try:
@@ -176,16 +174,19 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
     if length < 0 or nblocks != -(-length // (code_params.block_size * spec.symbol_bytes)):
         raise ValueError(f"{path}: original_length {length} does not fit block_count {nblocks}")
     size = rows * -(-nblocks // 64) * 8 if version >= 3 else nblocks * k * spec.symbol_bytes
-    arrays = {}
-    for nid, (shard, digest) in files.items():
-        raw = shard.read_bytes()
-        if len(raw) != size:
-            raise ValueError(f"shard {shard} (node {nid}) has {len(raw)} bytes, not {size}")
+
+    def fill(nid, out):
+        shard, digest = files[nid]
+        with open(shard, "rb") as fh:
+            got, raw = os.fstat(fh.fileno()).st_size, out if version == 4 else bytearray(size)
+            if got != size or fh.readinto(raw) != size:  # v4: no copy besides the stream's
+                raise ValueError(f"shard {shard} (node {nid}) has {got} bytes, not {size}")
         if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
             raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
-        arrays[nid] = (np.frombuffer(raw, "<u8").reshape(rows, -1) if version >= 3
-                       else cluster_mod.bytes_to_planes(raw, spec, k))
-    return arrays, length, data_digest, version
+        if version < 4:
+            out[...] = (np.frombuffer(raw, "<u8") if version == 3
+                        else cluster_mod.bytes_to_planes(raw, spec, k)).reshape(out.shape)
+    return fill, length, data_digest, version
 
 
 def cmd_extract(args, parser) -> int:
@@ -196,8 +197,8 @@ def cmd_extract(args, parser) -> int:
         parser.error(f"--nodes must name exactly k={code_params.k} distinct shards")
     if any(not 1 <= nid <= code_params.n for nid in nodes):
         parser.error(f"--nodes must be within 1..{code_params.n}")
-    arrays, length, data_digest, version = _read_shards(Path(args.in_dir), nodes, code_params)
-    data = cluster_mod.decode_nodes(arrays, code_params, length, node_major=version == 4)
+    fill, length, data_digest, version = _read_shards(Path(args.in_dir), nodes, code_params)
+    data = cluster_mod.decode_nodes(nodes, fill, code_params, length, node_major=version == 4)
     if data_digest is not None and hashlib.sha256(data).hexdigest() != data_digest:
         raise ValueError(f"extracted bytes do not match data_sha256 in "
                          f"{Path(args.in_dir) / MANIFEST_NAME}")

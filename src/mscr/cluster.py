@@ -5,15 +5,15 @@ each encoded independently.  Node j keeps its share bit-sliced: a (k*m, words)
 uint64 array whose plane l*m + b holds bit b of coordinate l, block 64q + t at
 bit t of word q.  The zero-padded stream is the systematic nodes' planes in
 order, as little-endian words: ingest slices them from one copy of it, a decode
-copies them into the bytes it returns, and a v4 shard is a node's words.
+reads the nodes into the bytes it returns, and a v4 shard is a node's words.
 `bytes_to_planes` and `planes_to_bytes` convert the block-major bytes of v1-v3
 (block p is bytes p*B*w onwards) for the CLI's reading of such directories.
 
-Every operation is a fixed linear map applied to every block by the one
-kernel, :meth:`FieldSpec.scale_array`: the encode matrix, the decoder rows
-of the columns a node set misses (`codec.collection_matrix`), and the repair
-probes and map (`repair.linear_map`, one run of the protocol).  Results are
-bit-identical to the per-block functions.
+Every operation is a fixed linear map, planned once (:meth:`FieldSpec.plan`) and
+applied by the one kernel, :meth:`FieldSpec.scale_array`, to one word window of at
+most _WINDOW_WORDS words at a time: the encode matrix, the decoder rows of the
+columns a node set misses (`codec.collection_matrix`), and the repair probes and
+map (`repair.linear_map`).  Results are bit-identical to the per-block functions.
 
 The oracle (a copy of the original node contents) exists for verification
 only; repair logic never sees it, and a production-mode cluster drops it.
@@ -132,32 +132,47 @@ def planes_to_bytes(planes: np.ndarray, nbytes: int) -> bytearray:
     return buf
 
 
-def decode_nodes(arrays: dict[int, np.ndarray], params: CodeParams,
-                 original_length: int, node_major: bool = True) -> bytearray:
-    """Rebuild the byte stream (a bytes-like bytearray) from exactly k (k*m, words) node arrays.
+_WINDOW_WORDS = 8192  # most words a kernel call covers: the best of 2304-16384 in a sweep
 
-    One kernel call solves the missing coordinates (`codec.collection_matrix`); after its
-    input is freed, they and the systematic nodes' planes are copied into the stream, or for
-    v1-v3 into vec(X)-ordered planes for `planes_to_bytes`.  Any k arrays decode without
-    error, so corrupt inputs decode to wrong bytes: callers check outside bytes first.
+
+def _windows(words: int) -> list[slice]:
+    """ceil(words / _WINDOW_WORDS) word windows of one width, the last one shorter (no words:
+    one empty window)."""
+    step = -(-words // max(1, -(-words // _WINDOW_WORDS))) or 1
+    return [slice(q, min(q + step, words)) for q in range(0, max(words, 1), step)]
+
+
+def decode_nodes(ids, fill, params: CodeParams, original_length: int,
+                 node_major: bool = True) -> bytearray:
+    """Rebuild the byte stream (a bytes-like bytearray) from exactly k nodes `ids`.
+
+    fill(nid, out) writes node nid's planes into `out`, a (k, m, words) slot of the stream (for
+    v1-v3, of vec(X)-ordered planes for `planes_to_bytes`): a systematic node's own, a parity
+    node's a missing one's.  Per word window, one kernel call reads the slots in place and its
+    missing coordinates (`codec.collection_matrix`) are copied over the parity planes.  Any k
+    nodes decode without error: callers check outside bytes first.
     """
-    ids = tuple(sorted(arrays))
+    ids = tuple(sorted(ids))
     if len(ids) != params.k:
         raise NotEnoughLiveNodes(f"need exactly k={params.k} nodes, got {len(ids)}")
-    k, m, words = params.k, params.field.degree, arrays[ids[0]].shape[1]
+    k, m, spec = params.k, params.field.degree, params.field
+    words = -(-original_length // (64 * params.block_size * spec.symbol_bytes))
     missing, rows = codec.collection_matrix(ids, params)
-    solved = rows and params.field.scale_array(rows, np.concatenate([arrays[nid] for nid in ids]))
     buf = bytearray(8 * k * k * m * words)
-    planes = np.frombuffer(buf, "<u8").reshape(k, k, m, words)
-    coord = planes if node_major else planes.swapaxes(0, 1)  # [j, l]: X[l][j], node j+1's l
-    for j in [nid - 1 for nid in ids if nid <= k]:  # systematic node j+1 holds column j of X
-        coord[j] = arrays[j + 1].reshape(k, m, words)
-    for i, t in enumerate(missing):  # vec(X) index t is X[t // k][t % k]
-        coord[t % k, t // k] = solved[i * m:(i + 1) * m]
-    del solved  # before a v1-v3 conversion allocates the bytes
+    flat = np.frombuffer(buf, "<u8").reshape(k * k * m, words)  # stream or vec(X) order
+    coord = flat.reshape(k, k, m, words).swapaxes(0, 1 - node_major)  # [j, l]: X[l][j]
+    slots = [j for j in range(k) if j + 1 in ids] + [j for j in range(k) if j + 1 not in ids]
+    for nid, j in zip(ids, slots):  # ids in order: the systematic ones, then the parity ones
+        fill(nid, coord[j])
+    if rows:  # columns in buffer order: the set's coordinate p*k + l is at[slots[p], l]
+        at = np.arange(k * k).reshape(k, k).swapaxes(0, 1 - node_major)  # row blocks, as coord
+        plan = spec.plan(np.array(rows)[:, np.argsort(at[slots].ravel())])
+        js, ls = [t % k for t in missing], [t // k for t in missing]  # t is X[t // k][t % k]
+        for w in _windows(words):  # a window's rows, fresh, then over the parity planes
+            coord[js, ls, :, w] = spec.scale_array(plan, flat[:, w]).reshape(len(rows), m, -1)
     if not node_major:
-        return planes_to_bytes(planes.reshape(k * k * m, words), original_length)
-    del planes, coord, buf[original_length:]  # trimmed in place: the tail is the pad blocks
+        return planes_to_bytes(flat, original_length)
+    del flat, coord, buf[original_length:]  # trimmed in place: the tail is the pad blocks
     return buf
 
 
@@ -194,8 +209,9 @@ class Cluster:
         # vec(Y) = E vec(X); E[r*k + c][b*k + a] maps X[b][a] to Y[r][c], coordinate r of
         # node k+c+1 from coordinate b of node a+1: rows and columns taken node-major.
         enc = np.array(codec.encode_matrix(params).int_rows(), dtype=np.uint32)
-        spec.scale_array(enc.reshape((k,) * 4).transpose(1, 0, 3, 2).reshape(k * k, k * k),
-                         stream, out=[p for d in parity for p in d])
+        plan = spec.plan(enc.reshape((k,) * 4).transpose(1, 0, 3, 2).reshape(k * k, k * k))
+        for w in _windows(words):
+            spec.scale_array(plan, stream[:, w], out=[p[w] for d in parity for p in d])
         oracle = [*np.split(stream.copy(), k), *map(np.copy, parity)] if keep_oracle else None
         return cls(params, stream, parity, nblocks, len(data), oracle)
 
@@ -225,8 +241,8 @@ class Cluster:
         for nid in ids:
             if not 1 <= nid <= self.params.n or self.node_data[nid - 1] is None:
                 raise NotEnoughLiveNodes(f"node {nid} is not live")
-        return decode_nodes({nid: self.node_data[nid - 1] for nid in ids}, self.params,
-                            self.original_length)
+        return decode_nodes(ids, lambda nid, out: np.copyto(
+            out, self.node_data[nid - 1].reshape(out.shape)), self.params, self.original_length)
 
     def fail(self, nodes) -> "Cluster":
         """Erase the given live nodes' contents; the oracle is untouched."""
@@ -248,10 +264,10 @@ class Cluster:
     def run_repair(self, pattern: repair.FailurePattern):
         """Run the two-phase protocol across all blocks; verify against the oracle.
 
-        Returns (self, per-block BandwidthReport).  Phase 1 is one kernel call
-        per helper: its newcomers' probes applied to its planes.  Phase 2 is
-        one call for all newcomers: `repair.linear_map`, one run of the
-        protocol on coefficient rows, applied to the phase-1 planes of all edges.
+        Returns (self, per-block BandwidthReport).  Per word window, phase 1 is
+        one kernel call per helper (its newcomers' probes on its planes) into a
+        window's buffer, and phase 2 one call for all newcomers from it:
+        `repair.linear_map`, one run of the protocol on coefficient rows.
         """
         if pattern.failed != self.failed:
             raise ValueError(
@@ -262,14 +278,18 @@ class Cluster:
         # no holes and does not trim the heap; a systematic newcomer's are its stream rows.
         repaired = [np.empty((k * m, words), dtype=np.uint64) if nc > k
                     else self.stream[(nc - 1) * k * m:nc * k * m] for nc in plan.newcomers]
-        phase1 = np.empty((r, d, m, words), dtype=np.uint64)  # the edges run newcomer-major
-        probes = [[e.value for e in repair.probe_vector(self.params, nc)] for nc in plan.newcomers]
-        for i, helper in enumerate(plan.helpers):
-            spec.scale_array(probes, self.node_data[helper - 1],
-                             out=[p for edge in phase1[:, i] for p in edge])
+        windows = _windows(words)
+        phase1 = np.empty((r, d, m, windows[0].stop), dtype=np.uint64)  # newcomer-major edges
+        probes = spec.plan([[e.value for e in repair.probe_vector(self.params, nc)]
+                            for nc in plan.newcomers])
         rows, report = repair.linear_map(plan, self.params)
-        spec.scale_array(rows, phase1.reshape(r * d * m, words),
-                         out=[p for a in repaired for p in a])
+        mix, dst = spec.plan(rows), [p for a in repaired for p in a]
+        for w in windows:
+            edges = phase1[..., :w.stop - w.start]
+            for i, helper in enumerate(plan.helpers):
+                spec.scale_array(probes, self.node_data[helper - 1][:, w],
+                                 out=[p for edge in edges[:, i] for p in edge])
+            spec.scale_array(mix, edges.reshape(r * d * m, -1), out=[p[w] for p in dst])
         for nc, a in zip(plan.newcomers, repaired):
             self.node_data[nc - 1] = a
 

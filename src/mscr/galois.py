@@ -7,10 +7,10 @@ Multiplication, division and inversion go through log/antilog tables built
 once per field from a primitive element, so the per-symbol cost is two or three
 table lookups.  Tables are cached per (degree, polynomial) pair.
 
-The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of
-constants to bit-sliced symbols as XORs of whole bit planes: the bitmatrix
-form of Blomer et al. (1995) and Plank and Xu (2006).  Up to _GATHER_WORDS
-words it gathers an output plane's inputs and reduces them in one call;
+The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of constants,
+compiled once by :meth:`FieldSpec.plan`, to bit-sliced symbols as XORs of whole bit
+planes: the bitmatrix form of Blomer et al. (1995) and Plank and Xu (2006).  Up to
+_GATHER_WORDS words it gathers an output plane's inputs and reduces them in one call;
 wider, it tables the XOR combinations that rows pick from each group of 4
 input planes (Four Russians) and XORs one entry per group into each output.
 """
@@ -18,6 +18,7 @@ input planes (Four Russians) and XORs one entry per group into each output.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "FieldElement",
     "FieldMismatch",
     "FieldSpec",
+    "KernelPlan",
 ]
 
 
@@ -216,17 +218,9 @@ class FieldSpec:
 
     # -- vectorized helpers ----------------------------------------------------
 
-    def scale_array(self, rows, planes: np.ndarray, *, out=None) -> np.ndarray:
-        """Apply an r x s matrix of constants to bit-sliced symbols: the one bulk kernel.
-
-        `planes` is (s*m, words) uint64: row j*m + b holds bit b of coordinate
-        j, one bit per block.  Returns the r*m planes of xor_j rows[i][j] * x_j,
-        fresh or written to `out`.  Entry (i*m + a, j*m + b) of the bitmatrix is
-        bit a of rows[i][j] * x^b; an output plane XORs the input planes its row
-        picks.  Up to _GATHER_WORDS words, one reduce over a gathered copy;
-        wider, per group of 4 input planes the XOR combinations some row picks
-        are built once, one XOR each, and each row XORs in one per group.
-        """
+    def plan(self, rows) -> "KernelPlan":
+        """Compile an r x s matrix of constants once, for all its :meth:`scale_array` calls:
+        entry (i*m + a, j*m + b) of its bitmatrix is bit a of rows[i][j] * x^b."""
         m, c = self.degree, np.array(rows, dtype=np.uint32)
         r, s = c.shape
         bits = np.empty((r, m, s, m), dtype=bool)  # [i, a, j, b]: bit a of rows[i][j] * x^b
@@ -234,32 +228,56 @@ class FieldSpec:
         for b in range(m):  # c = rows * x^b, one shift-and-reduce step at a time
             bits[..., b] = (c[:, None] >> shifts) & 1
             c = (c << 1) ^ (c >> (m - 1)) * np.uint32(self.reduction_poly)
-        bits = bits.reshape(r * m, s * m)
-        if planes.shape[0] != s * m:
-            raise ValueError(f"{planes.shape[0]} planes do not fit a {r * m}x{s * m} bitmatrix")
-        out = np.empty((r * m, planes.shape[1]), dtype=np.uint64) if out is None else out
-        counts, first = bits.sum(1).tolist(), bits.argmax(1).tolist()
-        if planes.shape[1] <= _GATHER_WORDS:
-            for plane, pick, n, j in zip(out, bits, counts, first):
+        return KernelPlan(bits.reshape(r * m, s * m))
+
+    def scale_array(self, plan: "KernelPlan", planes: np.ndarray, *, out=None) -> np.ndarray:
+        """Apply a planned r x s matrix of constants to bit-sliced symbols: the one bulk kernel.
+
+        `planes` is (s*m, words) uint64: row j*m + b holds bit b of coordinate
+        j, one bit per block.  Returns the r*m planes of xor_j rows[i][j] * x_j,
+        fresh or written to `out`: each XORs the input planes its bitmatrix row
+        picks.  Up to _GATHER_WORDS words, one reduce over a gathered copy;
+        wider, per group of 4 input planes the XOR combinations some row picks
+        are built once, one XOR each, and each row XORs in one per group.
+        """
+        (r, s), words = plan.bits.shape, planes.shape[1]
+        if planes.shape[0] != s:
+            raise ValueError(f"{planes.shape[0]} planes do not fit a {r}x{s} bitmatrix")
+        out = np.empty((r, words), dtype=np.uint64) if out is None else out
+        if words <= _GATHER_WORDS:
+            for plane, pick, n, j in zip(out, plan.bits, plan.counts, plan.first):
                 if n == 1:
                     plane[:] = planes[j]
                 else:  # zeros if nothing is picked
                     np.bitwise_xor.reduce(planes[pick], axis=0, out=plane)
             return out
-        codes = np.concatenate([bits, np.zeros((r * m, -s * m % 4), bool)], 1).reshape(r * m, -1, 4)
-        codes = (codes << np.arange(4, dtype=np.uint8)).sum(2, dtype=np.uint8)
-        dst, table = list(out), np.empty((16, planes.shape[1]), dtype=np.uint64)
-        for g, col in enumerate(codes.T.tolist()):
+        dst, table, first = list(out), np.empty((16, words), dtype=np.uint64), plan.first
+        for g, (build, col) in enumerate(plan.groups):
             entry = dict(zip((1, 2, 4, 8), planes[4 * g:4 * g + 4]))
-            for v in sorted({v >> t << t for v in set(col) for t in range(4)}):  # with prefixes
-                if v & (v - 1):  # one XOR from a smaller entry and one plane
-                    entry[v] = np.bitwise_xor(entry[v & (v - 1)], entry[v & -v], out=table[v])
+            for v in build:  # one XOR from a smaller entry and one plane
+                entry[v] = np.bitwise_xor(entry[v & (v - 1)], entry[v & -v], out=table[v])
             for i, v in enumerate(col):
                 if first[i] // 4 == g:  # the first touch: a copy, or zeros if nothing is picked
                     dst[i][:] = entry[v] if v else 0
                 elif v:
                     np.bitwise_xor(dst[i], entry[v], out=dst[i])
         return out
+
+
+class KernelPlan:
+    """A bitmatrix, how many input planes each row picks and the first; and per group of 4
+    input planes, the table entries to build (with prefixes) and each row's code."""
+
+    def __init__(self, bits: np.ndarray):
+        self.bits, self.counts, self.first = bits, bits.sum(1).tolist(), bits.argmax(1).tolist()
+
+    @cached_property
+    def groups(self):  # built on a plan's first call wider than _GATHER_WORDS
+        r, s = self.bits.shape
+        codes = np.concatenate([self.bits, np.zeros((r, -s % 4), bool)], 1).reshape(r, -1, 4)
+        codes = (codes << np.arange(4, dtype=np.uint8)).sum(2, dtype=np.uint8)
+        return [(sorted(u for u in {v >> t << t for v in set(col) for t in range(4)} if u & u - 1),
+                 col) for col in codes.T.tolist()]
 
 
 class FieldElement:

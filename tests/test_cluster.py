@@ -77,7 +77,7 @@ def test_kernel_through_the_byte_edge(degree):
     rng = random.Random(degree)
     grid = np.array([[rng.randrange(f.order) for _ in range(7)] for _ in range(70)], dtype=dtype)
     rows = [[rng.randrange(f.order) for _ in range(7)] for _ in range(3)]
-    out = planes_to_bytes(f.scale_array(rows, bytes_to_planes(grid.tobytes(), f, 7)),
+    out = planes_to_bytes(f.scale_array(f.plan(rows), bytes_to_planes(grid.tobytes(), f, 7)),
                           70 * 3 * f.symbol_bytes)
     expected = [[0] * 3 for _ in range(70)]
     for t, block in enumerate(grid):
@@ -87,8 +87,8 @@ def test_kernel_through_the_byte_edge(degree):
     assert np.frombuffer(out, dtype=dtype).reshape(70, 3).tolist() == expected
     c = rng.randrange(2, f.order)
     for column in (grid.reshape(-1)[::2], grid[:, 3]):
-        out = planes_to_bytes(f.scale_array([[c]], bytes_to_planes(column.tobytes(), f, 1)),
-                              column.nbytes)
+        planes = bytes_to_planes(column.tobytes(), f, 1)
+        out = planes_to_bytes(f.scale_array(f.plan([[c]]), planes), column.nbytes)
         assert np.frombuffer(out, dtype=dtype).tolist() == [f.mul_int(c, int(v)) for v in column]
 
 
@@ -278,15 +278,22 @@ def test_production_mode_drops_oracle(params63):
 
 
 def _kernel_calls(monkeypatch):
-    """Record (rows, input planes, output planes) of every kernel call."""
-    calls, kernel = [], FieldSpec.scale_array
+    """Record the rows of every plan built, and (its plan's rows, the address of its input
+    planes, its output planes) of every kernel call."""
+    plans, calls, compile_, kernel = {}, [], FieldSpec.plan, FieldSpec.scale_array
 
-    def spy(self, rows, planes, **kw):
-        out = kernel(self, rows, planes, **kw)
-        calls.append(([list(r) for r in rows], planes, np.array(list(out))))
+    def plan(self, rows):
+        compiled = compile_(self, rows)
+        plans[compiled] = np.asarray(rows).tolist()
+        return compiled
+
+    def spy(self, compiled, planes, **kw):
+        out = kernel(self, compiled, planes, **kw)
+        calls.append((plans[compiled], planes.ctypes.data, np.array(list(out))))
         return out
+    monkeypatch.setattr(FieldSpec, "plan", plan)
     monkeypatch.setattr(FieldSpec, "scale_array", spy)
-    return calls
+    return plans, calls
 
 
 @pytest.mark.parametrize("words", [2, _GATHER_WORDS + 1])
@@ -295,16 +302,16 @@ def test_ingest_encodes_all_parity_nodes_in_one_call(params63, params_k4_gf16, w
     for params in (params63, params_k4_gf16):
         k, spec = params.k, params.field
         data = _data(64 * words * params.block_size * spec.symbol_bytes - 5, seed=words)
-        calls = _kernel_calls(monkeypatch)
+        plans, calls = _kernel_calls(monkeypatch)
         c = Cluster.ingest(data, params)
-        assert len(calls) == 1
+        assert len(plans) == len(calls) == 1
         monkeypatch.undo()
         x = np.concatenate(c.node_data[:k])  # coordinate j*k + l is X[l][j], node-major
         enc = encode_matrix(params).int_rows()  # over vec(X), whose index l*k + j is X[l][j]
         for j in range(k):  # equal to one apply per parity node: its rows, columns node-major
             rows = [[enc[l * k + j][b * k + a] for a in range(k) for b in range(k)]
                     for l in range(k)]
-            assert np.array_equal(c.node_data[k + j], spec.scale_array(rows, x))
+            assert np.array_equal(c.node_data[k + j], spec.scale_array(spec.plan(rows), x))
 
 
 @pytest.mark.parametrize("failed", [{1}, {4}, {1, 2}, {4, 5, 6}, {1, 4}])
@@ -313,18 +320,20 @@ def test_phase1_is_one_call_per_helper(params63, failed, words, monkeypatch):
     m = params63.field.degree
     c = Cluster.ingest(_data(64 * words * params63.block_size - 7, seed=words), params63)
     c.fail(failed)
-    helpers = {id(d): nid for nid, d in enumerate(c.node_data, 1) if d is not None}
-    calls = _kernel_calls(monkeypatch)
+    live = {nid: d for nid, d in enumerate(c.node_data, 1) if d is not None}
+    plans, calls = _kernel_calls(monkeypatch)
     c.run_repair(FailurePattern.classify(failed, 3))  # checked against the oracle
     monkeypatch.undo()
-    phase1 = [(helpers[id(p)], rows, out) for rows, p, out in calls if id(p) in helpers]
+    phase1 = [(nid, rows, out) for rows, p, out in calls
+              for nid, d in live.items() if p == d.ctypes.data]
     plan = plan_repair(FailurePattern.classify(failed, 3), params63)
     assert [h for h, _, _ in phase1] == list(plan.helpers)
     assert len(calls) == len(phase1) + 1  # and one phase-2 call for all newcomers
+    assert len(plans) == 2  # the probes, shared by every helper, and the phase-2 map
     for helper, rows, out in phase1:
         assert rows == [[e.value for e in probe_vector(params63, nc)] for nc in plan.newcomers]
         for t, probe in enumerate(rows):  # equal to one apply per edge
-            edge = params63.field.scale_array([probe], c.oracle[helper - 1])
+            edge = params63.field.scale_array(params63.field.plan([probe]), c.oracle[helper - 1])
             assert np.array_equal(out[t * m:(t + 1) * m], edge)
 
 
@@ -340,6 +349,86 @@ def test_stream_wider_than_the_kernel_switch(params63):
         c.fail(failed)
         c.run_repair(FailurePattern.classify(failed, 3))  # checked against the oracle
     assert c.extract({4, 5, 6}) == data
+
+
+# (_WINDOW_WORDS, words a plane): 1, 2 and 3 windows, a short last window, one window and one
+# word more, and no words.  The last case's windows are wider than _GATHER_WORDS, so its
+# kernel calls take the XOR-table path (k=3 only: at k=4 GF(2^16) it would be 17 MiB a copy).
+WINDOW_CASES = {"1-window": (4, 4, [4]), "2-windows": (4, 8, [4, 4]),
+                "3-windows-short-last": (4, 11, [4, 4, 3]), "window+1-word": (4, 5, [3, 2]),
+                "length-0": (4, 0, [0]), "3-table-windows": (4096, 8194, [2732, 2732, 2730])}
+
+
+def _window_cases():
+    for name, case in WINDOW_CASES.items():
+        yield pytest.param(False, *case, id=f"k3-gf8-{name}")
+        if case[0] <= _GATHER_WORDS:
+            yield pytest.param(True, *case, id=f"k4-gf16-{name}")
+
+
+def _failure_patterns(k):
+    """One failure pattern of each kind and size: single, group and mixed pair."""
+    n = 2 * k
+    return [{1}, {n}, {1, 2}, {k + 1, k + 2}, set(range(k + 1, n + 1)), {2, n}]
+
+
+@pytest.mark.parametrize("wide, window, words, widths", list(_window_cases()))
+def test_windows_decode_every_class_and_repair_every_kind(params63, params_k4_gf16, wide,
+                                                          window, words, widths, monkeypatch):
+    # Every node-set class decodes and every pattern kind repairs equal to the oracle, and at
+    # each window's first and last block equal to the scalar protocol.
+    monkeypatch.setattr(cluster_mod, "_WINDOW_WORDS", window)
+    windows = cluster_mod._windows(words)
+    assert [w.stop - w.start for w in windows] == widths
+    params = params_k4_gf16 if wide else params63
+    k, row = params.k, params.block_size * params.field.symbol_bytes
+    blocks = max(0, 64 * words - 59)  # the last word holds 5 blocks
+    data = _data(max(0, blocks * row - 3), seed=words)
+    c = Cluster.ingest(data, params)  # keeps the oracle, which run_repair checks against
+    assert c.nblocks == blocks and c.stream.shape[1] == words
+    for ids in _node_sets(k):
+        assert c.extract(ids) == data, ids
+    edges = sorted({b for w in windows for b in (64 * w.start, min(64 * w.stop, blocks) - 1)
+                    if 0 <= b < blocks})
+    for failed in _failure_patterns(k):
+        before = {bk: {nid: block_content(c, nid, bk) for nid in range(1, params.n + 1)}
+                  for bk in edges}
+        c.fail(failed)
+        pattern = FailurePattern.classify(failed, k)
+        c.run_repair(pattern)
+        plan = plan_repair(pattern, params)
+        for bk, by_id in before.items():
+            msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params)
+            for ct in apply_repair(plan, msgs, params)[0]:
+                assert block_content(c, ct.node_id, bk).vector == ct.vector
+    assert c.extract(range(k + 1, params.n + 1)) == data
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
+def test_each_operation_builds_each_plan_once_and_calls_the_kernel_once_a_window(
+        params63, params_k4_gf16, wide, monkeypatch):
+    monkeypatch.setattr(cluster_mod, "_WINDOW_WORDS", 4)
+    params = params_k4_gf16 if wide else params63
+    k, windows = params.k, 3  # 11 words a plane: windows of 4, 4 and 3 words
+    data = _data((64 * 10 + 7) * params.block_size * params.field.symbol_bytes, seed=k)
+    plans, calls = _kernel_calls(monkeypatch)
+    c = Cluster.ingest(data, params, keep_oracle=False)
+    assert len(plans) == 1 and len(calls) == windows
+    for ids in _node_sets(k):
+        plans.clear()
+        calls.clear()
+        assert c.extract(ids) == data
+        solves = ids != tuple(range(1, k + 1))  # a systematic-only set solves nothing
+        assert (len(plans), len(calls)) == ((1, windows) if solves else (0, 0))
+    for failed in _failure_patterns(k):
+        plans.clear()
+        calls.clear()
+        c.fail(failed)
+        plan = plan_repair(FailurePattern.classify(failed, k), params)
+        c.run_repair(FailurePattern.classify(failed, k))
+        # The probes and the phase-2 map; per window, one call per helper and one for phase 2.
+        assert len(plans) == 2 and len(calls) == windows * (len(plan.helpers) + 1)
+    assert c.extract(range(k + 1, params.n + 1)) == data
 
 
 def _node_sets(k):
@@ -369,17 +458,24 @@ def test_unit_decoder_rows_bypass_the_kernel(params63, params_k4_gf16, wide, mon
     k = params.k
     data = _data(200 * params.block_size * params.field.symbol_bytes, seed=k)
     c = Cluster.ingest(data, params)
-    calls = _kernel_calls(monkeypatch)
+    plans, calls = _kernel_calls(monkeypatch)
     assert c.extract(range(1, k + 1)) == data
-    assert calls == []  # a systematic-only set makes no kernel call
+    assert calls == [] and plans == {}  # a systematic-only set makes no kernel call
     for ids in _node_sets(k)[1:]:
+        plans.clear()
         calls.clear()
         assert c.extract(ids) == data
-        # One call, over exactly the rows of coordinates no node in the set holds:
-        # coordinates l*k + j - 1 of every missing systematic node j.
+        # One plan and one call, over exactly the rows of coordinates no node in the set
+        # holds (coordinates l*k + j - 1 of every missing systematic node j), with each
+        # column where the stream holds that coordinate of the set: systematic node j in
+        # its own slot j - 1, the parity nodes in the missing slots, in order.
         missing = sorted(l * k + j - 1 for j in set(range(1, k + 1)) - set(ids) for l in range(k))
         decoder = collection_system(ids, params).invert().int_rows()
-        assert len(calls) == 1 and calls[0][0] == [decoder[r] for r in missing]
+        slots = [j for j in range(k) if j + 1 in ids] + [j for j in range(k) if j + 1 not in ids]
+        column = [slots[p] * k + l for p in range(k) for l in range(k)]  # of coordinate p*k + l
+        assert len(plans) == len(calls) == 1
+        assert calls[0][0] == [[decoder[r][column.index(b)] for b in range(k * k)]
+                               for r in missing]
 
 
 # 0, 1 and 9 bytes; one word in each of the k^2*m runs (8 k^2 m bytes, 64 blocks) -1, +0
@@ -433,27 +529,30 @@ def _peak(f, *args, **kwargs):
 
 
 def _decode_peak(cluster, ids, **kwargs):
-    arrays = {nid: cluster.node_data[nid - 1] for nid in ids}
-    return _peak(decode_nodes, arrays, cluster.params, cluster.original_length, **kwargs)
+    def fill(nid, out):
+        out[...] = cluster.node_data[nid - 1].reshape(out.shape)
+    return _peak(decode_nodes, ids, fill, cluster.params, cluster.original_length, **kwargs)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
-def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wide):
-    # Deterministic and untimed: the tracemalloc peak of one decode of an S-byte
-    # stream, for every node-set class.  A set with f of its k nodes parity holds the
-    # kernel's input (S, concatenated) and its output (f*S), then that output and the
-    # buffer it returns (S), never all three: (1 + f)*S plus the kernel's XOR table.
-    # Up to _GATHER_WORDS words (k=4 GF(2^16) here) the kernel also gathers the planes
-    # one output plane picks, at most S; the whole stays within the 2S bound of the
-    # block-major layout.  The v1-v3 order also holds the block-major bytes (S) and the
-    # converter's chunk buffers (the bytes are not checked: these arrays are v4).
+def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wide,
+                                                   monkeypatch):
+    # Deterministic and untimed: the tracemalloc peak of one decode of an S-byte stream,
+    # for every node-set class.  The decode holds the stream it returns (S), which the
+    # nodes' planes are read into, and per word window the missing coordinates (for a set
+    # with f of its k nodes parity, f times the window's share of S) and the kernel's XOR
+    # table or, up to _GATHER_WORDS words (k=4 GF(2^16) here), the planes one output plane
+    # picks: at most one window of input.  In one window that stays within (1 + f)*S plus
+    # the kernel's buffers; in three, within S plus (1 + f) windows.  The v1-v3 order also
+    # holds the block-major bytes (S) and the converter's chunk buffers (the bytes are not
+    # checked: these arrays are v4).
     params = params_k4_gf16 if wide else params63
     data = _data(5 << 19, seed=5)
     size, buffers = len(data), 2 * cluster_mod._CHUNK_BYTES + (64 << 10)
     c = Cluster.ingest(data, params, keep_oracle=False)
-    k = params.k
-    gathered = size if -(-c.nblocks // 64) <= _GATHER_WORDS else 0
-    assert gathered == (size if wide else 0)
+    k, words = params.k, c.stream.shape[1]
+    gathered = size if words <= _GATHER_WORDS else 0
+    assert gathered == (size if wide else 0) and len(cluster_mod._windows(words)) == 1
     for ids in _node_sets(k):
         f = sum(nid > k for nid in ids) / k
         out, peak = _decode_peak(c, ids)
@@ -461,6 +560,33 @@ def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wid
         assert out == data and peak <= size + extra + buffers, ids
         _, peak = _decode_peak(c, ids, node_major=False)
         assert peak <= 2 * size + buffers, ids
+    monkeypatch.setattr(cluster_mod, "_WINDOW_WORDS", -(-words // 3))
+    window = c.stream[:, cluster_mod._windows(words)[0]].nbytes  # all k^2*m planes
+    for ids in _node_sets(k):
+        f = sum(nid > k for nid in ids) / k
+        out, peak = _decode_peak(c, ids)
+        assert out == data and peak <= size + (1 + f) * window + (64 << 10), ids
+
+
+def test_repair_holds_no_full_size_phase1_buffer(params63):
+    # Deterministic and untimed: the tracemalloc peak of a repair of each kind on a stream
+    # three windows wide.  It holds the arrays of its parity newcomers (a systematic one is
+    # repaired in its rows of the stream), one window of the r*d*m phase-1 planes, the
+    # kernel's XOR table (16 planes of a window) and small objects, mostly the compiled
+    # plans: a phase-1 buffer over all the words would be three windows.
+    k, m, words = 3, params63.field.degree, 2 * cluster_mod._WINDOW_WORDS + 1
+    data = _data(64 * words * params63.block_size - 7, seed=14)
+    c = Cluster.ingest(data, params63, keep_oracle=False)
+    width = cluster_mod._windows(words)[0].stop
+    for failed in _failure_patterns(k):
+        c.fail(failed)
+        pattern = FailurePattern.classify(failed, k)
+        plan = plan_repair(pattern, params63)
+        edges = len(plan.newcomers) * len(plan.helpers)
+        _, peak = _peak(c.run_repair, pattern)
+        fresh = sum(c.node_data[nid - 1].nbytes for nid in failed if nid > k)
+        assert peak <= fresh + (edges * m + 16) * width * 8 + (256 << 10), failed
+    assert c.extract(range(k + 1, 2 * k + 1)) == data
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])

@@ -220,7 +220,7 @@ def _check_scale_array(field, rows, values):
     """scale_array on bit planes equals xor_j mul_int(rows[i][j], values[j]) per block."""
     m, n = field.degree, len(values[0])
     planes = to_planes(values, m)
-    out = field.scale_array(rows, planes)
+    out = field.scale_array(field.plan(rows), planes)
     assert out.dtype == np.uint64 and out.shape == (len(rows) * m, planes.shape[1])
     assert out.base is None  # owns its memory
     expected = [[0] * n for _ in rows]
@@ -304,8 +304,9 @@ def test_scale_array_across_the_width_switch(degree, words):
         assert any(r.count(v) > 1 for r in codes for v in r if v & (v - 1))
     planes = np.random.default_rng(words).integers(
         0, 1 << 64, size=(s * degree, words), dtype=np.uint64)
-    out = f.scale_array(rows, planes)
-    narrow = [f.scale_array(rows, planes[:, w:w + 1000]) for w in range(0, words, 1000)]
+    plan = f.plan(rows)
+    out = f.scale_array(plan, planes)
+    narrow = [f.scale_array(plan, planes[:, w:w + 1000]) for w in range(0, words, 1000)]
     assert np.array_equal(out, np.concatenate(narrow, axis=1))
     for word in (0, words - 1):  # and against scalar arithmetic directly
         values = from_planes(planes[:, word:word + 1], degree, 64)
@@ -314,11 +315,11 @@ def test_scale_array_across_the_width_switch(degree, words):
         assert from_planes(out[:, word:word + 1], degree, 64) == expected
     # `out` planes are overwritten whatever they held, zero rows included.
     target = np.full((2 * len(rows) * degree, words), 0xA5, dtype=np.uint64)
-    f.scale_array(rows, planes, out=list(target[::2]))
+    f.scale_array(plan, planes, out=list(target[::2]))
     assert np.array_equal(target[::2], out)
     assert not (target[1::2] != 0xA5).any()
 
 
 def test_scale_array_rejects_planes_of_another_width(gf256):
     with pytest.raises(ValueError, match="planes"):
-        gf256.scale_array([[1, 2]], np.zeros((8, 3), dtype=np.uint64))
+        gf256.scale_array(gf256.plan([[1, 2]]), np.zeros((8, 3), dtype=np.uint64))

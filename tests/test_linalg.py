@@ -4,8 +4,8 @@ import pytest
 
 from conftest import is_super_regular
 from mscr.galois import FieldSpec
-from mscr.linalg import (CauchySpec, DimensionMismatch, DuplicateGenerators,
-                         Matrix, SingularMatrix, TooLarge, cauchy,
+from mscr.linalg import (SUPER_REGULAR_MAX, CauchySpec, DimensionMismatch,
+                         DuplicateGenerators, Matrix, SingularMatrix, TooLarge, cauchy,
                          cauchy_inverse, dot, first_singular_minor,
                          random_nonsingular)
 
@@ -167,6 +167,15 @@ def test_super_regular_closed_under_inverse(gf256):
 def test_super_regular_size_cap(gf256):
     with pytest.raises(TooLarge):
         is_super_regular(Matrix.identity(gf256, 9))
+
+
+def test_minor_search_runs_at_the_size_cap(gf256):
+    # The cap is inclusive: at SUPER_REGULAR_MAX = 8 the search runs, and a zero entry
+    # is the first singular minor it finds.
+    n = SUPER_REGULAR_MAX
+    assert n == 8
+    grid = [[0 if (r, c) == (0, 0) else 1 for c in range(n)] for r in range(n)]
+    assert first_singular_minor(Matrix(gf256, grid)) == ((0,), (0,))
 
 
 def test_scalar_mul(gf256):
