@@ -6,11 +6,14 @@ Exit 2 comes from argparse: a bad option, and the ``parser.error`` calls of
 Each command lets OSError, ValueError and ``params.GenerationExhausted``
 propagate, and ``main`` alone turns them into one ``error:`` line and exit 1:
 a bad manifest, shard, params or scenario, or an output that cannot be written.
-Manifest v2 adds to v1 the SHA-256 of each shard and of the params, which
-``extract`` checks before decoding, and of the input, which it checks before
-writing (v1 has none to check).  ``encode`` writes v4: a shard is the node's
-bit planes as little-endian uint64 words, node-major, so the systematic shards
-in order are the zero-padded input.  ``extract`` also reads the block-major v1-v3.
+Manifest v2 adds to v1 the SHA-256 of the params and of each shard, which
+``extract`` checks before it reads any shard and as it reads each one, and of
+the input, which it checks before writing (v1 has none to check).  ``encode``
+writes v4: a shard is the node's bit planes as little-endian uint64 words,
+node-major, so the systematic shards in order are the zero-padded input.
+``extract`` also reads v1-v3, whose input is block-major (block p is bytes
+p*B*w onwards): it decodes them as v4, with v1/v2 shards through
+`bytes_to_planes`, and `planes_to_bytes` converts the whole output.
 All runs are reproducible from the seeds recorded in the files they read.
 """
 
@@ -21,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -33,6 +37,73 @@ from .params import json_int
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 4
+
+
+# -- block-major bytes <-> bit planes (v1-v3 directories) ------------------------------
+
+_CHUNK_BYTES = 1 << 19  # bytes a pass: buffers stay small; 128 KiB made 8 MiB ~25% slower
+
+
+def _swap8(x: np.ndarray, t: np.ndarray) -> None:
+    """In place with scratch t (half of x): bit j of row i of x's 8 rows becomes bit i of row j."""
+    for shift, mask in (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555):
+        # HD 7-3 across arrays: rows i and i + shift swap off-diagonal blocks, half the data each
+        a, b = x.reshape(8 // (2 * shift), 2, -1).swapaxes(0, 1)
+        d = t[:a.size].reshape(a.shape)
+        np.bitwise_and(np.bitwise_xor(np.right_shift(a, shift, out=d), b, out=d), mask, out=d)
+        b ^= d
+        a ^= np.left_shift(d, shift, out=d)
+
+
+def _passes(row: int, words: int):
+    """(q, n, s, swap) per pass of at most _CHUNK_BYTES; s is the slab of words q..q+n.
+
+    s[i, c, g] is byte c of block 8g + i; after swap() (`_swap8`), s[b, c, g] is
+    byte g of plane 8c + b.  Rows are 8 bytes longer than s: a power-of-two stride
+    made the transposing copies ~2x slower."""
+    step = max(1, min(words, _CHUNK_BYTES // (64 * row)))
+    slab, scratch = (np.empty(size * row * (step + 1), dtype=np.uint64) for size in (8, 4))
+    for q in range(0, words, step):
+        n = min(step, words - q)
+        x = slab[:8 * row * (n + 1)]
+        yield q, n, x.view(np.uint8).reshape(8, row, -1)[..., :8 * n], partial(_swap8, x, scratch)
+
+
+def bytes_to_planes(data: bytes, spec: FieldSpec, symbols: int) -> np.ndarray:
+    """Block-major bytes, `symbols` symbols a block, to zero-padded (symbols*m, words) planes."""
+    row = symbols * spec.symbol_bytes
+    words = -(-len(data) // (64 * row))
+    out = np.empty((8 * row, words), dtype=np.uint64)
+    dst, src = out.view(np.uint8).reshape(row, 8, 8 * words), np.frombuffer(data, dtype=np.uint8)
+    tile = max(1, (1 << 15) // (8 * row))  # groups a copy: 32 KiB of source stays in L1
+    for q, n, s, swap in _passes(row, words):
+        part = src[64 * row * q:64 * row * (q + n)]
+        full = part.size // (8 * row)  # whole groups of 8 blocks
+        groups, head = part[:8 * row * full].reshape(full, 8, row), s[..., :full]
+        for g in range(0, full, tile):  # the one transposing copy
+            head[..., g:g + tile] = groups[g:g + tile].transpose(1, 2, 0)
+        if full < 8 * n:  # a short last pass: a partial group, then pad blocks
+            tail, s[..., full + 1:] = part[8 * row * full:], 0
+            s[..., full] = np.pad(tail, (0, 8 * row - tail.size)).reshape(8, row)
+        swap()
+        dst[..., 8 * q:8 * (q + n)] = s.transpose(1, 0, 2)  # [byte c, bit b, group g]
+    return out
+
+
+def planes_to_bytes(planes: np.ndarray, nbytes: int) -> bytearray:
+    """The first `nbytes` block-major bytes (a bytearray) of uint64 planes (..., words), any
+    view: the leading axes, in order, number them, and column c is planes 8c..8c+7."""
+    *lead, words = planes.shape
+    row = int(np.prod(lead)) // 8
+    src = np.moveaxis(planes.view(np.uint8).reshape(*lead[:-1], lead[-1] // 8, 8, 8 * words), -2, 0)
+    buf = bytearray(64 * words * row)
+    out = np.frombuffer(buf, dtype=np.uint8).reshape(8 * words, 8, row)  # [group, block, byte]
+    for q, n, s, swap in _passes(row, words):  # src[b, c, g] is byte g of plane 8c + b
+        s.reshape(*src.shape[:-1], 8 * n)[...] = src[..., 8 * q:8 * (q + n)]  # c split as src's
+        swap()
+        out[8 * q:8 * (q + n)] = s.transpose(2, 0, 1)  # the one transposing copy
+    del out, buf[nbytes:]  # trimmed in place: the tail is the pad blocks
+    return buf
 
 
 def _parse_nodes(text: str) -> list[int]:
@@ -146,9 +217,9 @@ def cmd_encode(args, parser) -> int:
 
 
 def _read_shards(in_dir: Path, nodes: list[int], code_params):
-    """Check the manifest; return fill(nid, out), which checks node nid's shard and writes
-    its planes into `out` (v4: reads it in), the original length, the manifest's
-    data_sha256 (None when the manifest has none) and its version."""
+    """Check the manifest and the size of each shard; return fill(nid, out), which checks
+    node nid's shard and writes its planes into `out` (v3 and v4: reads it in), the original
+    length, the manifest's data_sha256 (None when the manifest has none) and its version."""
     path, doc = in_dir / MANIFEST_NAME, params_mod.to_document(code_params)
     fingerprint = _params_sha256(doc)
     try:
@@ -174,18 +245,20 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
     if length < 0 or nblocks != -(-length // (code_params.block_size * spec.symbol_bytes)):
         raise ValueError(f"{path}: original_length {length} does not fit block_count {nblocks}")
     size = rows * -(-nblocks // 64) * 8 if version >= 3 else nblocks * k * spec.symbol_bytes
+    for nid, (shard, _) in files.items():  # before the decode allocates what the manifest claims
+        if (got := os.stat(shard).st_size) != size:
+            raise ValueError(f"shard {shard} (node {nid}) has {got} bytes, not {size}")
 
     def fill(nid, out):
         shard, digest = files[nid]
+        raw = out if version >= 3 else bytearray(size)  # v3, v4: no copy besides the stream's
         with open(shard, "rb") as fh:
-            got, raw = os.fstat(fh.fileno()).st_size, out if version == 4 else bytearray(size)
-            if got != size or fh.readinto(raw) != size:  # v4: no copy besides the stream's
-                raise ValueError(f"shard {shard} (node {nid}) has {got} bytes, not {size}")
+            if fh.readinto(raw) != size:
+                raise ValueError(f"shard {shard} (node {nid}) has fewer than {size} bytes")
         if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
             raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
-        if version < 4:
-            out[...] = (np.frombuffer(raw, "<u8") if version == 3
-                        else cluster_mod.bytes_to_planes(raw, spec, k)).reshape(out.shape)
+        if version < 3:
+            out[...] = bytes_to_planes(raw, spec, k).reshape(out.shape)
     return fill, length, data_digest, version
 
 
@@ -198,7 +271,12 @@ def cmd_extract(args, parser) -> int:
     if any(not 1 <= nid <= code_params.n for nid in nodes):
         parser.error(f"--nodes must be within 1..{code_params.n}")
     fill, length, data_digest, version = _read_shards(Path(args.in_dir), nodes, code_params)
-    data = cluster_mod.decode_nodes(nodes, fill, code_params, length, node_major=version == 4)
+    k, m = code_params.k, code_params.field.degree
+    padded = 8 * k * k * m * -(-length // (8 * code_params.block_size * m))  # whole words
+    data = cluster_mod.decode_nodes(nodes, fill, code_params, length if version == 4 else padded)
+    if version < 4:  # X[l][j] is row block j*k + l of the decode and symbol l*k + j of a block
+        data = planes_to_bytes(np.frombuffer(data, "<u8").reshape(k, k, m, -1).swapaxes(0, 1),
+                               length)
     if data_digest is not None and hashlib.sha256(data).hexdigest() != data_digest:
         raise ValueError(f"extracted bytes do not match data_sha256 in "
                          f"{Path(args.in_dir) / MANIFEST_NAME}")

@@ -5,9 +5,7 @@ each encoded independently.  Node j keeps its share bit-sliced: a (k*m, words)
 uint64 array whose plane l*m + b holds bit b of coordinate l, block 64q + t at
 bit t of word q.  The zero-padded stream is the systematic nodes' planes in
 order, as little-endian words: ingest slices them from one copy of it, a decode
-reads the nodes into the bytes it returns, and a v4 shard is a node's words.
-`bytes_to_planes` and `planes_to_bytes` convert the block-major bytes of v1-v3
-(block p is bytes p*B*w onwards) for the CLI's reading of such directories.
+reads the nodes into the bytes it returns, and a node's words are its shard.
 
 Every operation is a fixed linear map, planned once (:meth:`FieldSpec.plan`) and
 applied by the one kernel, :meth:`FieldSpec.scale_array`, to one word window of at
@@ -24,7 +22,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -65,73 +62,6 @@ class VerificationFailure(RuntimeError):
     """Repaired contents differ from the oracle: an implementation bug."""
 
 
-# -- block-major bytes <-> bit planes (v1-v3 directories) ------------------------------
-
-_CHUNK_BYTES = 1 << 19  # bytes a pass: buffers stay small; 128 KiB made 8 MiB ~25% slower
-
-
-def _swap8(x: np.ndarray, t: np.ndarray) -> None:
-    """In place with scratch t (half of x): bit j of row i of x's 8 rows becomes bit i of row j."""
-    for shift, mask in (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555):
-        # HD 7-3 across arrays: rows i and i + shift swap off-diagonal blocks, half the data each
-        a, b = x.reshape(8 // (2 * shift), 2, -1).swapaxes(0, 1)
-        d = t[:a.size].reshape(a.shape)
-        np.bitwise_and(np.bitwise_xor(np.right_shift(a, shift, out=d), b, out=d), mask, out=d)
-        b ^= d
-        a ^= np.left_shift(d, shift, out=d)
-
-
-def _passes(row: int, words: int):
-    """(q, n, s, swap) per pass of at most _CHUNK_BYTES; s is the slab of words q..q+n.
-
-    s[i, c, g] is byte c of block 8g + i; after swap() (`_swap8`), s[b, c, g] is
-    byte g of plane 8c + b.  Rows are 8 bytes longer than s: a power-of-two stride
-    made the transposing copies ~2x slower."""
-    step = max(1, min(words, _CHUNK_BYTES // (64 * row)))
-    slab, scratch = (np.empty(size * row * (step + 1), dtype=np.uint64) for size in (8, 4))
-    for q in range(0, words, step):
-        n = min(step, words - q)
-        x = slab[:8 * row * (n + 1)]
-        yield q, n, x.view(np.uint8).reshape(8, row, -1)[..., :8 * n], partial(_swap8, x, scratch)
-
-
-def bytes_to_planes(data: bytes, spec: FieldSpec, symbols: int) -> np.ndarray:
-    """Block-major bytes, `symbols` symbols a block, to zero-padded (symbols*m, words) planes."""
-    if spec.degree != 8 * spec.symbol_bytes:  # some byte patterns would be no symbol
-        raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
-    row = symbols * spec.symbol_bytes
-    words = -(-len(data) // (64 * row))
-    out = np.empty((8 * row, words), dtype=np.uint64)
-    dst, src = out.view(np.uint8).reshape(row, 8, 8 * words), np.frombuffer(data, dtype=np.uint8)
-    tile = max(1, (1 << 15) // (8 * row))  # groups a copy: 32 KiB of source stays in L1
-    for q, n, s, swap in _passes(row, words):
-        part = src[64 * row * q:64 * row * (q + n)]
-        full = part.size // (8 * row)  # whole groups of 8 blocks
-        groups, head = part[:8 * row * full].reshape(full, 8, row), s[..., :full]
-        for g in range(0, full, tile):  # the one transposing copy
-            head[..., g:g + tile] = groups[g:g + tile].transpose(1, 2, 0)
-        if full < 8 * n:  # a short last pass: a partial group, then pad blocks
-            tail, s[..., full + 1:] = part[8 * row * full:], 0
-            s[..., full] = np.pad(tail, (0, 8 * row - tail.size)).reshape(8, row)
-        swap()
-        dst[..., 8 * q:8 * (q + n)] = s.transpose(1, 0, 2)  # [byte c, bit b, group g]
-    return out
-
-
-def planes_to_bytes(planes: np.ndarray, nbytes: int) -> bytearray:
-    """The first `nbytes` block-major bytes (a bytearray) of planes; column c is planes 8c..8c+7."""
-    row, words = planes.shape[0] // 8, planes.shape[1]
-    src = np.ascontiguousarray(planes).view(np.uint8).reshape(row, 8, 8 * words)  # [c, bit, g]
-    buf = bytearray(64 * words * row)
-    out = np.frombuffer(buf, dtype=np.uint8).reshape(8 * words, 8, row)  # [group, block, byte]
-    for q, n, s, swap in _passes(row, words):
-        s[:] = src[..., 8 * q:8 * (q + n)].swapaxes(0, 1)  # each column's 8 planes, contiguous rows
-        swap()
-        out[8 * q:8 * (q + n)] = s.transpose(2, 0, 1)  # the one transposing copy
-    del out, buf[nbytes:]  # trimmed in place: the tail is the pad blocks
-    return buf
-
-
 _WINDOW_WORDS = 8192  # most words a kernel call covers: the best of 2304-16384 in a sweep
 
 
@@ -142,15 +72,14 @@ def _windows(words: int) -> list[slice]:
     return [slice(q, min(q + step, words)) for q in range(0, max(words, 1), step)]
 
 
-def decode_nodes(ids, fill, params: CodeParams, original_length: int,
-                 node_major: bool = True) -> bytearray:
+def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearray:
     """Rebuild the byte stream (a bytes-like bytearray) from exactly k nodes `ids`.
 
-    fill(nid, out) writes node nid's planes into `out`, a (k, m, words) slot of the stream (for
-    v1-v3, of vec(X)-ordered planes for `planes_to_bytes`): a systematic node's own, a parity
-    node's a missing one's.  Per word window, one kernel call reads the slots in place and its
-    missing coordinates (`codec.collection_matrix`) are copied over the parity planes.  Any k
-    nodes decode without error: callers check outside bytes first.
+    fill(nid, out) writes node nid's planes into `out`, a (k, m, words) slot of the stream:
+    a systematic node's own, a parity node's a missing one's.  Per word window, one kernel
+    call reads the slots in place and its missing coordinates (`codec.collection_matrix`)
+    are copied over the parity planes.  Any k nodes decode without error: callers check
+    outside bytes first.
     """
     ids = tuple(sorted(ids))
     if len(ids) != params.k:
@@ -159,19 +88,17 @@ def decode_nodes(ids, fill, params: CodeParams, original_length: int,
     words = -(-original_length // (64 * params.block_size * spec.symbol_bytes))
     missing, rows = codec.collection_matrix(ids, params)
     buf = bytearray(8 * k * k * m * words)
-    flat = np.frombuffer(buf, "<u8").reshape(k * k * m, words)  # stream or vec(X) order
-    coord = flat.reshape(k, k, m, words).swapaxes(0, 1 - node_major)  # [j, l]: X[l][j]
+    flat = np.frombuffer(buf, "<u8").reshape(k * k * m, words)
+    coord = flat.reshape(k, k, m, words)  # [j, l]: X[l][j], coordinate l of node j+1
     slots = [j for j in range(k) if j + 1 in ids] + [j for j in range(k) if j + 1 not in ids]
     for nid, j in zip(ids, slots):  # ids in order: the systematic ones, then the parity ones
         fill(nid, coord[j])
-    if rows:  # columns in buffer order: the set's coordinate p*k + l is at[slots[p], l]
-        at = np.arange(k * k).reshape(k, k).swapaxes(0, 1 - node_major)  # row blocks, as coord
-        plan = spec.plan(np.array(rows)[:, np.argsort(at[slots].ravel())])
+    if rows:  # columns in buffer order: the set's coordinate p*k + l is at row block
+        order = np.argsort(np.arange(k * k).reshape(k, k)[slots].ravel())  # slots[p]*k + l
+        plan = spec.plan(np.array(rows)[:, order])
         js, ls = [t % k for t in missing], [t // k for t in missing]  # t is X[t // k][t % k]
         for w in _windows(words):  # a window's rows, fresh, then over the parity planes
             coord[js, ls, :, w] = spec.scale_array(plan, flat[:, w]).reshape(len(rows), m, -1)
-    if not node_major:
-        return planes_to_bytes(flat, original_length)
     del flat, coord, buf[original_length:]  # trimmed in place: the tail is the pad blocks
     return buf
 
@@ -180,11 +107,10 @@ class Cluster:
     """2k nodes, many blocks, scripted failures, verified repairs."""
 
     def __init__(self, params: CodeParams, stream: np.ndarray, parity: list[np.ndarray],
-                 nblocks: int, original_length: int, oracle: list[np.ndarray] | None):
+                 original_length: int, oracle: list[np.ndarray] | None):
         self.params = params
         self.stream = stream  # the padded stream: its rows j*k*m.. are systematic node j+1
         self.node_data: list[np.ndarray | None] = [*np.split(stream, params.k), *parity]
-        self.nblocks = nblocks
         self.original_length = original_length
         self.oracle = oracle
 
@@ -200,8 +126,7 @@ class Cluster:
         k, spec = params.k, params.field
         if spec.degree != 8 * spec.symbol_bytes:  # the planes would hold fewer bytes than blocks
             raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
-        nblocks = -(-len(data) // (params.block_size * spec.symbol_bytes))
-        rows, words = k * spec.degree, -(-nblocks // 64)
+        rows, words = k * spec.degree, -(-len(data) // (64 * params.block_size * spec.symbol_bytes))
         parity = [np.empty((rows, words), dtype=np.uint64) for _ in range(k)]
         stream = np.empty((k * rows, words), dtype="<u8")  # the systematic nodes' planes
         flat = stream.reshape(-1).view(np.uint8)
@@ -213,9 +138,13 @@ class Cluster:
         for w in _windows(words):
             spec.scale_array(plan, stream[:, w], out=[p[w] for d in parity for p in d])
         oracle = [*np.split(stream.copy(), k), *map(np.copy, parity)] if keep_oracle else None
-        return cls(params, stream, parity, nblocks, len(data), oracle)
+        return cls(params, stream, parity, len(data), oracle)
 
     # -- queries ---------------------------------------------------------------
+
+    @property
+    def nblocks(self) -> int:  # blocks of B symbols, the last one zero-padded
+        return -(-self.original_length // (self.params.block_size * self.params.field.symbol_bytes))
 
     @property
     def failed(self) -> set[int]:
@@ -247,8 +176,6 @@ class Cluster:
     def fail(self, nodes) -> "Cluster":
         """Erase the given live nodes' contents; the oracle is untouched."""
         nodes, failed = set(nodes), self.failed
-        if not nodes:
-            return self
         for nid in nodes:
             if not 1 <= nid <= self.params.n:
                 raise ValueError(f"node id {nid} outside 1..{self.params.n}")
@@ -273,7 +200,7 @@ class Cluster:
             raise ValueError(
                 f"pattern {sorted(pattern.failed)} does not match failed set {sorted(self.failed)}")
         k, spec, plan = self.params.k, self.params.field, repair.plan_repair(pattern, self.params)
-        r, d, m, words = len(plan.newcomers), len(plan.helpers), spec.degree, -(-self.nblocks // 64)
+        r, d, m, words = len(plan.newcomers), len(plan.helpers), spec.degree, self.stream.shape[1]
         # Arrays that outlive the call come before its temporaries, so that freeing those leaves
         # no holes and does not trim the heap; a systematic newcomer's are its stream rows.
         repaired = [np.empty((k * m, words), dtype=np.uint64) if nc > k
@@ -378,12 +305,6 @@ class ScenarioResult:
         return asdict(self)
 
 
-def _conservation_holds(cluster: Cluster, data: bytes) -> bool:
-    """Extraction from every k-subset of live nodes reproduces the stream."""
-    k_sets = combinations(cluster.live_nodes, cluster.params.k)
-    return all(cluster.extract(s) == data for s in k_sets)
-
-
 def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Fail and repair per script; verify per the scenario's mode."""
     cluster = Cluster.ingest(scenario.data, scenario.params, keep_oracle=True)
@@ -407,10 +328,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         entry.optimal = report.is_optimal
         entry.optimal_gamma = str(report.optimal_gamma)
         entry.rows = report.to_document()["rows"]
-        if not report.is_optimal:
-            ok = False
-        if scenario.verify_mode == "mds_also" and not _conservation_holds(
-                cluster, scenario.data):
+        ok = ok and report.is_optimal
+        if scenario.verify_mode == "mds_also" and not all(  # every k live nodes extract it
+                cluster.extract(ids) == scenario.data
+                for ids in combinations(cluster.live_nodes, scenario.params.k)):
             entry.exact = False
             entry.error = "conservation check failed"
             ok = False

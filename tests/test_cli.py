@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mscr.cli as cli_mod
 import mscr.cluster as cluster_mod
 import mscr.params as params_mod
-from mscr.cli import _print_report, main
-from mscr.cluster import Cluster, ScenarioResult, StepReport, planes_to_bytes
+from mscr.cli import _params_sha256, _print_report, bytes_to_planes, main, planes_to_bytes
+from mscr.cluster import Cluster, ScenarioResult, StepReport
+from mscr.codec import encode_matrix
 from mscr.params import load, validate
 
 # v3 directories, each with its params.json, written by `mscr encode` when it wrote v3:
@@ -373,8 +376,10 @@ def test_legacy_directories_hold_their_input_and_params(tmp_path):
 
 
 def _as_v2(shard_dir, name="k3-gf8"):
-    """Write the v3 directory `name` to shard_dir as v2: block-major shards and their digests."""
-    _legacy(shard_dir, name)
+    """Write the v3 directory `name` (None: shard_dir's own) to shard_dir as v2: block-major
+    shards and their digests."""
+    if name is not None:
+        _legacy(shard_dir, name)
     path = shard_dir / "manifest.json"
     manifest = json.loads(path.read_text())
     k, width = manifest["k"], manifest["field"]["degree"] // 8
@@ -394,6 +399,66 @@ def _as_v1(shard_dir, name="k3-gf8"):
     manifest["version"] = 1
     (shard_dir / "manifest.json").write_text(json.dumps(manifest))
     return manifest
+
+
+def _pre_v4(shard_dir, params_file, payload):
+    """Write payload to shard_dir as `encode` did before v4: manifest v3, whose shards are
+    bit planes over block-major blocks.  Returns the manifest."""
+    code_params, doc = load(params_file), json.loads(Path(params_file).read_text())
+    k, m, spec = code_params.k, code_params.field.degree, code_params.field
+    x = bytes_to_planes(payload, spec, k * k)  # vec(X) order: X[l][j] is row block l*k + j
+    y = spec.scale_array(spec.plan(encode_matrix(code_params).int_rows()), x)  # vec(Y) = E vec(X)
+    shard_dir.mkdir()
+    shards, digests = {}, {}
+    for nid in range(1, 2 * k + 1):  # node j+1 holds column j of X, node k+c+1 column c of Y
+        planes = (x if nid <= k else y).reshape(k, k, m, -1)[:, (nid - 1) % k]
+        raw = np.ascontiguousarray(planes, "<u8").tobytes()
+        shards[str(nid)] = f"node_{nid:02d}.shard"
+        digests[str(nid)] = hashlib.sha256(raw).hexdigest()
+        (shard_dir / shards[str(nid)]).write_bytes(raw)
+    nblocks = -(-len(payload) // (k * k * spec.symbol_bytes))
+    manifest = {"version": 3, "k": k, "field": doc["field"], "original_length": len(payload),
+                "block_count": nblocks, "symbols_per_node": nblocks * k, "shards": shards,
+                "sha256": digests, "data_sha256": hashlib.sha256(payload).hexdigest(),
+                "params_sha256": _params_sha256(doc)}
+    (shard_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return manifest
+
+
+@pytest.mark.parametrize("name", sorted(LEGACY))
+def test_pre_v4_writer_rebuilds_the_legacy_directories(tmp_path, name):
+    params_file, payload = _legacy(tmp_path / "legacy", name)
+    manifest = _pre_v4(tmp_path / "rebuilt", params_file, payload)
+    assert manifest == json.loads((tmp_path / "legacy" / "manifest.json").read_text())
+    for shard in manifest["shards"].values():
+        rebuilt, legacy = (tmp_path / d / shard for d in ("rebuilt", "legacy"))
+        assert rebuilt.read_bytes() == legacy.read_bytes(), shard
+
+
+@pytest.mark.parametrize("name", sorted(LEGACY))
+def test_legacy_extract_holds_no_second_copy_of_the_stream(tmp_path, name):
+    # Deterministic and untimed: the tracemalloc peak of extracting an S-byte stream from a
+    # v1, v2 or v3 directory, for a systematic, a mixed and a parity-only set.  The extract
+    # holds the padded decode (S), the block-major bytes it writes (S) and the converter's
+    # chunk buffers; a v1/v2 shard's bytes and planes are read while only the decode is.
+    params_file = _legacy(tmp_path / "params", name)[0]
+    payload = random.Random(6).randbytes(5 << 19)
+    dirs = {v: tmp_path / f"v{v}" for v in (1, 2, 3)}
+    _pre_v4(dirs[3], params_file, payload)
+    for version in (1, 2):
+        shutil.copytree(dirs[3], dirs[version])
+        (_as_v1 if version == 1 else _as_v2)(dirs[version], None)
+    k, bound = load(params_file).k, 2 * len(payload) + 2 * cli_mod._CHUNK_BYTES + (64 << 10)
+    out = tmp_path / "o.bin"
+    for nodes in (range(1, k + 1), [1, 2] + list(range(k + 1, 2 * k - 1)), range(k + 1, 2 * k + 1)):
+        for version, shard_dir in dirs.items():
+            tracemalloc.start()
+            try:
+                assert _extract(params_file, shard_dir, out, ",".join(map(str, nodes))) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.read_bytes() == payload and peak <= bound, (version, list(nodes), peak)
 
 
 def test_extract_reads_v1_manifest(tmp_path):
@@ -622,18 +687,47 @@ def test_manifest_versions_extract_the_same_bytes(tmp_path, name):
 
 
 def test_v4_encode_and_extract_never_call_the_block_major_converters(tmp_path, monkeypatch):
-    calls, swap8 = [], cluster_mod._swap8
+    calls, swap8 = [], cli_mod._swap8
 
     def spy(*args):
         calls.append(args)
         return swap8(*args)
-    monkeypatch.setattr(cluster_mod, "_swap8", spy)
+    monkeypatch.setattr(cli_mod, "_swap8", spy)
     params_file, shard_dir = _encode(tmp_path, random.Random(11).randbytes(5000))
     for nodes in ("1,2,3", "1,2,4", "2,3,6", "4,5,6"):
         assert _extract(params_file, shard_dir, tmp_path / "o.bin", nodes) == 0
     assert calls == []
     _legacy(shard_dir)  # the spy sees the v3 read path
     assert _extract(params_file, shard_dir, tmp_path / "o.bin", "4,5,6") == 0 and calls
+
+
+def test_only_v1_and_v2_shards_go_through_the_byte_converter(tmp_path, monkeypatch):
+    calls, convert = [], cli_mod.bytes_to_planes
+
+    def spy(*args):
+        calls.append(args)
+        return convert(*args)
+    monkeypatch.setattr(cli_mod, "bytes_to_planes", spy)
+    shard_dir, out = tmp_path / "shards", tmp_path / "o.bin"
+    params_file, payload = _legacy(shard_dir)
+    assert _extract(params_file, shard_dir, out) == 0 and out.read_bytes() == payload
+    assert calls == []  # v3
+    _as_v2(shard_dir, None)
+    assert _extract(params_file, shard_dir, out) == 0 and out.read_bytes() == payload
+    assert len(calls) == 3  # v2: one call per shard read
+
+
+def test_extract_checks_shard_sizes_before_it_allocates_the_claimed_stream(tmp_path, capsys):
+    # A manifest claiming 2^50 bytes (a matching block_count, 1000 bytes of shards): the
+    # shard sizes refuse it before the decode allocates the stream.
+    params_file, shard_dir = _encode(tmp_path, random.Random(12).randbytes(1000))
+    path = shard_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest.update(original_length=1 << 50, block_count=-(-(1 << 50) // 9))
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _extract(params_file, shard_dir, tmp_path / "o.bin") == 1
+    assert "bytes, not" in _one_error_line(capsys)
 
 
 def _unwritable_output(tmp_path):

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from conftest import block_content, collection_system, from_planes, to_planes
-from mscr import cluster as cluster_mod
+from mscr import cli as cli_mod, cluster as cluster_mod
+from mscr.cli import bytes_to_planes, planes_to_bytes
 from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
-                          bytes_to_planes, decode_nodes, planes_to_bytes,
-                          run_scenario)
+                          decode_nodes, run_scenario)
 from mscr.codec import encode, encode_matrix
 from mscr.galois import _GATHER_WORDS, FieldSpec
 from mscr.params import generate
@@ -51,7 +51,7 @@ def test_byte_planes_round_trip_across_chunk_edges(degree, row, chunks, monkeypa
     # 9 words a pass, so a 64-byte row's pass is more than one 64-group copy of the
     # converter.  The last pass is short, ends in a group of 1-7 blocks and, for two
     # chunks, in a partial block; its pad blocks follow full passes.
-    monkeypatch.setattr(cluster_mod, "_CHUNK_BYTES", 9 * 64 * row)
+    monkeypatch.setattr(cli_mod, "_CHUNK_BYTES", 9 * 64 * row)
     spec, symbols = FieldSpec(degree), row * 8 // degree
     dtype = np.uint8 if degree == 8 else np.dtype("<u2")
     blocks = 9 * 64 * (chunks - 1) + 8 * (chunks + 1) + chunks + 2
@@ -506,8 +506,10 @@ def test_ingest_and_decode_never_call_the_block_major_converters(params63, param
                                                                  monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a block-major converter ran")
-    for name in ("_swap8", "_passes", "bytes_to_planes", "planes_to_bytes"):
-        monkeypatch.setattr(cluster_mod, name, refuse)
+    names = ("_swap8", "_passes", "bytes_to_planes", "planes_to_bytes")
+    assert not any(hasattr(cluster_mod, name) for name in (*names, "_CHUNK_BYTES"))  # CLI's
+    for name in names:
+        monkeypatch.setattr(cli_mod, name, refuse)
     for params in (params63, params_k4_gf16):
         data = _data(70 * params.block_size * params.field.symbol_bytes - 3, seed=params.k)
         c = Cluster.ingest(data, params)
@@ -528,10 +530,10 @@ def _peak(f, *args, **kwargs):
         tracemalloc.stop()
 
 
-def _decode_peak(cluster, ids, **kwargs):
+def _decode_peak(cluster, ids):
     def fill(nid, out):
         out[...] = cluster.node_data[nid - 1].reshape(out.shape)
-    return _peak(decode_nodes, ids, fill, cluster.params, cluster.original_length, **kwargs)
+    return _peak(decode_nodes, ids, fill, cluster.params, cluster.original_length)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
@@ -543,12 +545,11 @@ def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wid
     # with f of its k nodes parity, f times the window's share of S) and the kernel's XOR
     # table or, up to _GATHER_WORDS words (k=4 GF(2^16) here), the planes one output plane
     # picks: at most one window of input.  In one window that stays within (1 + f)*S plus
-    # the kernel's buffers; in three, within S plus (1 + f) windows.  The v1-v3 order also
-    # holds the block-major bytes (S) and the converter's chunk buffers (the bytes are not
-    # checked: these arrays are v4).
+    # the kernel's buffers; in three, within S plus (1 + f) windows.  (A v1-v3 extract's
+    # bound is in tests/test_cli.py.)
     params = params_k4_gf16 if wide else params63
     data = _data(5 << 19, seed=5)
-    size, buffers = len(data), 2 * cluster_mod._CHUNK_BYTES + (64 << 10)
+    size, buffers = len(data), (1 << 20) + (64 << 10)
     c = Cluster.ingest(data, params, keep_oracle=False)
     k, words = params.k, c.stream.shape[1]
     gathered = size if words <= _GATHER_WORDS else 0
@@ -558,8 +559,6 @@ def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wid
         out, peak = _decode_peak(c, ids)
         extra = min(size, f * size + (gathered if f else 0))
         assert out == data and peak <= size + extra + buffers, ids
-        _, peak = _decode_peak(c, ids, node_major=False)
-        assert peak <= 2 * size + buffers, ids
     monkeypatch.setattr(cluster_mod, "_WINDOW_WORDS", -(-words // 3))
     window = c.stream[:, cluster_mod._windows(words)[0]].nbytes  # all k^2*m planes
     for ids in _node_sets(k):
@@ -597,7 +596,7 @@ def test_put_holds_no_full_size_temporary(params63, params_k4_gf16, wide):
     # The legacy converter holds its output planes and at most two chunk buffers (its
     # slab and its half-size scratch).
     params = params_k4_gf16 if wide else params63
-    data, buffers = _data(5 << 19, seed=6), 2 * cluster_mod._CHUNK_BYTES + (64 << 10)
+    data, buffers = _data(5 << 19, seed=6), 2 * cli_mod._CHUNK_BYTES + (64 << 10)
     planes, peak = _peak(bytes_to_planes, data, params.field, params.block_size)
     assert peak <= planes.nbytes + buffers
     c, peak = _peak(Cluster.ingest, data, params, keep_oracle=False)

@@ -448,7 +448,7 @@ def test_mixed_pair_with_product_one_raises_nonsingularity_failure(gf256):
         Cluster.ingest(random.Random(4).randbytes(90), bad)
     # A cluster made by hand under these params still refuses the repair and writes nothing.
     parity = [np.zeros((3 * 8, 1), dtype=np.uint64) for _ in range(3)]
-    cluster = Cluster(bad, np.zeros((9 * 8, 1), dtype=np.uint64), parity, 10, 90, None)
+    cluster = Cluster(bad, np.zeros((9 * 8, 1), dtype=np.uint64), parity, 90, None)
     cluster.fail(pattern.failed)
     with pytest.raises(NonsingularityFailure):
         cluster.run_repair(pattern)

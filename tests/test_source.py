@@ -1,5 +1,6 @@
 """Source hygiene of the package: no unused top-level import, no line over 100 characters,
-and no import from outside the standard library, numpy (the one dependency) and mscr.
+no import from outside the standard library, numpy (the one dependency) and mscr, and no
+module-level function or class that nothing in the package uses or exports.
 
 `__init__.py` is exempt from the unused-import check: its imports are the package API.
 """
@@ -57,6 +58,42 @@ def test_no_unused_top_level_import(path):
 def test_no_line_over_limit(path):
     long = [n for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > MAX_LINE]
     assert long == [], f"{path.name}: lines {long} exceed {MAX_LINE} characters"
+
+
+def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """`module: name` for each module-level function or class of `sources` (name -> text)
+    that no module reads or imports and that its module's `__all__` does not list."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in trees.items():
+        exported = {value for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for value in ast.literal_eval(node.value)}
+        found += [f"{name}: {node.name}" for node in tree.body
+                  if isinstance(node, ast.FunctionDef | ast.ClassDef)
+                  and node.name not in used | exported]
+    return sorted(found)
+
+
+def test_unreferenced_definition_is_detected():
+    sources = {"a.py": "__all__ = ['public']\ndef public(): pass\ndef _helper(): pass\n"
+                       "def _unused(): pass\nclass Shape: pass\ndef area(s: Shape): pass\n",
+               "b.py": "from .a import _helper\nimport a\na.area(None)\n"}
+    assert unreferenced_definitions(sources) == ["a.py: _unused"]
+
+
+def test_every_definition_is_used_or_exported():
+    # Aim: no helper that nothing in the package uses.
+    assert unreferenced_definitions({p.name: p.read_text() for p in MODULES}) == []
 
 
 def foreign_imports(source: str) -> list[str]:
