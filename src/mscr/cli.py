@@ -192,7 +192,7 @@ def cmd_encode(args, parser) -> int:
     doc = params_mod.to_document(code_params)
     shards, digests = {}, {}
     for nid in range(1, code_params.n + 1):
-        name, planes = f"node_{nid:02d}.shard", np.ascontiguousarray(c.node_data[nid - 1], "<u8")
+        name, planes = f"node_{nid:02d}.shard", c.node_data[nid - 1]
         payload = planes.reshape(-1).view(np.uint8).data  # node_symbols_bytes, with no copy
         (out_dir / name).write_bytes(payload)
         shards[str(nid)] = name

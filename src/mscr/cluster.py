@@ -1,11 +1,12 @@
 """Deterministic in-memory storage cluster simulator.
 
-A stream of n bytes is ceil(n / (B*w)) blocks of B = k^2 symbols of w bytes,
-each encoded independently.  Node j keeps its share bit-sliced: a (k*m, words)
-uint64 array whose plane l*m + b holds bit b of coordinate l, block 64q + t at
-bit t of word q.  The zero-padded stream is the systematic nodes' planes in
-order, as little-endian words: ingest slices them from one copy of it, a decode
-reads the nodes into the bytes it returns, and a node's words are its shard.
+A stream of n bytes is ceil(n / (B*w)) blocks of B = k^2 symbols of w bytes, each encoded
+independently.  Node j keeps its share bit-sliced: k*m rows of uint64 words, plane l*m + b
+holding bit b of coordinate l, block 64q + t at bit t of word q.  The 2k nodes are row blocks
+of one (2*k*k*m, words) array of little-endian words, the node store: its first half is the
+zero-padded stream (the systematic nodes' planes in order), its second the parity planes.
+Ingest copies the stream in and encodes in place, a decode reads the nodes into the bytes it
+returns, a node's words are its shard, and a repair writes its newcomers over their rows.
 
 Every operation is a fixed linear map, planned once (:meth:`FieldSpec.plan`) and
 applied by the one kernel, :meth:`FieldSpec.scale_array`, to one word window of at
@@ -13,7 +14,7 @@ most _WINDOW_WORDS words at a time: the encode matrix, the decoder rows of the
 columns a node set misses (`codec.collection_matrix`), and the repair probes and
 map (`repair.linear_map`).  Results are bit-identical to the per-block functions.
 
-The oracle (a copy of the original node contents) exists for verification
+The oracle (a copy of the original node store) exists for verification
 only; repair logic never sees it, and a production-mode cluster drops it.
 """
 
@@ -106,13 +107,14 @@ def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearr
 class Cluster:
     """2k nodes, many blocks, scripted failures, verified repairs."""
 
-    def __init__(self, params: CodeParams, stream: np.ndarray, parity: list[np.ndarray],
-                 original_length: int, oracle: list[np.ndarray] | None):
-        self.params = params
-        self.stream = stream  # the padded stream: its rows j*k*m.. are systematic node j+1
-        self.node_data: list[np.ndarray | None] = [*np.split(stream, params.k), *parity]
-        self.original_length = original_length
-        self.oracle = oracle
+    def __init__(self, params: CodeParams, store: np.ndarray, original_length: int,
+                 oracle: list[np.ndarray] | None):
+        self.params, self.original_length, self.oracle = params, original_length, oracle
+        shape = (2 * params.block_size * params.field.degree, -(-self.nblocks // 64))
+        if not isinstance(store, np.ndarray) or store.dtype != "<u8" or store.shape != shape:
+            raise ValueError(f"node store must be a {shape} array of '<u8' words")
+        self.store = store  # rows j*k*m.. are node j+1's: the padded stream, then the parity
+        self.node_data: list[np.ndarray | None] = np.split(store, params.n)
 
     # -- construction -----------------------------------------------------------
 
@@ -127,8 +129,8 @@ class Cluster:
         if spec.degree != 8 * spec.symbol_bytes:  # the planes would hold fewer bytes than blocks
             raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
         rows, words = k * spec.degree, -(-len(data) // (64 * params.block_size * spec.symbol_bytes))
-        parity = [np.empty((rows, words), dtype=np.uint64) for _ in range(k)]
-        stream = np.empty((k * rows, words), dtype="<u8")  # the systematic nodes' planes
+        store = np.empty((2 * k * rows, words), dtype="<u8")  # one block, reused put to put
+        stream, parity = store[:k * rows], store[k * rows:]  # a node per k*m rows of each half
         flat = stream.reshape(-1).view(np.uint8)
         flat[:len(data)], flat[len(data):] = np.frombuffer(data, dtype=np.uint8), 0
         # vec(Y) = E vec(X); E[r*k + c][b*k + a] maps X[b][a] to Y[r][c], coordinate r of
@@ -136,9 +138,9 @@ class Cluster:
         enc = np.array(codec.encode_matrix(params).int_rows(), dtype=np.uint32)
         plan = spec.plan(enc.reshape((k,) * 4).transpose(1, 0, 3, 2).reshape(k * k, k * k))
         for w in _windows(words):
-            spec.scale_array(plan, stream[:, w], out=[p[w] for d in parity for p in d])
-        oracle = [*np.split(stream.copy(), k), *map(np.copy, parity)] if keep_oracle else None
-        return cls(params, stream, parity, len(data), oracle)
+            spec.scale_array(plan, stream[:, w], out=list(parity[:, w]))
+        oracle = np.split(store.copy(), 2 * k) if keep_oracle else None
+        return cls(params, store, len(data), oracle)
 
     # -- queries ---------------------------------------------------------------
 
@@ -174,7 +176,8 @@ class Cluster:
             out, self.node_data[nid - 1].reshape(out.shape)), self.params, self.original_length)
 
     def fail(self, nodes) -> "Cluster":
-        """Erase the given live nodes' contents; the oracle is untouched."""
+        """Mark the given live nodes lost; the oracle is untouched.  Their rows keep their bytes,
+        but no extract or repair reads them: a repair writes its newcomers over them."""
         nodes, failed = set(nodes), self.failed
         for nid in nodes:
             if not 1 <= nid <= self.params.n:
@@ -200,11 +203,8 @@ class Cluster:
             raise ValueError(
                 f"pattern {sorted(pattern.failed)} does not match failed set {sorted(self.failed)}")
         k, spec, plan = self.params.k, self.params.field, repair.plan_repair(pattern, self.params)
-        r, d, m, words = len(plan.newcomers), len(plan.helpers), spec.degree, self.stream.shape[1]
-        # Arrays that outlive the call come before its temporaries, so that freeing those leaves
-        # no holes and does not trim the heap; a systematic newcomer's are its stream rows.
-        repaired = [np.empty((k * m, words), dtype=np.uint64) if nc > k
-                    else self.stream[(nc - 1) * k * m:nc * k * m] for nc in plan.newcomers]
+        r, d, m, words = len(plan.newcomers), len(plan.helpers), spec.degree, self.store.shape[1]
+        repaired = [self.store[(nc - 1) * k * m:nc * k * m] for nc in plan.newcomers]
         windows = _windows(words)
         phase1 = np.empty((r, d, m, windows[0].stop), dtype=np.uint64)  # newcomer-major edges
         probes = spec.plan([[e.value for e in repair.probe_vector(self.params, nc)]

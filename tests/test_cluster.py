@@ -269,12 +269,27 @@ def test_production_mode_drops_oracle(params63):
     assert c.oracle is None
     c.fail({1, 6})
     c.run_repair(FailurePattern.classify({1, 6}, 3))
-    # Parity nodes own their memory: a view would pin a whole repair output.  Systematic
-    # nodes are slices of the ingest's one copy of the stream, repaired node 1 too.
-    assert all(d.base is None for d in c.node_data[3:])
-    assert all(d.base is c.stream for d in c.node_data[:3])
+    # Every node, the repaired systematic node 1 and parity node 6 too, is its own k*m rows
+    # of the one node store: a repair writes its newcomers in place and allocates none.
+    for nid, d in enumerate(c.node_data, 1):
+        assert d.base is c.store and np.shares_memory(d, c.store)
+        assert d.ctypes.data == c.store[(nid - 1) * 3 * 8].ctypes.data and d.shape == (24, 1)
     assert c.extract({1, 2, 3}) == data
     assert c.extract({4, 5, 6}) == data
+
+
+@pytest.mark.parametrize("store", [
+    np.zeros((9 * 8, 1), np.uint64),  # the stream only: 72 rows still split into 6 nodes
+    np.zeros((2 * 9 * 8 + 6, 1), np.uint64), np.zeros((2 * 9 * 8, 2), np.uint64),
+    np.zeros((2 * 9 * 8, 0), np.uint64), np.zeros((2 * 9 * 8, 1), np.uint32),
+    np.zeros((2 * 9 * 8, 1), ">u8"), np.zeros((2 * 9 * 8, 1)), [[0]] * (2 * 9 * 8)],
+    ids=["half", "rows+6", "words+1", "no-words", "uint32", "big-endian", "float", "list"])
+def test_constructor_refuses_a_store_that_does_not_fit(params63, store):
+    # 90 bytes at k=3 GF(2^8) are 10 blocks: one word a plane, 2*k*k*m = 144 planes.
+    with pytest.raises(ValueError, match=r"node store must be a \(144, 1\) array of '<u8'"):
+        Cluster(params63, store, 90, None)
+    assert Cluster(params63, np.zeros((144, 1), "<u8"), 90, None).extract({4, 5, 6}) == bytes(90)
+    assert Cluster(params63, np.zeros((144, 0), "<u8"), 0, None).extract({1, 2, 3}) == b""
 
 
 def _kernel_calls(monkeypatch):
@@ -385,7 +400,7 @@ def test_windows_decode_every_class_and_repair_every_kind(params63, params_k4_gf
     blocks = max(0, 64 * words - 59)  # the last word holds 5 blocks
     data = _data(max(0, blocks * row - 3), seed=words)
     c = Cluster.ingest(data, params)  # keeps the oracle, which run_repair checks against
-    assert c.nblocks == blocks and c.stream.shape[1] == words
+    assert c.nblocks == blocks and c.store.shape[1] == words
     for ids in _node_sets(k):
         assert c.extract(ids) == data, ids
     edges = sorted({b for w in windows for b in (64 * w.start, min(64 * w.stop, blocks) - 1)
@@ -402,6 +417,31 @@ def test_windows_decode_every_class_and_repair_every_kind(params63, params_k4_gf
             for ct in apply_repair(plan, msgs, params)[0]:
                 assert block_content(c, ct.node_id, bk).vector == ct.vector
     assert c.extract(range(k + 1, params.n + 1)) == data
+
+
+@pytest.mark.parametrize("wide, window", [(False, 4), (True, 4), (False, _GATHER_WORDS + 1)],
+                         ids=["k3-gf8", "k4-gf16", "k3-gf8-table-windows"])
+def test_repairs_and_decodes_never_read_a_lost_node(params63, params_k4_gf16, wide, window,
+                                                    monkeypatch):
+    # A lost node's rows of the store keep their bytes until a repair writes its newcomer
+    # over them, so a repair or decode that read them would still match the oracle.  Poison
+    # them with all ones: on a stream two windows wide, every set of k live nodes decodes,
+    # each repair of every pattern kind matches the oracle, and then every class decodes.
+    monkeypatch.setattr(cluster_mod, "_WINDOW_WORDS", window)
+    params = params_k4_gf16 if wide else params63
+    k, m, row = params.k, params.field.degree, params.block_size * params.field.symbol_bytes
+    data = _data(64 * 2 * window * row - 5, seed=window + k)
+    c = Cluster.ingest(data, params)  # keeps the oracle, which run_repair checks against
+    assert len(cluster_mod._windows(c.store.shape[1])) == 2
+    for failed in [*_failure_patterns(k), set(range(1, k + 1))]:
+        c.fail(failed)
+        for nid in failed:
+            c.store[(nid - 1) * k * m:nid * k * m] = ~np.uint64(0)
+        for ids in combinations(c.live_nodes, k):
+            assert c.extract(ids) == data, (failed, ids)
+        c.run_repair(FailurePattern.classify(failed, k))
+        for ids in _node_sets(k):
+            assert c.extract(ids) == data, (failed, ids)
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
@@ -551,7 +591,7 @@ def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wid
     data = _data(5 << 19, seed=5)
     size, buffers = len(data), (1 << 20) + (64 << 10)
     c = Cluster.ingest(data, params, keep_oracle=False)
-    k, words = params.k, c.stream.shape[1]
+    k, words = params.k, c.store.shape[1]
     gathered = size if words <= _GATHER_WORDS else 0
     assert gathered == (size if wide else 0) and len(cluster_mod._windows(words)) == 1
     for ids in _node_sets(k):
@@ -560,7 +600,7 @@ def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wid
         extra = min(size, f * size + (gathered if f else 0))
         assert out == data and peak <= size + extra + buffers, ids
     monkeypatch.setattr(cluster_mod, "_WINDOW_WORDS", -(-words // 3))
-    window = c.stream[:, cluster_mod._windows(words)[0]].nbytes  # all k^2*m planes
+    window = c.store[:, cluster_mod._windows(words)[0]].nbytes // 2  # the stream's k^2*m planes
     for ids in _node_sets(k):
         f = sum(nid > k for nid in ids) / k
         out, peak = _decode_peak(c, ids)
@@ -569,10 +609,10 @@ def test_decode_holds_no_second_copy_of_the_stream(params63, params_k4_gf16, wid
 
 def test_repair_holds_no_full_size_phase1_buffer(params63):
     # Deterministic and untimed: the tracemalloc peak of a repair of each kind on a stream
-    # three windows wide.  It holds the arrays of its parity newcomers (a systematic one is
-    # repaired in its rows of the stream), one window of the r*d*m phase-1 planes, the
-    # kernel's XOR table (16 planes of a window) and small objects, mostly the compiled
-    # plans: a phase-1 buffer over all the words would be three windows.
+    # three windows wide.  It writes every newcomer into its rows of the node store and
+    # holds one window of the r*d*m phase-1 planes, the kernel's XOR table (16 planes of a
+    # window) and small objects, mostly the compiled plans: a phase-1 buffer over all the
+    # words would be three windows, and one newcomer's array a whole node.
     k, m, words = 3, params63.field.degree, 2 * cluster_mod._WINDOW_WORDS + 1
     data = _data(64 * words * params63.block_size - 7, seed=14)
     c = Cluster.ingest(data, params63, keep_oracle=False)
@@ -583,24 +623,24 @@ def test_repair_holds_no_full_size_phase1_buffer(params63):
         plan = plan_repair(pattern, params63)
         edges = len(plan.newcomers) * len(plan.helpers)
         _, peak = _peak(c.run_repair, pattern)
-        fresh = sum(c.node_data[nid - 1].nbytes for nid in failed if nid > k)
-        assert peak <= fresh + (edges * m + 16) * width * 8 + (256 << 10), failed
+        assert peak <= (edges * m + 16) * width * 8 + (256 << 10), failed
     assert c.extract(range(k + 1, 2 * k + 1)) == data
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])
 def test_put_holds_no_full_size_temporary(params63, params_k4_gf16, wide):
-    # Ingest holds the 2k node arrays, 2S for an S-byte stream (the systematic ones are
-    # slices of its one copy of the stream), and at most the kernel's buffers more: its
-    # XOR table or gathered planes, 0.6-0.9 MiB here.
+    # Ingest holds the node store, 2S for an S-byte stream (the padded stream and the parity
+    # planes), and at most the kernel's buffers more: its XOR table or gathered planes,
+    # 0.6-0.9 MiB here.  Keeping the oracle adds one copy of the store.
     # The legacy converter holds its output planes and at most two chunk buffers (its
     # slab and its half-size scratch).
     params = params_k4_gf16 if wide else params63
     data, buffers = _data(5 << 19, seed=6), 2 * cli_mod._CHUNK_BYTES + (64 << 10)
     planes, peak = _peak(bytes_to_planes, data, params.field, params.block_size)
     assert peak <= planes.nbytes + buffers
-    c, peak = _peak(Cluster.ingest, data, params, keep_oracle=False)
-    assert peak <= sum(d.nbytes for d in c.node_data) + buffers
+    for keep_oracle in (False, True):
+        c, peak = _peak(Cluster.ingest, data, params, keep_oracle=keep_oracle)
+        assert peak <= (1 + keep_oracle) * c.store.nbytes + buffers
 
 
 def test_wide_symbol_field_end_to_end():

@@ -447,12 +447,13 @@ def test_mixed_pair_with_product_one_raises_nonsingularity_failure(gf256):
     with pytest.raises(ValueError, match=rf"invalid params: product_one at \({a}, {b}\)"):
         Cluster.ingest(random.Random(4).randbytes(90), bad)
     # A cluster made by hand under these params still refuses the repair and writes nothing.
-    parity = [np.zeros((3 * 8, 1), dtype=np.uint64) for _ in range(3)]
-    cluster = Cluster(bad, np.zeros((9 * 8, 1), dtype=np.uint64), parity, 90, None)
+    store = np.arange(2 * 9 * 8, dtype=np.uint64).reshape(-1, 1)
+    cluster = Cluster(bad, store.copy(), 90, None)
     cluster.fail(pattern.failed)
     with pytest.raises(NonsingularityFailure):
         cluster.run_repair(pattern)
     assert cluster.failed == pattern.failed  # no newcomer was written
+    assert np.array_equal(cluster.store, store)
 
 
 @pytest.mark.parametrize("failed", [{1}, {1, 2}, {4}, {4, 5}, {1, 4}])
