@@ -10,9 +10,9 @@ returns, a node's words are its shard, and a repair writes its newcomers over th
 
 Every operation is a fixed linear map, planned once (:meth:`FieldSpec.plan`) and
 applied by the one kernel, :meth:`FieldSpec.scale_array`, to one word window of at
-most _WINDOW_WORDS words at a time: the encode matrix, the decoder rows of the
-columns a node set misses (`codec.collection_matrix`), and the repair probes and
-map (`repair.linear_map`).  Results are bit-identical to the per-block functions.
+most _WINDOW_WORDS words at a time, in the codec's node-major order: the encode matrix,
+the decoder rows of the coordinates a node set lacks (`codec.collection_matrix`), and the
+repair probes and map (`repair.linear_map`).  Results are bit-identical to the per-block functions.
 
 The oracle (a copy of the original node store) exists for verification
 only; repair logic never sees it, and a production-mode cluster drops it.
@@ -76,11 +76,11 @@ def _windows(words: int) -> list[slice]:
 def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearray:
     """Rebuild the byte stream (a bytes-like bytearray) from exactly k nodes `ids`.
 
-    fill(nid, out) writes node nid's planes into `out`, a (k, m, words) slot of the stream:
-    a systematic node's own, a parity node's a missing one's.  Per word window, one kernel
-    call reads the slots in place and its missing coordinates (`codec.collection_matrix`)
-    are copied over the parity planes.  Any k nodes decode without error: callers check
-    outside bytes first.
+    fill(nid, out) writes node nid's planes into `out`, its (k, m, words) block of z in the
+    stream (`codec.slots`): a systematic node's own, a parity node's a missing one's.  Per
+    word window, one kernel call reads z in place and its missing coordinates
+    (`codec.collection_matrix`) are copied over the parity planes.  Any k nodes decode
+    without error: callers check outside bytes first.
     """
     ids = tuple(sorted(ids))
     if len(ids) != params.k:
@@ -90,16 +90,13 @@ def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearr
     missing, rows = codec.collection_matrix(ids, params)
     buf = bytearray(8 * k * k * m * words)
     flat = np.frombuffer(buf, "<u8").reshape(k * k * m, words)
-    coord = flat.reshape(k, k, m, words)  # [j, l]: X[l][j], coordinate l of node j+1
-    slots = [j for j in range(k) if j + 1 in ids] + [j for j in range(k) if j + 1 not in ids]
-    for nid, j in zip(ids, slots):  # ids in order: the systematic ones, then the parity ones
-        fill(nid, coord[j])
-    if rows:  # columns in buffer order: the set's coordinate p*k + l is at row block
-        order = np.argsort(np.arange(k * k).reshape(k, k)[slots].ravel())  # slots[p]*k + l
-        plan = spec.plan(np.array(rows)[:, order])
-        js, ls = [t % k for t in missing], [t // k for t in missing]  # t is X[t // k][t % k]
+    coord = flat.reshape(k * k, m, words)  # [a*k + b]: X[b][a], coordinate b of node a+1
+    for b, nid in enumerate(codec.slots(ids, k)):
+        fill(nid, coord[b * k:(b + 1) * k])
+    if rows:
+        plan = spec.plan(rows)
         for w in _windows(words):  # a window's rows, fresh, then over the parity planes
-            coord[js, ls, :, w] = spec.scale_array(plan, flat[:, w]).reshape(len(rows), m, -1)
+            coord[missing, :, w] = spec.scale_array(plan, flat[:, w]).reshape(len(rows), m, -1)
     del flat, coord, buf[original_length:]  # trimmed in place: the tail is the pad blocks
     return buf
 
@@ -133,10 +130,7 @@ class Cluster:
         stream, parity = store[:k * rows], store[k * rows:]  # a node per k*m rows of each half
         flat = stream.reshape(-1).view(np.uint8)
         flat[:len(data)], flat[len(data):] = np.frombuffer(data, dtype=np.uint8), 0
-        # vec(Y) = E vec(X); E[r*k + c][b*k + a] maps X[b][a] to Y[r][c], coordinate r of
-        # node k+c+1 from coordinate b of node a+1: rows and columns taken node-major.
-        enc = np.array(codec.encode_matrix(params).int_rows(), dtype=np.uint32)
-        plan = spec.plan(enc.reshape((k,) * 4).transpose(1, 0, 3, 2).reshape(k * k, k * k))
+        plan = spec.plan(codec.encode_matrix(params).int_rows())  # y = E x, node-major
         for w in _windows(words):
             spec.scale_array(plan, stream[:, w], out=list(parity[:, w]))
         oracle = np.split(store.copy(), 2 * k) if keep_oracle else None
@@ -162,7 +156,7 @@ class Cluster:
         data = self.node_data[node_id - 1]
         if data is None:
             raise NotEnoughLiveNodes(f"node {node_id} is failed")
-        return data.astype("<u8", copy=False).tobytes()
+        return data.tobytes()
 
     # -- operations --------------------------------------------------------------
 

@@ -10,9 +10,10 @@ and the inverse view, F on the mirror side (see `params.Side`), treats Y as the 
     X = delta' * U_hat Y^t V + epsilon' * Y Q      (dual map G)
 
 With the parameter conditions of :mod:`mscr.params`, G(F(X)) = X for every
-block, and any k node vectors determine X (the MDS property).  The systematic
-nodes of a set hold their columns of X; `collection_matrix` solves once for
-the other columns from the parity coordinates, and `collect` applies it.
+block, and any k node vectors determine X (the MDS property).  The maps index
+the node vectors node-major, as the node store lays them out: x[a*k + b] is
+X[b][a], coordinate b of node a+1, and likewise y.  `collection_matrix` solves once
+for the coordinates of x that a set's vectors in their `slots` (z) lack; `collect` applies it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "dual_encode",
     "encode",
     "encode_matrix",
+    "slots",
 ]
 
 
@@ -83,46 +85,49 @@ def dual_encode(block: ParityBlock, params: CodeParams) -> SourceBlock:
     return SourceBlock(_map(block.y, params.systematic_side, params))
 
 
+def slots(node_ids, k: int) -> list[int]:
+    """The ids of a k-node set in the blocks of z: systematic node j in its own block j - 1,
+    the parity nodes, in ascending order, in the blocks of the systematic nodes it lacks."""
+    parity = iter(sorted(i for i in node_ids if i > k))
+    return [j if j in node_ids else next(parity) for j in range(1, k + 1)]
+
+
 @lru_cache(maxsize=128)
 def encode_matrix(params: CodeParams) -> Matrix:
-    """The k^2 x k^2 matrix E with vec(Y) = E vec(X), entry by entry from F.
+    """The k^2 x k^2 matrix E with y = E x, node-major, entry by entry from F.
 
-    X[b][a] enters Y[r][c] with weight delta V_hat[r][a] U[b][c] through the
-    aligned term and epsilon P[a][c] through the mixed one when b = r, so
-    E[rk + c][bk + a] = delta V_hat[r][a] U[b][c] + epsilon [b = r] P[a][c].
+    X[b][a] = x[ak + b] enters Y[r][c] = y[ck + r] with weight delta V_hat[r][a] U[b][c]
+    through the aligned term and epsilon P[a][c] through the mixed one when b = r, so
+    E[ck + r][ak + b] = delta V_hat[r][a] U[b][c] + epsilon [b = r] P[a][c].
     """
     k, field, mul, side = params.k, params.field, params.field.mul_int, params.parity_side
     d, e = side.delta.value, side.epsilon.value
     v_hat, u, p = side.hat.int_rows(), side.probes.int_rows(), side.mix.int_rows()
     return Matrix(field, [[mul(d, mul(v_hat[r][a], u[b][c])) ^ (mul(e, p[a][c]) if b == r else 0)
-                           for b in range(k) for a in range(k)]
-                          for r in range(k) for c in range(k)])
+                           for a in range(k) for b in range(k)]
+                          for c in range(k) for r in range(k)])
 
 
 @lru_cache(maxsize=128)  # bounded: 128 k=8 decoders hold at most 4.5 MiB (8 MiB over GF(2^16))
 def collection_matrix(node_ids: tuple[int, ...],
                       params: CodeParams) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The decoder of a k-node set: the vec(X) indices no node in it holds, and their rows.
+    """The decoder of a k-node set: the coordinates of x no node in it holds, and their rows.
 
-    vec(X) is row-major, and coordinate l of the node at position p of the
-    sorted ids is coordinate pk + l of the set.  The s systematic nodes hold
-    x_H (node j holds X[l][j-1] as coordinate l); the other k - s columns are
-    x_M.  The k - s parity nodes hold y_T = A x_M + K x_H, with A and K taken
-    from rows of the encode matrix, so one solve gives the rows
-    x_M = A^-1 [K | I] (x_H; y_T), in ascending vec(X) order.  The value is
-    shared by every caller.
+    The rows read z, the set's vectors in their `slots`.  Its s systematic nodes hold
+    x_H in their own blocks, and its k - s parity nodes y_T = A x_M + K x_H in the
+    others, with A and K taken from rows of the encode matrix, so one solve gives
+    x_M = A^-1 [K | I] z, in ascending order.  The value is shared by every caller.
     """
-    k, field, ids = params.k, params.field, sorted(node_ids)
-    enc = encode_matrix(params)
-    held = {l * k + nid - 1: p * k + l for p, nid in enumerate(ids) if nid <= k for l in range(k)}
-    parity = [(p * k + l, l * k + nid - k - 1)  # (set coordinate, row of the encode matrix)
-              for p, nid in enumerate(ids) if nid > k for l in range(k)]
-    missing = [t for t in range(k * k) if t not in held]
+    k, field, enc = params.k, params.field, encode_matrix(params)
+    held = [b * k + l for b, nid in enumerate(slots(node_ids, k)) if nid <= k for l in range(k)]
+    parity = [(b * k + l, (nid - k - 1) * k + l)  # (coordinate of z, row of the encode matrix)
+              for b, nid in enumerate(slots(node_ids, k)) if nid > k for l in range(k)]
+    missing = [at for at, _ in parity]
     rhs = [[0] * (k * k) for _ in parity]
     for row, (at, e) in zip(rhs, parity):
         row[at] = 1
-        for t, c in held.items():
-            row[c] = enc.int_at(e, t)
+        for t in held:
+            row[t] = enc.int_at(e, t)
     a = Matrix(field, [[enc.int_at(e, t) for t in missing] for _, e in parity])
     return tuple(missing), tuple(map(tuple, a.solve(Matrix(field, rhs)).int_rows()))
 
@@ -147,9 +152,8 @@ def collect(contents: Sequence[NodeContent], params: CodeParams) -> SourceBlock:
             raise DimensionMismatch(f"node {c.node_id} vector does not fit the code")
 
     by_id = {c.node_id: c.vector for c in contents}
-    ids.sort()
-    symbols = [sym for i in ids for sym in by_id[i]]
-    vec = {l * k + i - 1: sym.value for i in ids if i <= k for l, sym in enumerate(by_id[i])}
-    for t, row in zip(*collection_matrix(tuple(ids), params)):
-        vec[t] = dot([field.element(v) for v in row], symbols).value
-    return SourceBlock(Matrix(field, [[vec[r * k + c] for c in range(k)] for r in range(k)]))
+    z = [sym for i in slots(ids, k) for sym in by_id[i]]
+    x = [sym.value for sym in z]
+    for t, row in zip(*collection_matrix(tuple(sorted(ids)), params)):
+        x[t] = dot([field.element(v) for v in row], z).value
+    return SourceBlock(Matrix(field, [[x[c * k + r] for c in range(k)] for r in range(k)]))

@@ -47,18 +47,20 @@ def is_super_regular(m: Matrix) -> bool:
 def collection_system(node_ids, params) -> Matrix:
     """The k^2 x k^2 system of a node set (a test oracle): its inverse decodes the set.
 
-    Rows are grouped per node in sorted id order, k coordinate equations
-    each; unknowns are vec(X) row-major.  Systematic nodes contribute unit
-    rows, parity nodes the matching rows of the encode matrix.
+    Unknowns are x node-major, and row block b holds the k coordinate equations
+    of the node in block b of z: systematic node j in block j - 1, and the i-th
+    parity node in the i-th block no systematic node of the set holds.  So the
+    inverse's columns read z.  Systematic nodes contribute unit rows, parity
+    nodes their row block of the encode matrix.
     """
-    k, enc = params.k, encode_matrix(params).int_rows()
-    rows = []
-    for nid in sorted(node_ids):
-        for r in range(k):
-            if nid <= k:
-                rows.append([int(t == r * k + nid - 1) for t in range(k * k)])
-            else:
-                rows.append(enc[r * k + nid - k - 1])
+    k, enc, ids = params.k, encode_matrix(params).int_rows(), sorted(node_ids)
+    lacking = [b for b in range(k) if b + 1 not in ids]
+    block = {j: j - 1 for j in ids if j <= k} | dict(zip([j for j in ids if j > k], lacking))
+    rows = [None] * (k * k)
+    for nid, b in block.items():
+        for l in range(k):
+            rows[b * k + l] = ([int(t == b * k + l) for t in range(k * k)] if nid <= k
+                               else enc[(nid - k - 1) * k + l])
     return Matrix(params.field, rows)
 
 

@@ -406,12 +406,13 @@ def _pre_v4(shard_dir, params_file, payload):
     bit planes over block-major blocks.  Returns the manifest."""
     code_params, doc = load(params_file), json.loads(Path(params_file).read_text())
     k, m, spec = code_params.k, code_params.field.degree, code_params.field
-    x = bytes_to_planes(payload, spec, k * k)  # vec(X) order: X[l][j] is row block l*k + j
-    y = spec.scale_array(spec.plan(encode_matrix(code_params).int_rows()), x)  # vec(Y) = E vec(X)
+    x = bytes_to_planes(payload, spec, k * k)  # block-major: X[l][j] is row block l*k + j
+    x = x.reshape(k, k, m, -1).swapaxes(0, 1).reshape(k * k * m, -1)  # node-major: j*k + l
+    y = spec.scale_array(spec.plan(encode_matrix(code_params).int_rows()), x)  # y = E x
     shard_dir.mkdir()
     shards, digests = {}, {}
     for nid in range(1, 2 * k + 1):  # node j+1 holds column j of X, node k+c+1 column c of Y
-        planes = (x if nid <= k else y).reshape(k, k, m, -1)[:, (nid - 1) % k]
+        planes = (x if nid <= k else y).reshape(k, k * m, -1)[(nid - 1) % k]
         raw = np.ascontiguousarray(planes, "<u8").tobytes()
         shards[str(nid)] = f"node_{nid:02d}.shard"
         digests[str(nid)] = hashlib.sha256(raw).hexdigest()

@@ -85,12 +85,12 @@ def test_encode_matrix_agrees_with_encode(params63):
     e = encode_matrix(params63)
     for _ in range(20):
         block = random_block(params63, rng)
-        vec = Matrix(params63.field, [[block.x.int_at(r, c)] for r in range(k) for c in range(k)])
-        yvec = e @ vec
+        x = Matrix(params63.field, [[block.x.int_at(b, a)] for a in range(k) for b in range(k)])
+        yvec = e @ x  # node-major: coordinate c*k + r is Y[r][c]
         y = encode(block, params63).y
         for r in range(k):
             for c in range(k):
-                assert yvec.at(r * k + c, 0) == y.at(r, c)
+                assert yvec.at(c * k + r, 0) == y.at(r, c)
 
 
 def test_collect_systematic_fast_path(params63):
@@ -136,8 +136,8 @@ def _assert_decoder_is_the_inverse(ids, params):
     # The decoder's rows are the system inverse's rows of the coordinates no node holds.
     k = params.k
     missing, rows = collection_matrix(ids, params)
-    assert missing == tuple(l * k + j - 1 for l in range(k) for j in range(1, k + 1)
-                            if j not in ids), ids
+    assert missing == tuple((j - 1) * k + l for j in range(1, k + 1) if j not in ids
+                            for l in range(k)), ids
     inverse = collection_system(ids, params).invert().int_rows()
     assert [list(r) for r in rows] == [inverse[t] for t in missing], ids
 
@@ -157,6 +157,19 @@ def test_decoder_rows_equal_the_system_inverse_k8(random_v):
     for ids in [tuple(range(9, 17)), (*range(1, 8), 9), (*range(1, 5), *range(9, 13)),
                 (2, 3, 5, 8, 10, 11, 14, 16)]:
         _assert_decoder_is_the_inverse(ids, params)
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+@pytest.mark.parametrize("random_v", [False, True], ids=["identity-v", "random-v"])
+@pytest.mark.parametrize("k", [2, 3, 4, 8])
+def test_parity_only_decoder_is_the_dual_map(k, degree, random_v):
+    # Column c*k + r of G is x of the unit parity block Y[r][c] = 1, from the scalar G.
+    params = generate(k, FieldSpec(degree), seed=60 + k, random_v=random_v)
+    units = [dual_encode(ParityBlock(Matrix(params.field, [[int((i, j) == (r, c)) for j in range(k)]
+                                                           for i in range(k)])), params).x
+             for c in range(k) for r in range(k)]
+    g = tuple(tuple(x.int_at(b, a) for x in units) for a in range(k) for b in range(k))
+    assert collection_matrix(tuple(range(k + 1, 2 * k + 1)), params) == (tuple(range(k * k)), g)
 
 
 def test_repeated_node_set_reuses_the_decoder(params_k4, monkeypatch):
