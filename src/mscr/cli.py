@@ -6,10 +6,14 @@ Exit 2 comes from argparse: a bad option, and the ``parser.error`` calls of
 Each command lets OSError, ValueError and ``params.GenerationExhausted``
 propagate, and ``main`` alone turns them into one ``error:`` line and exit 1:
 a bad manifest, shard, params or scenario, or an output that cannot be written.
-Manifest v2 adds to v1 the SHA-256 of the params and of each shard, which
-``extract`` checks before it reads any shard and as it reads each one, and of
-the input, which it checks before writing (v1 has none to check).  ``encode``
-writes v4: a shard is the node's bit planes as little-endian uint64 words,
+Manifest v2 adds to v1 the SHA-256 of the params, of each shard and of the input (v1 has
+none to check).  Each ``encode`` and ``extract`` hashes shards and input on one worker
+thread that calls only ``hashlib``, while the kernel runs: ``encode`` hashes the input
+and its zero-padded runs (the systematic shards) during the ingest, and the parity
+shards while it writes them; ``extract`` checks the params' digest before it reads any
+shard, hashes each shard once it is read into the decode, which waits for those digests
+before it writes over any shard, and checks the input's digest before it writes the output.
+``encode`` writes v4: a shard is the node's bit planes as little-endian uint64 words,
 node-major, so the systematic shards in order are the zero-padded input.
 ``extract`` also reads v1-v3, whose input is block-major (block p is bytes
 p*B*w onwards): it decodes them as v4, with v1/v2 shards through
@@ -184,19 +188,42 @@ def _params_sha256(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def _digest_worker():
+    """A command's one worker thread, which takes its SHA-256 digests (`_sha256`).  Imported
+    here: concurrent.futures loads logging, 0.5 MiB that only encode and extract need."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1)
+
+
+def _sha256(*parts) -> str:
+    """SHA-256 (hex) of the concatenated buffers: the one function the digest worker runs."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
 def cmd_encode(args, parser) -> int:
     code_params, out_dir = params_mod.load(args.params), Path(args.out_dir)
     data = Path(args.infile).read_bytes()  # first: a bad --in leaves no out_dir behind
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad out_dir fails before the ingest
-    c = cluster_mod.Cluster.ingest(data, code_params, keep_oracle=False)
+    k, n, spec = code_params.k, code_params.n, code_params.field
+    # a shard's bytes: k*m planes of a word per 64 blocks
+    size = 8 * k * spec.degree * -(-len(data) // (64 * code_params.block_size * spec.symbol_bytes))
+    runs = [memoryview(data)[i * size:(i + 1) * size] for i in range(k)]
+    with _digest_worker() as pool:  # every digest, overlapping the ingest and the writes
+        # v4's systematic shards are the input's runs, zero-padded by less than one word column
+        futures = [pool.submit(_sha256, data)] + [
+            pool.submit(_sha256, run, bytes(size - len(run))) for run in runs]
+        c = cluster_mod.Cluster.ingest(data, code_params, keep_oracle=False)
+        # node_symbols_bytes, with no copy
+        payloads = [planes.reshape(-1).view(np.uint8).data for planes in c.node_data]
+        futures += [pool.submit(_sha256, payload) for payload in payloads[k:]]
+        shards = {str(nid): f"node_{nid:02d}.shard" for nid in range(1, n + 1)}
+        for nid, payload in enumerate(payloads, 1):
+            (out_dir / shards[str(nid)]).write_bytes(payload)
+        data_digest, *digests = (future.result() for future in futures)
     doc = params_mod.to_document(code_params)
-    shards, digests = {}, {}
-    for nid in range(1, code_params.n + 1):
-        name, planes = f"node_{nid:02d}.shard", c.node_data[nid - 1]
-        payload = planes.reshape(-1).view(np.uint8).data  # node_symbols_bytes, with no copy
-        (out_dir / name).write_bytes(payload)
-        shards[str(nid)] = name
-        digests[str(nid)] = hashlib.sha256(payload).hexdigest()
     manifest = {
         "version": MANIFEST_VERSION,
         "k": code_params.k,
@@ -205,9 +232,9 @@ def cmd_encode(args, parser) -> int:
         "block_count": c.nblocks,
         "symbols_per_node": c.nblocks * code_params.k,
         "shards": shards,
-        "sha256": digests,
+        "sha256": dict(zip(shards, digests)),
         "params_sha256": _params_sha256(doc),
-        "data_sha256": hashlib.sha256(data).hexdigest(),
+        "data_sha256": data_digest,
     }
     (out_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -216,10 +243,14 @@ def cmd_encode(args, parser) -> int:
     return 0
 
 
-def _read_shards(in_dir: Path, nodes: list[int], code_params):
-    """Check the manifest and the size of each shard; return fill(nid, out), which checks
-    node nid's shard and writes its planes into `out` (v3 and v4: reads it in), the original
-    length, the manifest's data_sha256 (None when the manifest has none) and its version."""
+def _read_shards(in_dir: Path, nodes: list[int], code_params, pool):
+    """Check the manifest and the size of each shard; return fill(nid, out), the original
+    length, the manifest's data_sha256 (None when the manifest has none) and its version.
+
+    fill writes node nid's planes into `out` (v3 and v4: reads the shard into it), submits
+    the digest of the bytes it read to `pool` and returns the check `decode_nodes` waits for,
+    which raises ValueError naming the shard if they do not match the manifest's sha256
+    (v1 has none to match)."""
     path, doc = in_dir / MANIFEST_NAME, params_mod.to_document(code_params)
     fingerprint = _params_sha256(doc)
     try:
@@ -255,10 +286,14 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params):
         with open(shard, "rb") as fh:
             if fh.readinto(raw) != size:
                 raise ValueError(f"shard {shard} (node {nid}) has fewer than {size} bytes")
-        if digest is not None and hashlib.sha256(raw).hexdigest() != digest:
-            raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
+        hashed = pool.submit(_sha256, raw) if digest is not None else None
         if version < 3:
             out[...] = bytes_to_planes(raw, spec, k).reshape(out.shape)
+
+        def check():
+            if hashed is not None and hashed.result() != digest:
+                raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
+        return check
     return fill, length, data_digest, version
 
 
@@ -270,16 +305,21 @@ def cmd_extract(args, parser) -> int:
         parser.error(f"--nodes must name exactly k={code_params.k} distinct shards")
     if any(not 1 <= nid <= code_params.n for nid in nodes):
         parser.error(f"--nodes must be within 1..{code_params.n}")
-    fill, length, data_digest, version = _read_shards(Path(args.in_dir), nodes, code_params)
     k, m = code_params.k, code_params.field.degree
-    padded = 8 * k * k * m * -(-length // (8 * code_params.block_size * m))  # whole words
-    data = cluster_mod.decode_nodes(nodes, fill, code_params, length if version == 4 else padded)
-    if version < 4:  # X[l][j] is row block j*k + l of the decode and symbol l*k + j of a block
-        data = planes_to_bytes(np.frombuffer(data, "<u8").reshape(k, k, m, -1).swapaxes(0, 1),
-                               length)
-    if data_digest is not None and hashlib.sha256(data).hexdigest() != data_digest:
-        raise ValueError(f"extracted bytes do not match data_sha256 in "
-                         f"{Path(args.in_dir) / MANIFEST_NAME}")
+    with _digest_worker() as pool:  # every digest, overlapping the reads and the decode
+        fill, length, data_digest, version = _read_shards(Path(args.in_dir), nodes, code_params,
+                                                          pool)
+        padded = 8 * k * k * m * -(-length // (8 * code_params.block_size * m))  # whole words
+        # untrimmed: a worker may hold a view of the buffer a moment after its digest is done
+        data = cluster_mod.decode_nodes(nodes, fill, code_params, padded)
+        if version == 4:
+            data = memoryview(data)[:length]
+        else:  # X[l][j] is row block j*k + l of the decode and symbol l*k + j of a block
+            data = planes_to_bytes(np.frombuffer(data, "<u8").reshape(k, k, m, -1)
+                                   .swapaxes(0, 1), length)
+        if data_digest is not None and pool.submit(_sha256, data).result() != data_digest:
+            raise ValueError(f"extracted bytes do not match data_sha256 in "
+                             f"{Path(args.in_dir) / MANIFEST_NAME}")
     Path(args.out).write_bytes(data)
     print(f"extracted {len(data)} bytes from nodes {nodes}")
     return 0

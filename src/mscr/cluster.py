@@ -80,7 +80,10 @@ def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearr
     stream (`codec.slots`): a systematic node's own, a parity node's a missing one's.  Per
     word window, one kernel call reads z in place and its missing coordinates
     (`codec.collection_matrix`) are copied over the parity planes.  Any k nodes decode
-    without error: callers check outside bytes first.
+    without error: callers check outside bytes.  fill returns None or a check, which raises
+    if the bytes it filled are bad; every check is called after the first window's kernel
+    call and before any decoded window is written over a filled slot (or before returning,
+    when none is), in slot order, so a check may still be reading its slot until then.
     """
     ids = tuple(sorted(ids))
     if len(ids) != params.k:
@@ -91,14 +94,25 @@ def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearr
     buf = bytearray(8 * k * k * m * words)
     flat = np.frombuffer(buf, "<u8").reshape(k * k * m, words)
     coord = flat.reshape(k * k, m, words)  # [a*k + b]: X[b][a], coordinate b of node a+1
-    for b, nid in enumerate(codec.slots(ids, k)):
-        fill(nid, coord[b * k:(b + 1) * k])
+    checks = [fill(nid, coord[b * k:(b + 1) * k]) for b, nid in enumerate(codec.slots(ids, k))]
     if rows:
         plan = spec.plan(rows)
         for w in _windows(words):  # a window's rows, fresh, then over the parity planes
-            coord[missing, :, w] = spec.scale_array(plan, flat[:, w]).reshape(len(rows), m, -1)
+            fresh = spec.scale_array(plan, flat[:, w]).reshape(len(rows), m, -1)
+            _settle(checks)  # after the first window's kernel call, before any write
+            coord[missing, :, w] = fresh
+            del fresh  # before the next window's call: one window of output at a time
+    _settle(checks)
     del flat, coord, buf[original_length:]  # trimmed in place: the tail is the pad blocks
     return buf
+
+
+def _settle(checks: list) -> None:
+    """Call each check a fill returned (None: nothing to check), then empty the list."""
+    for check in checks:
+        if check is not None:
+            check()
+    checks.clear()
 
 
 class Cluster:

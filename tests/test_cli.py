@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 import shutil
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -335,6 +337,30 @@ def test_encode_writes_manifest_v4(tmp_path):
     assert manifest["params_sha256"] == hashlib.sha256(params_text.encode()).hexdigest()
 
 
+# Input lengths at the edges of the v4 layout, in systematic shards of one word column
+# (8*k*m bytes): the systematic digests come from the input's runs and zero padding.
+LAYOUT_EDGES = {"empty": 0, "one byte": 1, "shard - 1": -1, "shard": 0, "shard + 1": 1,
+                "k shards": 0, "k shards + 1": 1}
+
+
+@pytest.mark.parametrize("edge", list(LAYOUT_EDGES))
+@pytest.mark.parametrize("degree", [8, 16])
+def test_encode_digests_match_the_shard_files_at_layout_edges(tmp_path, degree, edge):
+    k, shard = 3, 8 * 3 * degree
+    length = LAYOUT_EDGES[edge] + (k * shard if edge.startswith("k shards")
+                                   else shard if edge.startswith("shard") else 0)
+    payload = random.Random(length).randbytes(length)
+    _, shard_dir = _encode(tmp_path, payload, "--field-degree", str(degree))
+    manifest = json.loads((shard_dir / "manifest.json").read_text())
+    raws = [(shard_dir / manifest["shards"][str(nid)]).read_bytes() for nid in range(1, 7)]
+    words = -(-length // (k * shard))  # a shard is `words` columns of `shard` bytes
+    assert {len(raw) for raw in raws} == {words * shard}
+    for nid, raw in enumerate(raws, 1):
+        assert manifest["sha256"][str(nid)] == hashlib.sha256(raw).hexdigest(), nid
+    assert b"".join(raws[:k]) == payload.ljust(k * words * shard, b"\0")
+    assert manifest["data_sha256"] == hashlib.sha256(payload).hexdigest()
+
+
 @pytest.mark.parametrize("node", [2, 4, 6])
 def test_extract_detects_flipped_byte(tmp_path, capsys, node):
     params_file, shard_dir = _encode(tmp_path, random.Random(4).randbytes(500))
@@ -345,6 +371,38 @@ def test_extract_detects_flipped_byte(tmp_path, capsys, node):
     capsys.readouterr()
     out = tmp_path / "o.bin"
     assert _extract(params_file, shard_dir, out) == 1
+    assert shard.name in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nodes", ["1,2,5,6", "5,6,7,8"])
+def test_decode_waits_for_the_digests_before_it_writes_over_a_shard(tmp_path, capsys,
+                                                                     monkeypatch, nodes):
+    # The decode writes its missing coordinates over the parity shards' slots, which the
+    # worker may not have hashed yet: it waits for every digest first, so late digests
+    # neither fail good shards nor let a damaged one through.
+    params_file, src, shard_dir = tmp_path / "params.json", tmp_path / "input.bin", tmp_path / "s"
+    assert main(["gen-params", "--k", "4", "--seed", "3", "--out", str(params_file)]) == 0
+    payload = random.Random(13).randbytes(3000)
+    src.write_bytes(payload)
+    assert main(["encode", "--params", str(params_file), "--in", str(src),
+                 "--out-dir", str(shard_dir)]) == 0
+    sha256 = cli_mod._sha256
+
+    def slow(*parts):  # every digest of the CLI's worker starts about 50 ms late
+        time.sleep(0.05)
+        return sha256(*parts)
+    monkeypatch.setattr(cli_mod, "_sha256", slow)
+    out = tmp_path / "o.bin"
+    assert _extract(params_file, shard_dir, out, nodes) == 0
+    assert out.read_bytes() == payload
+    out.unlink()
+    shard = shard_dir / "node_06.shard"  # its slot is a missing systematic node's: overwritten
+    raw = bytearray(shard.read_bytes())
+    raw[len(raw) // 2] ^= 0x80
+    shard.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert _extract(params_file, shard_dir, out, nodes) == 1
     assert shard.name in _one_error_line(capsys)
     assert not out.exists()
 
@@ -545,7 +603,9 @@ def test_extract_bad_input_exits_1(tmp_path, capsys, case):
     params_file, shard_dir = _encode(tmp_path, random.Random(7).randbytes(400))
     BAD_INPUTS[case](shard_dir)
     capsys.readouterr()
+    threads = threading.active_count()
     assert _extract(params_file, shard_dir, tmp_path / "o.bin") == 1
+    assert threading.active_count() == threads  # the digest worker is gone
     _one_error_line(capsys)
 
 
@@ -790,8 +850,27 @@ def test_library_error_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch
         raise error("injected")
     monkeypatch.setattr(owner, name, fail)
     capsys.readouterr()
+    threads = threading.active_count()
     assert main(argv) == 1
+    assert threading.active_count() == threads  # the digest worker is gone
     assert _one_error_line(capsys) == "error: injected"
+
+
+def test_every_command_leaves_the_thread_count_as_it_was(tmp_path):
+    params_file, shard_dir = _encode(tmp_path, b"one worker a command")
+    commands = [
+        ["gen-params", "--k", "3", "--out", str(tmp_path / "p.json")],
+        ["validate-params", "--params", str(params_file)],
+        ["encode", "--params", str(params_file), "--in", str(tmp_path / "input.bin"),
+         "--out-dir", str(tmp_path / "again")],
+        ["extract", "--params", str(params_file), "--in-dir", str(shard_dir),
+         "--nodes", "2,4,6", "--out", str(tmp_path / "o.bin")],
+        ["simulate", "--scenario", "six-node-all-pairs"],
+    ]
+    for argv in commands:
+        threads = threading.active_count()
+        assert main(argv) == 0
+        assert threading.active_count() == threads, argv[0]
 
 
 def test_gen_params_exit_codes_of_generate_errors(tmp_path, capsys, monkeypatch):

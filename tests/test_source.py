@@ -1,6 +1,7 @@
 """Source hygiene of the package: no unused top-level import, no line over 100 characters,
-no import from outside the standard library, numpy (the one dependency) and mscr, and no
-module-level function or class that nothing in the package uses or exports.
+no import from outside the standard library, numpy (the one dependency) and mscr, no thread
+module imported outside the CLI, and no module-level function or class that nothing in the
+package uses or exports.
 
 `__init__.py` is exempt from the unused-import check: its imports are the package API.
 """
@@ -116,6 +117,37 @@ def test_foreign_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_only_stdlib_numpy_and_mscr(path):
     assert foreign_imports(path.read_text()) == []
+
+
+THREAD_MODULES = ("threading", "concurrent.futures")
+
+
+def thread_imports(source: str) -> list[str]:
+    """The modules of THREAD_MODULES a module imports, anywhere in it, itself or in part."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return sorted({m for m in THREAD_MODULES for name in names
+                   if name == m or name.startswith(m + ".")})
+
+
+def test_thread_import_is_detected():
+    source = "import json\nfrom . import threading\nfrom concurrent import interpreters\n"
+    assert thread_imports(source) == []
+    assert thread_imports(source + "def f():\n    import threading\n") == ["threading"]
+    for line in ("from concurrent import futures", "import concurrent.futures.thread",
+                 "from concurrent.futures import ThreadPoolExecutor as Pool"):
+        assert thread_imports(source + line + "\n") == ["concurrent.futures"], line
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_starts_threads(path):
+    # The digest worker is the CLI's: the library and the bulk path stay single-threaded.
+    assert thread_imports(path.read_text()) == []
 
 
 def error_printers(source: str) -> list[str]:
