@@ -6,18 +6,16 @@ Exit 2 comes from argparse: a bad option, and the ``parser.error`` calls of
 Each command lets OSError, ValueError and ``params.GenerationExhausted``
 propagate, and ``main`` alone turns them into one ``error:`` line and exit 1:
 a bad manifest, shard, params or scenario, or an output that cannot be written.
-Manifest v2 adds to v1 the SHA-256 of the params, of each shard and of the input (v1 has
-none to check).  Each ``encode`` and ``extract`` hashes shards and input on one worker
-thread that calls only ``hashlib``, while the kernel runs: ``encode`` hashes the input
-and its zero-padded runs (the systematic shards) during the ingest, and the parity
-shards while it writes them; ``extract`` checks the params' digest before it reads any
-shard, hashes each shard once it is read into the decode, which waits for those digests
-before it writes over any shard, and checks the input's digest before it writes the output.
-``encode`` writes v4: a shard is the node's bit planes as little-endian uint64 words,
-node-major, so the systematic shards in order are the zero-padded input.
-``extract`` also reads v1-v3, whose input is block-major (block p is bytes
-p*B*w onwards): it decodes them as v4, with v1/v2 shards through
-`bytes_to_planes`, and `planes_to_bytes` converts the whole output.
+``encode`` writes, and ``extract`` reads, manifest version 4 alone: a shard is the node's
+bit planes as little-endian uint64 words, node-major, so the systematic shards in order are
+the zero-padded input.  The manifest holds the SHA-256 of the params, of each shard and of
+the input; ``extract`` refuses one of another version or without any of them.  Each
+``encode`` and ``extract`` hashes shards on one worker thread that calls only ``hashlib``,
+while the kernel runs: ``encode`` hashes the input and its zero-padded runs (the systematic
+shards) during the ingest, and the parity shards while it writes them; ``extract`` checks
+the params' digest before it reads any shard, hashes each shard once it is read into the
+decode, which waits for those digests before it writes over any shard, and checks the
+input's digest, on the main thread, before it writes the output.
 All runs are reproducible from the seeds recorded in the files they read.
 """
 
@@ -28,7 +26,6 @@ import hashlib
 import json
 import os
 import sys
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -41,73 +38,6 @@ from .params import json_int
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 4
-
-
-# -- block-major bytes <-> bit planes (v1-v3 directories) ------------------------------
-
-_CHUNK_BYTES = 1 << 19  # bytes a pass: buffers stay small; 128 KiB made 8 MiB ~25% slower
-
-
-def _swap8(x: np.ndarray, t: np.ndarray) -> None:
-    """In place with scratch t (half of x): bit j of row i of x's 8 rows becomes bit i of row j."""
-    for shift, mask in (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555):
-        # HD 7-3 across arrays: rows i and i + shift swap off-diagonal blocks, half the data each
-        a, b = x.reshape(8 // (2 * shift), 2, -1).swapaxes(0, 1)
-        d = t[:a.size].reshape(a.shape)
-        np.bitwise_and(np.bitwise_xor(np.right_shift(a, shift, out=d), b, out=d), mask, out=d)
-        b ^= d
-        a ^= np.left_shift(d, shift, out=d)
-
-
-def _passes(row: int, words: int):
-    """(q, n, s, swap) per pass of at most _CHUNK_BYTES; s is the slab of words q..q+n.
-
-    s[i, c, g] is byte c of block 8g + i; after swap() (`_swap8`), s[b, c, g] is
-    byte g of plane 8c + b.  Rows are 8 bytes longer than s: a power-of-two stride
-    made the transposing copies ~2x slower."""
-    step = max(1, min(words, _CHUNK_BYTES // (64 * row)))
-    slab, scratch = (np.empty(size * row * (step + 1), dtype=np.uint64) for size in (8, 4))
-    for q in range(0, words, step):
-        n = min(step, words - q)
-        x = slab[:8 * row * (n + 1)]
-        yield q, n, x.view(np.uint8).reshape(8, row, -1)[..., :8 * n], partial(_swap8, x, scratch)
-
-
-def bytes_to_planes(data: bytes, spec: FieldSpec, symbols: int) -> np.ndarray:
-    """Block-major bytes, `symbols` symbols a block, to zero-padded (symbols*m, words) planes."""
-    row = symbols * spec.symbol_bytes
-    words = -(-len(data) // (64 * row))
-    out = np.empty((8 * row, words), dtype=np.uint64)
-    dst, src = out.view(np.uint8).reshape(row, 8, 8 * words), np.frombuffer(data, dtype=np.uint8)
-    tile = max(1, (1 << 15) // (8 * row))  # groups a copy: 32 KiB of source stays in L1
-    for q, n, s, swap in _passes(row, words):
-        part = src[64 * row * q:64 * row * (q + n)]
-        full = part.size // (8 * row)  # whole groups of 8 blocks
-        groups, head = part[:8 * row * full].reshape(full, 8, row), s[..., :full]
-        for g in range(0, full, tile):  # the one transposing copy
-            head[..., g:g + tile] = groups[g:g + tile].transpose(1, 2, 0)
-        if full < 8 * n:  # a short last pass: a partial group, then pad blocks
-            tail, s[..., full + 1:] = part[8 * row * full:], 0
-            s[..., full] = np.pad(tail, (0, 8 * row - tail.size)).reshape(8, row)
-        swap()
-        dst[..., 8 * q:8 * (q + n)] = s.transpose(1, 0, 2)  # [byte c, bit b, group g]
-    return out
-
-
-def planes_to_bytes(planes: np.ndarray, nbytes: int) -> bytearray:
-    """The first `nbytes` block-major bytes (a bytearray) of uint64 planes (..., words), any
-    view: the leading axes, in order, number them, and column c is planes 8c..8c+7."""
-    *lead, words = planes.shape
-    row = int(np.prod(lead)) // 8
-    src = np.moveaxis(planes.view(np.uint8).reshape(*lead[:-1], lead[-1] // 8, 8, 8 * words), -2, 0)
-    buf = bytearray(64 * words * row)
-    out = np.frombuffer(buf, dtype=np.uint8).reshape(8 * words, 8, row)  # [group, block, byte]
-    for q, n, s, swap in _passes(row, words):  # src[b, c, g] is byte g of plane 8c + b
-        s.reshape(*src.shape[:-1], 8 * n)[...] = src[..., 8 * q:8 * (q + n)]  # c split as src's
-        swap()
-        out[8 * q:8 * (q + n)] = s.transpose(2, 0, 1)  # the one transposing copy
-    del out, buf[nbytes:]  # trimmed in place: the tail is the pad blocks
-    return buf
 
 
 def _parse_nodes(text: str) -> list[int]:
@@ -189,8 +119,9 @@ def _params_sha256(doc: dict) -> str:
 
 
 def _digest_worker():
-    """A command's one worker thread, which takes its SHA-256 digests (`_sha256`).  Imported
-    here: concurrent.futures loads logging, 0.5 MiB that only encode and extract need."""
+    """A command's one worker thread, for the SHA-256 digests (`_sha256`) that overlap its
+    kernel.  Imported here: concurrent.futures loads logging, 0.5 MiB that only encode and
+    extract need."""
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(1)
 
@@ -245,56 +176,51 @@ def cmd_encode(args, parser) -> int:
 
 def _read_shards(in_dir: Path, nodes: list[int], code_params, pool):
     """Check the manifest and the size of each shard; return fill(nid, out), the original
-    length, the manifest's data_sha256 (None when the manifest has none) and its version.
+    length and the manifest's data_sha256.
 
-    fill writes node nid's planes into `out` (v3 and v4: reads the shard into it), submits
-    the digest of the bytes it read to `pool` and returns the check `decode_nodes` waits for,
-    which raises ValueError naming the shard if they do not match the manifest's sha256
-    (v1 has none to match)."""
+    fill reads node nid's shard into `out`, submits its digest to `pool` and returns the
+    check `decode_nodes` waits for, which raises ValueError naming the shard if the digest
+    does not match the manifest's sha256."""
     path, doc = in_dir / MANIFEST_NAME, params_mod.to_document(code_params)
-    fingerprint = _params_sha256(doc)
     try:
         m = json.loads(path.read_text())
-        same = (json_int(m["k"], "k") == doc["k"] and m["field"] == doc["field"]
-                and json_int(m["field"]["degree"], "field.degree") == doc["field"]["degree"]
-                and m.get("params_sha256", fingerprint) == fingerprint)
-        files = {nid: (in_dir / m["shards"][str(nid)],
-                       m["sha256"][str(nid)] if "sha256" in m else None) for nid in nodes}
-        nblocks, length, version = (json_int(m[key], key)
-                                    for key in ("block_count", "original_length", "version"))
-        data_digest = m.get("data_sha256")
-        if not 1 <= version <= MANIFEST_VERSION:
-            raise ValueError(f"version {version!r} is not 1, 2, 3 or 4")
+        # the other keys are read only from v4, so an older manifest is refused by its version
+        if (version := json_int(m["version"], "version")) == MANIFEST_VERSION:
+            same = (json_int(m["k"], "k") == doc["k"] and m["field"] == doc["field"]
+                    and json_int(m["field"]["degree"], "field.degree") == doc["field"]["degree"]
+                    and m["params_sha256"] == _params_sha256(doc))
+            files = {nid: (in_dir / m["shards"][str(nid)], m["sha256"][str(nid)]) for nid in nodes}
+            nblocks, length = (json_int(m[key], key) for key in ("block_count", "original_length"))
+            data_digest = m["data_sha256"]
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed manifest ({exc})") from None
+    if version != MANIFEST_VERSION:
+        raise ValueError(f"{path}: manifest version {version}, but extract reads only version "
+                         f"{MANIFEST_VERSION}: the directory must be encoded again")
     if not same:
         raise ValueError(f"params differ from the ones the shards in {in_dir} were encoded with")
     k, spec = code_params.k, code_params.field
-    if spec.degree != 8 * spec.symbol_bytes:  # the shards of no version can hold such symbols
+    if spec.degree != 8 * spec.symbol_bytes:  # no shard can hold such symbols
         raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
-    rows = k * spec.degree  # bit planes a node holds
     if length < 0 or nblocks != -(-length // (code_params.block_size * spec.symbol_bytes)):
         raise ValueError(f"{path}: original_length {length} does not fit block_count {nblocks}")
-    size = rows * -(-nblocks // 64) * 8 if version >= 3 else nblocks * k * spec.symbol_bytes
+    size = k * spec.degree * -(-nblocks // 64) * 8  # k*m bit planes of whole words
     for nid, (shard, _) in files.items():  # before the decode allocates what the manifest claims
         if (got := os.stat(shard).st_size) != size:
             raise ValueError(f"shard {shard} (node {nid}) has {got} bytes, not {size}")
 
     def fill(nid, out):
         shard, digest = files[nid]
-        raw = out if version >= 3 else bytearray(size)  # v3, v4: no copy besides the stream's
         with open(shard, "rb") as fh:
-            if fh.readinto(raw) != size:
+            if fh.readinto(out) != size:
                 raise ValueError(f"shard {shard} (node {nid}) has fewer than {size} bytes")
-        hashed = pool.submit(_sha256, raw) if digest is not None else None
-        if version < 3:
-            out[...] = bytes_to_planes(raw, spec, k).reshape(out.shape)
+        hashed = pool.submit(_sha256, out)
 
         def check():
-            if hashed is not None and hashed.result() != digest:
+            if hashed.result() != digest:
                 raise ValueError(f"shard {shard} (node {nid}) does not match its SHA-256 digest")
         return check
-    return fill, length, data_digest, version
+    return fill, length, data_digest
 
 
 def cmd_extract(args, parser) -> int:
@@ -306,18 +232,12 @@ def cmd_extract(args, parser) -> int:
     if any(not 1 <= nid <= code_params.n for nid in nodes):
         parser.error(f"--nodes must be within 1..{code_params.n}")
     k, m = code_params.k, code_params.field.degree
-    with _digest_worker() as pool:  # every digest, overlapping the reads and the decode
-        fill, length, data_digest, version = _read_shards(Path(args.in_dir), nodes, code_params,
-                                                          pool)
+    with _digest_worker() as pool:  # the shard digests, overlapping the reads and the decode
+        fill, length, data_digest = _read_shards(Path(args.in_dir), nodes, code_params, pool)
         padded = 8 * k * k * m * -(-length // (8 * code_params.block_size * m))  # whole words
         # untrimmed: a worker may hold a view of the buffer a moment after its digest is done
-        data = cluster_mod.decode_nodes(nodes, fill, code_params, padded)
-        if version == 4:
-            data = memoryview(data)[:length]
-        else:  # X[l][j] is row block j*k + l of the decode and symbol l*k + j of a block
-            data = planes_to_bytes(np.frombuffer(data, "<u8").reshape(k, k, m, -1)
-                                   .swapaxes(0, 1), length)
-        if data_digest is not None and pool.submit(_sha256, data).result() != data_digest:
+        data = memoryview(cluster_mod.decode_nodes(nodes, fill, code_params, padded))[:length]
+        if _sha256(data) != data_digest:
             raise ValueError(f"extracted bytes do not match data_sha256 in "
                              f"{Path(args.in_dir) / MANIFEST_NAME}")
     Path(args.out).write_bytes(data)

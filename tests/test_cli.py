@@ -4,10 +4,8 @@ import random
 import shutil
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +13,14 @@ from hypothesis import strategies as st
 import mscr.cli as cli_mod
 import mscr.cluster as cluster_mod
 import mscr.params as params_mod
-from mscr.cli import _params_sha256, _print_report, bytes_to_planes, main, planes_to_bytes
+from mscr.cli import _params_sha256, _print_report, main
 from mscr.cluster import Cluster, ScenarioResult, StepReport
-from mscr.codec import encode_matrix
 from mscr.params import load, validate
 
-# v3 directories, each with its params.json, written by `mscr encode` when it wrote v3:
-# the input is random.Random(10).randbytes(length), encoded under `gen-params --k 3 --seed 7`
-# (the params `_gen` writes) and `gen-params --k 4 --field-degree 16 --seed 3`.
+# v3 directories, each with its params.json, written by `mscr encode` when it wrote v3, which
+# extract now refuses: the input is random.Random(10).randbytes(length), encoded under
+# `gen-params --k 3 --seed 7` (the params `_gen` writes) and
+# `gen-params --k 4 --field-degree 16 --seed 3`.
 DATA = Path(__file__).resolve().parent / "data"
 LEGACY = {"k3-gf8": 1000, "k4-gf16": 3000}
 
@@ -298,6 +296,12 @@ def _one_error_line(capsys) -> str:
     return err[0]
 
 
+def _flip_byte(shard, at):
+    raw = bytearray(shard.read_bytes())
+    raw[at] ^= 0x01
+    shard.write_bytes(bytes(raw))
+
+
 @pytest.mark.parametrize("bad", ["in", "out-dir"])
 def test_encode_checks_both_paths_before_it_makes_or_ingests(tmp_path, capsys, monkeypatch, bad):
     params_file, src = _gen(tmp_path), tmp_path / "input.bin"
@@ -365,9 +369,7 @@ def test_encode_digests_match_the_shard_files_at_layout_edges(tmp_path, degree, 
 def test_extract_detects_flipped_byte(tmp_path, capsys, node):
     params_file, shard_dir = _encode(tmp_path, random.Random(4).randbytes(500))
     shard = shard_dir / f"node_{node:02d}.shard"
-    raw = bytearray(shard.read_bytes())
-    raw[len(raw) // 3] ^= 0x01
-    shard.write_bytes(bytes(raw))
+    _flip_byte(shard, shard.stat().st_size // 3)
     capsys.readouterr()
     out = tmp_path / "o.bin"
     assert _extract(params_file, shard_dir, out) == 1
@@ -433,123 +435,18 @@ def test_legacy_directories_hold_their_input_and_params(tmp_path):
     assert (tmp_path / "k3-gf8" / "params.json").read_bytes() == _gen(tmp_path).read_bytes()
 
 
-def _as_v2(shard_dir, name="k3-gf8"):
-    """Write the v3 directory `name` (None: shard_dir's own) to shard_dir as v2: block-major
-    shards and their digests."""
-    if name is not None:
-        _legacy(shard_dir, name)
-    path = shard_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    k, width = manifest["k"], manifest["field"]["degree"] // 8
-    for nid, name in manifest["shards"].items():
-        planes = np.frombuffer((shard_dir / name).read_bytes(), "<u8").reshape(8 * k * width, -1)
-        raw = bytes(planes_to_bytes(planes, manifest["block_count"] * k * width))
-        (shard_dir / name).write_bytes(raw)
-        manifest["sha256"][nid] = hashlib.sha256(raw).hexdigest()
-    manifest["version"] = 2
-    path.write_text(json.dumps(manifest))
-    return manifest
-
-
-def _as_v1(shard_dir, name="k3-gf8"):
-    manifest = _as_v2(shard_dir, name)
-    del manifest["sha256"], manifest["params_sha256"], manifest["data_sha256"]
-    manifest["version"] = 1
-    (shard_dir / "manifest.json").write_text(json.dumps(manifest))
-    return manifest
-
-
-def _pre_v4(shard_dir, params_file, payload):
-    """Write payload to shard_dir as `encode` did before v4: manifest v3, whose shards are
-    bit planes over block-major blocks.  Returns the manifest."""
-    code_params, doc = load(params_file), json.loads(Path(params_file).read_text())
-    k, m, spec = code_params.k, code_params.field.degree, code_params.field
-    x = bytes_to_planes(payload, spec, k * k)  # block-major: X[l][j] is row block l*k + j
-    x = x.reshape(k, k, m, -1).swapaxes(0, 1).reshape(k * k * m, -1)  # node-major: j*k + l
-    y = spec.scale_array(spec.plan(encode_matrix(code_params).int_rows()), x)  # y = E x
-    shard_dir.mkdir()
-    shards, digests = {}, {}
-    for nid in range(1, 2 * k + 1):  # node j+1 holds column j of X, node k+c+1 column c of Y
-        planes = (x if nid <= k else y).reshape(k, k * m, -1)[(nid - 1) % k]
-        raw = np.ascontiguousarray(planes, "<u8").tobytes()
-        shards[str(nid)] = f"node_{nid:02d}.shard"
-        digests[str(nid)] = hashlib.sha256(raw).hexdigest()
-        (shard_dir / shards[str(nid)]).write_bytes(raw)
-    nblocks = -(-len(payload) // (k * k * spec.symbol_bytes))
-    manifest = {"version": 3, "k": k, "field": doc["field"], "original_length": len(payload),
-                "block_count": nblocks, "symbols_per_node": nblocks * k, "shards": shards,
-                "sha256": digests, "data_sha256": hashlib.sha256(payload).hexdigest(),
-                "params_sha256": _params_sha256(doc)}
-    (shard_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return manifest
-
-
-@pytest.mark.parametrize("name", sorted(LEGACY))
-def test_pre_v4_writer_rebuilds_the_legacy_directories(tmp_path, name):
-    params_file, payload = _legacy(tmp_path / "legacy", name)
-    manifest = _pre_v4(tmp_path / "rebuilt", params_file, payload)
-    assert manifest == json.loads((tmp_path / "legacy" / "manifest.json").read_text())
-    for shard in manifest["shards"].values():
-        rebuilt, legacy = (tmp_path / d / shard for d in ("rebuilt", "legacy"))
-        assert rebuilt.read_bytes() == legacy.read_bytes(), shard
-
-
-@pytest.mark.parametrize("name", sorted(LEGACY))
-def test_legacy_extract_holds_no_second_copy_of_the_stream(tmp_path, name):
-    # Deterministic and untimed: the tracemalloc peak of extracting an S-byte stream from a
-    # v1, v2 or v3 directory, for a systematic, a mixed and a parity-only set.  The extract
-    # holds the padded decode (S), the block-major bytes it writes (S) and the converter's
-    # chunk buffers; a v1/v2 shard's bytes and planes are read while only the decode is.
-    params_file = _legacy(tmp_path / "params", name)[0]
-    payload = random.Random(6).randbytes(5 << 19)
-    dirs = {v: tmp_path / f"v{v}" for v in (1, 2, 3)}
-    _pre_v4(dirs[3], params_file, payload)
-    for version in (1, 2):
-        shutil.copytree(dirs[3], dirs[version])
-        (_as_v1 if version == 1 else _as_v2)(dirs[version], None)
-    k, bound = load(params_file).k, 2 * len(payload) + 2 * cli_mod._CHUNK_BYTES + (64 << 10)
-    out = tmp_path / "o.bin"
-    for nodes in (range(1, k + 1), [1, 2] + list(range(k + 1, 2 * k - 1)), range(k + 1, 2 * k + 1)):
-        for version, shard_dir in dirs.items():
-            tracemalloc.start()
-            try:
-                assert _extract(params_file, shard_dir, out, ",".join(map(str, nodes))) == 0
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert out.read_bytes() == payload and peak <= bound, (version, list(nodes), peak)
-
-
-def test_extract_reads_v1_manifest(tmp_path):
-    shard_dir = tmp_path / "shards"
-    params_file, payload = _legacy(shard_dir)
-    _as_v1(shard_dir)
-    for nodes in ("1,2,3", "4,5,6", "2,4,6", "1,5,6"):
-        out = tmp_path / "o.bin"
-        assert _extract(params_file, shard_dir, out, nodes) == 0
-        assert out.read_bytes() == payload
-
-
 def _edit_manifest(**changes):
+    """Set the manifest's keys to `changes` (None drops the key): the shards stay as they are."""
     def edit(shard_dir):
-        manifest = _as_v1(shard_dir)
-        manifest.update(changes)
-        (shard_dir / "manifest.json").write_text(json.dumps(manifest))
+        path = shard_dir / "manifest.json"
+        manifest = {**json.loads(path.read_text()), **changes}
+        path.write_text(json.dumps({key: v for key, v in manifest.items() if v is not None}))
     return edit
 
 
 def _truncate_shard(shard_dir, nbytes=1):
     shard = shard_dir / "node_04.shard"
     shard.write_bytes(shard.read_bytes()[:-nbytes])
-
-
-def _relabel(version):
-    """Change only the manifest's version (None drops it): the shards stay as they are."""
-    def edit(shard_dir):
-        path = shard_dir / "manifest.json"
-        manifest = {**json.loads(path.read_text()), "version": version}
-        path.write_text(json.dumps({key: v for key, v in manifest.items() if v is not None}))
-    return edit
 
 
 def _retype(key, convert):
@@ -561,9 +458,19 @@ def _retype(key, convert):
     return edit
 
 
-def _v1_truncate_shard(shard_dir):
-    _as_v1(shard_dir)
-    _truncate_shard(shard_dir)
+def _block_major_size_shard(shard_dir):
+    """Cut node 4's shard to the size a block-major (v1, v2) shard had: k bytes a block."""
+    manifest = json.loads((shard_dir / "manifest.json").read_text())
+    shard = shard_dir / "node_04.shard"
+    shard.write_bytes(shard.read_bytes()[:manifest["block_count"] * manifest["k"]])
+
+
+def _without(*keys):
+    """Drop digest `keys` from the manifest and flip a byte of node 4's shard (in --nodes)."""
+    def edit(shard_dir):
+        _edit_manifest(**dict.fromkeys(keys))(shard_dir)
+        _flip_byte(shard_dir / "node_04.shard", 5)
+    return edit
 
 
 BAD_INPUTS = {
@@ -574,39 +481,72 @@ BAD_INPUTS = {
     "missing shard file": lambda d: (d / "node_04.shard").unlink(),
     "truncated shard": _truncate_shard,
     "v3 shard one word short": lambda d: (_legacy(d), _truncate_shard(d, 8)),
-    "v3 manifest relabelled version 2": lambda d: (_legacy(d), _relabel(2)(d)),
+    "v3 manifest relabelled version 2": lambda d: (_legacy(d), _edit_manifest(version=2)(d)),
     "v4 shard one word short": lambda d: _truncate_shard(d, 8),
-    "v4 manifest relabelled version 3": _relabel(3),  # v3 sizes: only data_sha256 fails
-    "manifest version not an integer": _relabel("3"),
-    "manifest version a float": _relabel(3.0),
+    "v4 manifest relabelled version 3": _edit_manifest(version=3),  # refused by its version
+    "manifest version not an integer": _edit_manifest(version="3"),
+    "manifest version a float": _edit_manifest(version=3.0),
     "block count a string": _retype("block_count", str),
     "block count a float": _retype("block_count", float),
     "original length a string": _retype("original_length", str),
     "original length a float": _retype("original_length", float),
     "manifest k a float": _retype("k", float),
     "manifest field degree a float": _retype("field", lambda f: {**f, "degree": 8.0}),
-    "manifest without version": _relabel(None),
-    "unknown manifest version": _relabel(5),
-    "v1 truncated shard": _v1_truncate_shard,
+    "manifest without version": _edit_manifest(version=None),
+    "unknown manifest version": _edit_manifest(version=5),
+    # The four "v1 ..." cases keep the names they had when they edited v1 directories; they
+    # edit v4 ones, and "v1 truncated shard" cuts a shard to the size a v1 shard had.
+    "v1 truncated shard": _block_major_size_shard,
     "v1 manifest k differs": _edit_manifest(k=4),
-    "v1 manifest field differs": _edit_manifest(field={"degree": 16,
-                                                       "reduction_poly": "0x1100b"}),
+    "v1 manifest field differs": _edit_manifest(field={"degree": 16, "reduction_poly": "0x1100b"}),
     "v1 block count differs": _edit_manifest(block_count=3),
     "original length too short": _edit_manifest(original_length=5),
     "original length negative": _edit_manifest(original_length=-3),
     "original length too long": _edit_manifest(original_length=10**6),
+    "manifest without sha256, flipped shard byte": _without("sha256"),
+    "manifest without params_sha256, flipped shard byte": _without("params_sha256"),
+    "manifest without data_sha256, flipped shard byte": _without("data_sha256"),
+    "manifest without any digest, flipped shard byte": _without("sha256", "params_sha256",
+                                                                "data_sha256"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_extract_bad_input_exits_1(tmp_path, capsys, case):
+def test_extract_bad_input_exits_1(tmp_path, capsys, monkeypatch, case):
     params_file, shard_dir = _encode(tmp_path, random.Random(7).randbytes(400))
     BAD_INPUTS[case](shard_dir)
+    decodes, decode_nodes = [], cluster_mod.decode_nodes
+
+    def spy(*args):
+        decodes.append(args)
+        return decode_nodes(*args)
+    monkeypatch.setattr(cluster_mod, "decode_nodes", spy)
     capsys.readouterr()
-    threads = threading.active_count()
-    assert _extract(params_file, shard_dir, tmp_path / "o.bin") == 1
+    threads, out = threading.active_count(), tmp_path / "o.bin"
+    assert _extract(params_file, shard_dir, out) == 1
     assert threading.active_count() == threads  # the digest worker is gone
     _one_error_line(capsys)
+    assert not out.exists()
+    assert decodes == []  # refused on the manifest and the shard sizes alone
+
+
+@pytest.mark.parametrize("case", ["v3-k3-gf8", "v3-k4-gf16", 1, 2, 3])
+def test_extract_refuses_manifest_versions_before_4(tmp_path, capsys, case):
+    # The v3 directories as they were written, and a v4 directory relabelled 1, 2 or 3.
+    if isinstance(case, int):
+        version, (params_file, shard_dir) = case, _encode(tmp_path, random.Random(7).randbytes(400))
+        _edit_manifest(version=version)(shard_dir)
+    else:
+        version, shard_dir = 3, tmp_path / "shards"
+        params_file = _legacy(shard_dir, case[3:])[0]
+    nodes = ",".join(map(str, range(1, load(params_file).k + 1)))
+    capsys.readouterr()
+    threads, out = threading.active_count(), tmp_path / "o.bin"
+    assert _extract(params_file, shard_dir, out, nodes) == 1
+    assert threading.active_count() == threads
+    line = _one_error_line(capsys)
+    assert f"manifest version {version}," in line and "encoded again" in line, line
+    assert not out.exists()
 
 
 # 400 bytes fill 45 blocks of 9 bytes (room for 405), so block_count still fits.
@@ -624,32 +564,10 @@ def test_extract_checks_data_digest_before_writing(tmp_path, capsys, length):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
-def test_extract_reads_manifest_without_data_digest(tmp_path, version):
-    shard_dir = tmp_path / "shards"
-    if version == 4:
-        payload = random.Random(8).randbytes(400)
-        params_file, shard_dir = _encode(tmp_path, payload)
-    else:  # the v3 directory, as it is or rewritten
-        params_file, payload = _legacy(shard_dir)
-        if version < 3:
-            (_as_v1 if version == 1 else _as_v2)(shard_dir)
-    path = shard_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    assert manifest["version"] == version
-    manifest.pop("data_sha256", None)
-    path.write_text(json.dumps(manifest))
-    for nodes in ("1,2,3", "2,4,6", "4,5,6"):
-        out = tmp_path / "o.bin"
-        assert _extract(params_file, shard_dir, out, nodes) == 0
-        assert out.read_bytes() == payload
-
-
 def test_extract_with_params_of_other_k_exits_1(tmp_path, capsys):
     _, shard_dir = _encode(tmp_path, b"k=3 data")
     params_k4 = tmp_path / "k4.json"
     assert main(["gen-params", "--k", "4", "--seed", "7", "--out", str(params_k4)]) == 0
-    _as_v1(shard_dir)
     capsys.readouterr()
     assert _extract(params_k4, shard_dir, tmp_path / "o.bin", "1,2,3,4") == 1
     assert "params differ" in _one_error_line(capsys)
@@ -676,20 +594,27 @@ def test_simulate_rejects_field_that_does_not_fill_whole_bytes(tmp_path, capsys)
 
 @pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_extract_refuses_field_that_does_not_fill_whole_bytes(tmp_path, capsys, version):
-    # encode refuses such params, so the directory is made by hand: one block,
-    # each shard zero bytes of the size its version reads.
+    # encode refuses such params, so the directory is made by hand: one block, each shard
+    # zero bytes of the size a shard has, and every digest in place.  Versions 1-3 are
+    # refused by their version before the field is read.
     params_file = _gen(tmp_path, "--field-degree", "4")
-    shard_dir, size = tmp_path / "shards", 3 * 4 * 8 if version >= 3 else 3
+    doc, shard_dir, size = json.loads(params_file.read_text()), tmp_path / "shards", 3 * 4 * 8
     shard_dir.mkdir()
     shards = {str(nid): f"node_{nid:02d}.shard" for nid in range(1, 7)}
     for name in shards.values():
         (shard_dir / name).write_bytes(bytes(size))
     (shard_dir / "manifest.json").write_text(json.dumps({
-        "version": version, "k": 3, "field": json.loads(params_file.read_text())["field"],
-        "original_length": 4, "block_count": 1, "shards": shards}))
+        "version": version, "k": 3, "field": doc["field"], "original_length": 4, "block_count": 1,
+        "shards": shards, "sha256": dict.fromkeys(shards, hashlib.sha256(bytes(size)).hexdigest()),
+        "params_sha256": _params_sha256(doc), "data_sha256": hashlib.sha256(bytes(4)).hexdigest()}))
     capsys.readouterr()
     assert _extract(params_file, shard_dir, tmp_path / "o.bin") == 1
-    assert "field degree 8 or 16, not 4" in _one_error_line(capsys)
+    line = _one_error_line(capsys)
+    if version < 4:
+        assert f"manifest version {version}," in line and "encoded again" in line, line
+    else:
+        assert "field degree 8 or 16, not 4" in line, line
+    assert not (tmp_path / "o.bin").exists()
 
 
 @pytest.fixture(scope="module")
@@ -723,59 +648,20 @@ def test_extract_never_returns_wrong_bytes(encoded_k3, tmp_path_factory, data):
 
 
 @pytest.mark.parametrize("name", sorted(LEGACY))
-def test_manifest_versions_extract_the_same_bytes(tmp_path, name):
-    # v1-v3 from the v3 directory, v4 encoded now from its input and params.  Neither
-    # length fills whole 64-block words, so v3 and v4 shards are longer than v2 ones.
-    dirs = {v: tmp_path / f"v{v}" for v in (1, 2, 3, 4)}
-    _as_v1(dirs[1], name)
-    _as_v2(dirs[2], name)
-    params_file, payload = _legacy(dirs[3], name)
-    src = tmp_path / "input.bin"
+def test_every_node_set_class_extracts_the_input(tmp_path, name):
+    # The legacy directories' inputs and params, encoded now.  Neither length fills whole
+    # 64-block words, so the last word column of every shard holds pad blocks.
+    params_file, payload = _legacy(tmp_path / "legacy", name)
+    src, shard_dir = tmp_path / "input.bin", tmp_path / "shards"
     src.write_bytes(payload)
     assert main(["encode", "--params", str(params_file), "--in", str(src),
-                 "--out-dir", str(dirs[4])]) == 0
-    sizes = {v: (d / "node_01.shard").stat().st_size for v, d in dirs.items()}
-    assert sizes[1] == sizes[2] < sizes[3] == sizes[4]
+                 "--out-dir", str(shard_dir)]) == 0
     k = load(params_file).k
     systematic, parity = list(range(1, k + 1)), list(range(k + 1, 2 * k + 1))
     for nodes in (systematic, [1, 2] + parity[:k - 2], systematic[1:] + parity[-1:], parity):
-        outs = []
-        for version, shard_dir in dirs.items():
-            out = tmp_path / f"o{version}.bin"
-            assert _extract(params_file, shard_dir, out, ",".join(map(str, nodes))) == 0
-            outs.append(out.read_bytes())
-        assert outs == [payload] * 4, nodes
-
-
-def test_v4_encode_and_extract_never_call_the_block_major_converters(tmp_path, monkeypatch):
-    calls, swap8 = [], cli_mod._swap8
-
-    def spy(*args):
-        calls.append(args)
-        return swap8(*args)
-    monkeypatch.setattr(cli_mod, "_swap8", spy)
-    params_file, shard_dir = _encode(tmp_path, random.Random(11).randbytes(5000))
-    for nodes in ("1,2,3", "1,2,4", "2,3,6", "4,5,6"):
-        assert _extract(params_file, shard_dir, tmp_path / "o.bin", nodes) == 0
-    assert calls == []
-    _legacy(shard_dir)  # the spy sees the v3 read path
-    assert _extract(params_file, shard_dir, tmp_path / "o.bin", "4,5,6") == 0 and calls
-
-
-def test_only_v1_and_v2_shards_go_through_the_byte_converter(tmp_path, monkeypatch):
-    calls, convert = [], cli_mod.bytes_to_planes
-
-    def spy(*args):
-        calls.append(args)
-        return convert(*args)
-    monkeypatch.setattr(cli_mod, "bytes_to_planes", spy)
-    shard_dir, out = tmp_path / "shards", tmp_path / "o.bin"
-    params_file, payload = _legacy(shard_dir)
-    assert _extract(params_file, shard_dir, out) == 0 and out.read_bytes() == payload
-    assert calls == []  # v3
-    _as_v2(shard_dir, None)
-    assert _extract(params_file, shard_dir, out) == 0 and out.read_bytes() == payload
-    assert len(calls) == 3  # v2: one call per shard read
+        out = tmp_path / "o.bin"
+        assert _extract(params_file, shard_dir, out, ",".join(map(str, nodes))) == 0
+        assert out.read_bytes() == payload, nodes
 
 
 def test_extract_checks_shard_sizes_before_it_allocates_the_claimed_stream(tmp_path, capsys):

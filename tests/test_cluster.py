@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import block_content, collection_system, from_planes, to_planes
-from mscr import cli as cli_mod, cluster as cluster_mod
-from mscr.cli import bytes_to_planes, planes_to_bytes
+from mscr import cluster as cluster_mod
 from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
                           decode_nodes, run_scenario)
@@ -29,67 +28,27 @@ def params_k4_gf16():
     return generate(4, FieldSpec(16), seed=11)
 
 
-@pytest.mark.parametrize("degree, symbols", [(8, 1), (8, 3), (8, 9), (16, 4), (16, 16)])
-def test_byte_planes_round_trip_and_layout(degree, symbols):
-    spec = FieldSpec(degree)
-    dtype = np.uint8 if degree == 8 else np.dtype("<u2")
-    for nblocks in (0, 1, 63, 64, 65, 300):
-        raw = _data(nblocks * symbols * spec.symbol_bytes, seed=nblocks)
-        planes = bytes_to_planes(raw, spec, symbols)
-        assert planes.dtype == np.uint64 and planes.shape == (symbols * degree, -(-nblocks // 64))
-        # Bit t of word q of plane l*m + b is bit b of symbol l of block 64q + t.
-        values = np.frombuffer(raw, dtype=dtype).reshape(nblocks, symbols).T
-        assert np.array_equal(planes, to_planes(values, degree))
-        assert planes_to_bytes(planes, len(raw)) == raw
-        assert planes_to_bytes(planes, len(raw) // 2) == raw[:len(raw) // 2]
-
-
-@pytest.mark.parametrize("degree, row", [(8, 1), (8, 9), (8, 18), (8, 32), (8, 64),
-                                         (16, 18), (16, 32), (16, 64)])
-@pytest.mark.parametrize("chunks", [1, 2, 3, 4])
-def test_byte_planes_round_trip_across_chunk_edges(degree, row, chunks, monkeypatch):
-    # 9 words a pass, so a 64-byte row's pass is more than one 64-group copy of the
-    # converter.  The last pass is short, ends in a group of 1-7 blocks and, for two
-    # chunks, in a partial block; its pad blocks follow full passes.
-    monkeypatch.setattr(cli_mod, "_CHUNK_BYTES", 9 * 64 * row)
-    spec, symbols = FieldSpec(degree), row * 8 // degree
-    dtype = np.uint8 if degree == 8 else np.dtype("<u2")
-    blocks = 9 * 64 * (chunks - 1) + 8 * (chunks + 1) + chunks + 2
-    raw = _data(blocks * row - (chunks == 2), seed=row + chunks)
-    planes = bytes_to_planes(raw, spec, symbols)
-    values = np.frombuffer(raw + bytes(chunks == 2), dtype=dtype).reshape(blocks, symbols).T
-    assert np.array_equal(planes, to_planes(values, degree))
-    assert planes_to_bytes(planes, len(raw)) == raw
-
-
-def test_bytes_to_planes_zero_pads_partial_blocks(gf256):
-    planes = bytes_to_planes(b"\xff" * 5, gf256, 3)  # one full block, then 2 of 3 symbols
-    assert from_planes(planes, 8, 3) == [[0xff, 0xff, 0], [0xff, 0xff, 0], [0xff, 0, 0]]
-    assert not any(v for row in from_planes(planes, 8, 64) for v in row[2:])
-
-
 @pytest.mark.parametrize("degree", [8, 16])
 def test_kernel_through_the_byte_edge(degree):
-    # Symbols from a strided view and a 2-D array (blocks x coordinates),
-    # through bytes_to_planes, scale_array and planes_to_bytes.
+    # Symbols from a strided view and a 2-D array (blocks x coordinates), to bit planes,
+    # through scale_array and back, against products of mul_int.
     f = FieldSpec(degree)
     dtype = np.uint8 if degree == 8 else np.dtype("<u2")
     rng = random.Random(degree)
     grid = np.array([[rng.randrange(f.order) for _ in range(7)] for _ in range(70)], dtype=dtype)
     rows = [[rng.randrange(f.order) for _ in range(7)] for _ in range(3)]
-    out = planes_to_bytes(f.scale_array(f.plan(rows), bytes_to_planes(grid.tobytes(), f, 7)),
-                          70 * 3 * f.symbol_bytes)
-    expected = [[0] * 3 for _ in range(70)]
+    out = from_planes(f.scale_array(f.plan(rows), to_planes(grid.T, degree)), degree, 70)
+    expected = [[0] * 70 for _ in range(3)]
     for t, block in enumerate(grid):
         for i, row in enumerate(rows):
             for c, v in zip(row, block):
-                expected[t][i] ^= f.mul_int(c, int(v))
-    assert np.frombuffer(out, dtype=dtype).reshape(70, 3).tolist() == expected
+                expected[i][t] ^= f.mul_int(c, int(v))
+    assert out == expected
     c = rng.randrange(2, f.order)
     for column in (grid.reshape(-1)[::2], grid[:, 3]):
-        planes = bytes_to_planes(column.tobytes(), f, 1)
-        out = planes_to_bytes(f.scale_array(f.plan([[c]]), planes), column.nbytes)
-        assert np.frombuffer(out, dtype=dtype).tolist() == [f.mul_int(c, int(v)) for v in column]
+        out = from_planes(f.scale_array(f.plan([[c]]), to_planes([column], degree)), degree,
+                          column.size)
+        assert out == [[f.mul_int(c, int(v)) for v in column]]
 
 
 # SHA-256 of all 2k v4 shards in node order, pinned so that no change of the
@@ -536,24 +495,6 @@ def test_systematic_shards_are_the_padded_stream_and_every_class_extracts(
         assert isinstance(out, bytearray) and out == data, ids
 
 
-def test_ingest_and_decode_never_call_the_block_major_converters(params63, params_k4_gf16,
-                                                                 monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a block-major converter ran")
-    names = ("_swap8", "_passes", "bytes_to_planes", "planes_to_bytes")
-    assert not any(hasattr(cluster_mod, name) for name in (*names, "_CHUNK_BYTES"))  # CLI's
-    for name in names:
-        monkeypatch.setattr(cli_mod, name, refuse)
-    for params in (params63, params_k4_gf16):
-        data = _data(70 * params.block_size * params.field.symbol_bytes - 3, seed=params.k)
-        c = Cluster.ingest(data, params)
-        for ids in _node_sets(params.k):
-            assert c.extract(ids) == data
-        c.fail({1, params.n})
-        c.run_repair(FailurePattern.classify({1, params.n}, params.k))
-        assert c.node_symbols_bytes(1) == c.oracle[0].astype("<u8").tobytes()
-
-
 def _peak(f, *args, **kwargs):
     """f's result and the tracemalloc peak of the call."""
     tracemalloc.start()
@@ -626,12 +567,8 @@ def test_put_holds_no_full_size_temporary(params63, params_k4_gf16, wide):
     # Ingest holds the node store, 2S for an S-byte stream (the padded stream and the parity
     # planes), and at most the kernel's buffers more: its XOR table or gathered planes,
     # 0.6-0.9 MiB here.  Keeping the oracle adds one copy of the store.
-    # The legacy converter holds its output planes and at most two chunk buffers (its
-    # slab and its half-size scratch).
     params = params_k4_gf16 if wide else params63
-    data, buffers = _data(5 << 19, seed=6), 2 * cli_mod._CHUNK_BYTES + (64 << 10)
-    planes, peak = _peak(bytes_to_planes, data, params.field, params.block_size)
-    assert peak <= planes.nbytes + buffers
+    data, buffers = _data(5 << 19, seed=6), (1 << 20) + (64 << 10)  # kernel, small objects
     for keep_oracle in (False, True):
         c, peak = _peak(Cluster.ingest, data, params, keep_oracle=keep_oracle)
         assert peak <= (1 + keep_oracle) * c.store.nbytes + buffers
