@@ -14,8 +14,8 @@ from .codec import (DuplicateNodes, NodeContent, ParityBlock, SourceBlock, colle
                     dual_encode, encode)
 from .repair import (BandwidthReport, FailurePattern, InvalidRegime, Message,
                      MissingMessage, NonsingularityFailure, RepairPlan,
-                     UnsupportedPattern, apply_repair, check_mixed_matrix,
-                     optimal_bandwidth, phase1_symbol, plan_repair)
+                     UnsupportedPattern, apply_repair, optimal_bandwidth,
+                     phase1_symbol, plan_repair)
 from .cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes, Scenario,
                       TooManyFailures, VerificationFailure, run_scenario)
 

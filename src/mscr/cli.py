@@ -137,10 +137,9 @@ def _sha256(*parts) -> str:
 def cmd_encode(args, parser) -> int:
     code_params, out_dir = params_mod.load(args.params), Path(args.out_dir)
     data = Path(args.infile).read_bytes()  # first: a bad --in leaves no out_dir behind
+    k, n, m = code_params.k, code_params.n, code_params.field.degree
+    size = 8 * k * m * cluster_mod.plane_words(len(data), code_params)  # so does a bad field
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad out_dir fails before the ingest
-    k, n, spec = code_params.k, code_params.n, code_params.field
-    # a shard's bytes: k*m planes of a word per 64 blocks
-    size = 8 * k * spec.degree * -(-len(data) // (64 * code_params.block_size * spec.symbol_bytes))
     runs = [memoryview(data)[i * size:(i + 1) * size] for i in range(k)]
     with _digest_worker() as pool:  # every digest, overlapping the ingest and the writes
         # v4's systematic shards are the input's runs, zero-padded by less than one word column
@@ -200,11 +199,9 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params, pool):
     if not same:
         raise ValueError(f"params differ from the ones the shards in {in_dir} were encoded with")
     k, spec = code_params.k, code_params.field
-    if spec.degree != 8 * spec.symbol_bytes:  # no shard can hold such symbols
-        raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
+    size = 8 * k * spec.degree * cluster_mod.plane_words(length, code_params)  # k*m planes
     if length < 0 or nblocks != -(-length // (code_params.block_size * spec.symbol_bytes)):
         raise ValueError(f"{path}: original_length {length} does not fit block_count {nblocks}")
-    size = k * spec.degree * -(-nblocks // 64) * 8  # k*m bit planes of whole words
     for nid, (shard, _) in files.items():  # before the decode allocates what the manifest claims
         if (got := os.stat(shard).st_size) != size:
             raise ValueError(f"shard {shard} (node {nid}) has {got} bytes, not {size}")
@@ -234,7 +231,7 @@ def cmd_extract(args, parser) -> int:
     k, m = code_params.k, code_params.field.degree
     with _digest_worker() as pool:  # the shard digests, overlapping the reads and the decode
         fill, length, data_digest = _read_shards(Path(args.in_dir), nodes, code_params, pool)
-        padded = 8 * k * k * m * -(-length // (8 * code_params.block_size * m))  # whole words
+        padded = 8 * k * k * m * cluster_mod.plane_words(length, code_params)  # whole words
         # untrimmed: a worker may hold a view of the buffer a moment after its digest is done
         data = memoryview(cluster_mod.decode_nodes(nodes, fill, code_params, padded))[:length]
         if _sha256(data) != data_digest:

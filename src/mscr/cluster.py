@@ -43,6 +43,7 @@ __all__ = [
     "VerificationFailure",
     "decode_nodes",
     "load_scenario",
+    "plane_words",
     "run_scenario",
 ]
 
@@ -73,6 +74,15 @@ def _windows(words: int) -> list[slice]:
     return [slice(q, min(q + step, words)) for q in range(0, max(words, 1), step)]
 
 
+def plane_words(length: int, params: CodeParams) -> int:
+    """Words in each bit plane of a `length`-byte stream, a word per 64 blocks (m = 8 or 16):
+    the one layout rule of the node store and of a v4 shard, k*m such planes."""
+    spec = params.field
+    if spec.degree != 8 * spec.symbol_bytes:  # the planes would hold fewer bytes than blocks
+        raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
+    return -(-length // (64 * params.block_size * spec.symbol_bytes))
+
+
 def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearray:
     """Rebuild the byte stream (a bytes-like bytearray) from exactly k nodes `ids`.
 
@@ -89,7 +99,7 @@ def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearr
     if len(ids) != params.k:
         raise NotEnoughLiveNodes(f"need exactly k={params.k} nodes, got {len(ids)}")
     k, m, spec = params.k, params.field.degree, params.field
-    words = -(-original_length // (64 * params.block_size * spec.symbol_bytes))
+    words = plane_words(original_length, params)
     missing, rows = codec.collection_matrix(ids, params)
     buf = bytearray(8 * k * k * m * words)
     flat = np.frombuffer(buf, "<u8").reshape(k * k * m, words)
@@ -121,7 +131,8 @@ class Cluster:
     def __init__(self, params: CodeParams, store: np.ndarray, original_length: int,
                  oracle: list[np.ndarray] | None):
         self.params, self.original_length, self.oracle = params, original_length, oracle
-        shape = (2 * params.block_size * params.field.degree, -(-self.nblocks // 64))
+        shape = (2 * params.block_size * params.field.degree,
+                 plane_words(original_length, params))
         if not isinstance(store, np.ndarray) or store.dtype != "<u8" or store.shape != shape:
             raise ValueError(f"node store must be a {shape} array of '<u8' words")
         self.store = store  # rows j*k*m.. are node j+1's: the padded stream, then the parity
@@ -137,9 +148,7 @@ class Cluster:
         if violations:
             raise ValueError("invalid params: " + "; ".join(map(str, violations)))
         k, spec = params.k, params.field
-        if spec.degree != 8 * spec.symbol_bytes:  # the planes would hold fewer bytes than blocks
-            raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
-        rows, words = k * spec.degree, -(-len(data) // (64 * params.block_size * spec.symbol_bytes))
+        rows, words = k * spec.degree, plane_words(len(data), params)
         store = np.empty((2 * k * rows, words), dtype="<u8")  # one block, reused put to put
         stream, parity = store[:k * rows], store[k * rows:]  # a node per k*m rows of each half
         flat = stream.reshape(-1).view(np.uint8)

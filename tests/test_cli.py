@@ -581,6 +581,7 @@ def test_encode_rejects_field_that_does_not_fill_whole_bytes(tmp_path, capsys):
     assert main(["encode", "--params", str(params_file), "--in", str(src),
                  "--out-dir", str(tmp_path / "shards")]) == 1
     assert "degree 8 or 16" in _one_error_line(capsys)
+    assert not (tmp_path / "shards").exists()
 
 
 def test_simulate_rejects_field_that_does_not_fill_whole_bytes(tmp_path, capsys):

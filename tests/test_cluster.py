@@ -126,6 +126,9 @@ def test_extract_validates_nodes(params63):
         c.extract({1, 2})
     with pytest.raises(NotEnoughLiveNodes):
         c.extract({1, 2, 3, 4})
+    for nid in (0, 7):
+        with pytest.raises(NotEnoughLiveNodes, match=f"^node {nid} is not live$"):
+            c.extract({1, 2, nid})
     c.fail({2})
     with pytest.raises(NotEnoughLiveNodes):
         c.extract({1, 2, 3})

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import collection_system, ground_truth, random_block
 from mscr.cluster import Cluster
-from mscr.codec import (DuplicateNodes, ParityBlock, SourceBlock, collect,
+from mscr.codec import (DuplicateNodes, NodeContent, ParityBlock, SourceBlock, collect,
                         collection_matrix, dual_encode, encode, encode_matrix)
 from mscr.galois import FieldSpec
 from mscr.linalg import DimensionMismatch, Matrix, dot
@@ -123,6 +123,12 @@ def test_collect_duplicate_nodes(params63):
         collect([by_id[1], by_id[1], by_id[2]], params63)
     with pytest.raises(ValueError):
         collect([by_id[1], by_id[2]], params63)
+    with pytest.raises(ValueError, match=r"^node ids \[1, 2, 7\] outside 1\.\.6$"):
+        collect([by_id[1], by_id[2], NodeContent(7, by_id[3].vector)], params63)
+    wide = FieldSpec(16)
+    for vector in (by_id[3].vector[:2], tuple(wide.element(e.value) for e in by_id[3].vector)):
+        with pytest.raises(DimensionMismatch, match="^node 3 vector does not fit the code$"):
+            collect([by_id[1], by_id[2], NodeContent(3, vector)], params63)
 
 
 def test_collection_matrix_is_square_nonsingular(params63):

@@ -95,6 +95,23 @@ def test_solve_agrees_with_inverse(gf256):
         assert a.solve(rhs) == a.invert() @ rhs
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda f: Matrix(f, [[1, 2], [3]]), "^ragged rows$"),
+    (lambda f: Matrix.from_rows([[f.element(1)], [FieldSpec(16).element(1)]]),
+     "^mixed fields in one matrix$"),
+    (lambda f: Matrix(f, [[1, 2]]).scalar_mul(FieldSpec(16).element(1)),
+     "^scalar from a different field$"),
+    (lambda f: Matrix(f, [[1, 2]]).invert(), "^only square matrices invert$"),
+    (lambda f: Matrix(f, [[1, 2]]).solve(Matrix(f, [[1]])), "^coefficient matrix must be square$"),
+    (lambda f: Matrix.identity(f, 2).solve(Matrix(f, [[1]])),
+     r"^solve \(2, 2\) against rhs \(1, 1\)$"),
+    (lambda f: Matrix(f, [[1, 2]]).det(), "^determinant of a non-square matrix$"),
+], ids=["ragged", "mixed-fields", "scalar-field", "invert", "solve", "solve-rhs", "det"])
+def test_matrix_shape_and_field_guards(gf256, build, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        build(gf256)
+
+
 def test_dot_basic(gf256):
     u = (gf256.element(2), gf256.element(3))
     v = (gf256.element(5), gf256.element(7))

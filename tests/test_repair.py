@@ -16,10 +16,10 @@ from mscr.linalg import CauchySpec, Matrix, SingularMatrix, dot
 from mscr.params import generate, validate
 from mscr.repair import (FailurePattern, InvalidRegime, Message, MissingMessage,
                          MixedPair, NonsingularityFailure, ParityGroup, SystematicGroup,
-                         UnsupportedPattern, apply_repair, check_mixed_matrix,
-                         linear_map, mixed_repair_matrix, optimal_bandwidth,
-                         phase1_messages, phase1_symbol, plan_repair, probe_vector,
-                         sherman_morrison_check, sherman_morrison_scalar)
+                         UnsupportedPattern, apply_repair, linear_map, optimal_bandwidth,
+                         phase1_messages, phase1_symbol, plan_repair, probe_vector)
+from paper_proof import (check_mixed_matrix, mixed_repair_matrix, sherman_morrison_check,
+                         sherman_morrison_scalar)
 
 
 def _run(pattern_ids, params, by_id):
@@ -68,6 +68,16 @@ def test_plan_single_failure(params63):
     assert plan.phase2_edges == ()
     assert plan.phase1_edges == ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1))
     assert probe_vector(params63, 1) == params63.v.col(0)
+
+
+def test_plan_rejects_patterns_and_ids_outside_the_code(params63):
+    with pytest.raises(ValueError, match="^pattern kind is systematic_group, not mixed_pair$"):
+        FailurePattern.classify({1, 2}, 3).mixed_pair
+    with pytest.raises(ValueError, match="^pattern is for k=4, params have k=3$"):
+        plan_repair(FailurePattern.classify({1}, 4), params63)
+    for node_id in (0, 7):
+        with pytest.raises(ValueError, match=rf"^node id {node_id} outside 1\.\.6$"):
+            probe_vector(params63, node_id)
 
 
 # -- phase 1 -----------------------------------------------------------------------
@@ -489,8 +499,10 @@ def test_optimal_bandwidth_group_identity():
 def test_optimal_bandwidth_invalid_regime():
     with pytest.raises(InvalidRegime, match=r"^bound undefined for d \+ r = 3 <= k = 3$"):
         optimal_bandwidth(9, 3, 2, 1)
-    with pytest.raises(ValueError):
-        optimal_bandwidth(9, 3, 0, 2)
+    # d = 0 would reach InvalidRegime too (d + r = 2 <= k), so the message tells them apart.
+    for args in [(9, 3, 0, 2), (0, 3, 4, 2)]:
+        with pytest.raises(ValueError, match="^all bound parameters must be positive$"):
+            optimal_bandwidth(*args)
 
 
 # -- access discipline ---------------------------------------------------------------

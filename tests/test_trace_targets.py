@@ -67,7 +67,9 @@ STALE_TARGETS = {
     "galois.FieldSpec.sample_distinct", "linalg.solve_vector", "linalg.is_super_regular",
     "linalg.random_matrix", "codec.z_column", "codec.node_contents",
     "repair.repair_parity_group", "repair.repair_systematic_group",
-    "repair.repair_mixed_pair", "cluster.bytes_to_symbols", "cluster.symbols_to_bytes",
+    "repair.repair_mixed_pair", "repair.mixed_repair_matrix", "repair.check_mixed_matrix",
+    "repair.sherman_morrison_scalar", "repair.sherman_morrison_check",
+    "cluster.bytes_to_symbols", "cluster.symbols_to_bytes",
     "cluster.Cluster.block_content",
 }
 
