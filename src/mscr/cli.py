@@ -7,15 +7,16 @@ Each command lets OSError, ValueError and ``params.GenerationExhausted``
 propagate, and ``main`` alone turns them into one ``error:`` line and exit 1:
 a bad manifest, shard, params or scenario, or an output that cannot be written.
 ``encode`` writes, and ``extract`` reads, manifest version 4 alone: a shard is the node's
-bit planes as little-endian uint64 words, node-major, so the systematic shards in order are
-the zero-padded input.  The manifest holds the SHA-256 of the params, of each shard and of
-the input; ``extract`` refuses one of another version or without any of them.  Each
-``encode`` and ``extract`` hashes shards on one worker thread that calls only ``hashlib``,
-while the kernel runs: ``encode`` hashes the input and its zero-padded runs (the systematic
-shards) during the ingest, and the parity shards while it writes them; ``extract`` checks
-the params' digest before it reads any shard, hashes each shard once it is read into the
-decode, which waits for those digests before it writes over any shard, and checks the
-input's digest, on the main thread, before it writes the output.
+bit planes (``Cluster.planes``) as little-endian uint64 words, node-major, so the systematic
+shards in order are the zero-padded input; ``mscr.cluster`` alone sizes shards and blocks.
+The manifest names each shard by a plain file name in its directory and holds the SHA-256 of
+the params, of each shard and of the input; ``extract`` refuses one of another version or
+without any of them.  Each ``encode`` and ``extract`` hashes shards on one worker thread
+that calls only ``hashlib``, while the kernel runs: ``encode`` hashes the input and its
+zero-padded runs (the systematic shards) during the ingest, and the parity shards while it
+writes them; ``extract`` checks the params' digest before it reads any shard, hashes each
+shard once it is read into the decode, which waits for those digests before it writes over
+any shard, and checks the input's digest, on the main thread, before it writes the output.
 All runs are reproducible from the seeds recorded in the files they read.
 """
 
@@ -28,8 +29,6 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from . import cluster as cluster_mod
 from . import params as params_mod
@@ -110,7 +109,7 @@ def cmd_gen_params(args, parser) -> int:
         parser.error(str(exc))
     params_mod.save(code_params, args.out)
     print(f"wrote {args.out}: k={code_params.k} n={code_params.n} "
-          f"B={code_params.block_size} field=GF(2^{spec.degree}) seed={args.seed}")
+          f"B={code_params.k ** 2} field=GF(2^{spec.degree}) seed={args.seed}")
     return 0
 
 
@@ -137,8 +136,8 @@ def _sha256(*parts) -> str:
 def cmd_encode(args, parser) -> int:
     code_params, out_dir = params_mod.load(args.params), Path(args.out_dir)
     data = Path(args.infile).read_bytes()  # first: a bad --in leaves no out_dir behind
-    k, n, m = code_params.k, code_params.n, code_params.field.degree
-    size = 8 * k * m * cluster_mod.plane_words(len(data), code_params)  # so does a bad field
+    k, n = code_params.k, code_params.n
+    size = cluster_mod.shard_bytes(len(data), code_params)  # so does a bad field
     out_dir.mkdir(parents=True, exist_ok=True)  # a bad out_dir fails before the ingest
     runs = [memoryview(data)[i * size:(i + 1) * size] for i in range(k)]
     with _digest_worker() as pool:  # every digest, overlapping the ingest and the writes
@@ -146,8 +145,7 @@ def cmd_encode(args, parser) -> int:
         futures = [pool.submit(_sha256, data)] + [
             pool.submit(_sha256, run, bytes(size - len(run))) for run in runs]
         c = cluster_mod.Cluster.ingest(data, code_params, keep_oracle=False)
-        # node_symbols_bytes, with no copy
-        payloads = [planes.reshape(-1).view(np.uint8).data for planes in c.node_data]
+        payloads = [c.planes(nid) for nid in range(1, n + 1)]  # node_symbols_bytes, no copy
         futures += [pool.submit(_sha256, payload) for payload in payloads[k:]]
         shards = {str(nid): f"node_{nid:02d}.shard" for nid in range(1, n + 1)}
         for nid, payload in enumerate(payloads, 1):
@@ -188,6 +186,9 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params, pool):
             same = (json_int(m["k"], "k") == doc["k"] and m["field"] == doc["field"]
                     and json_int(m["field"]["degree"], "field.degree") == doc["field"]["degree"]
                     and m["params_sha256"] == _params_sha256(doc))
+            for name in (m["shards"][str(nid)] for nid in nodes):  # only a file in in_dir
+                if name in ("", ".", "..") or os.path.basename(name) != name:
+                    raise ValueError(f"shard name {name!r} is not a plain file name")
             files = {nid: (in_dir / m["shards"][str(nid)], m["sha256"][str(nid)]) for nid in nodes}
             nblocks, length = (json_int(m[key], key) for key in ("block_count", "original_length"))
             data_digest = m["data_sha256"]
@@ -198,9 +199,8 @@ def _read_shards(in_dir: Path, nodes: list[int], code_params, pool):
                          f"{MANIFEST_VERSION}: the directory must be encoded again")
     if not same:
         raise ValueError(f"params differ from the ones the shards in {in_dir} were encoded with")
-    k, spec = code_params.k, code_params.field
-    size = 8 * k * spec.degree * cluster_mod.plane_words(length, code_params)  # k*m planes
-    if length < 0 or nblocks != -(-length // (code_params.block_size * spec.symbol_bytes)):
+    size = cluster_mod.shard_bytes(length, code_params)
+    if length < 0 or nblocks != cluster_mod.block_count(length, code_params):
         raise ValueError(f"{path}: original_length {length} does not fit block_count {nblocks}")
     for nid, (shard, _) in files.items():  # before the decode allocates what the manifest claims
         if (got := os.stat(shard).st_size) != size:
@@ -228,12 +228,10 @@ def cmd_extract(args, parser) -> int:
         parser.error(f"--nodes must name exactly k={code_params.k} distinct shards")
     if any(not 1 <= nid <= code_params.n for nid in nodes):
         parser.error(f"--nodes must be within 1..{code_params.n}")
-    k, m = code_params.k, code_params.field.degree
     with _digest_worker() as pool:  # the shard digests, overlapping the reads and the decode
         fill, length, data_digest = _read_shards(Path(args.in_dir), nodes, code_params, pool)
-        padded = 8 * k * k * m * cluster_mod.plane_words(length, code_params)  # whole words
-        # untrimmed: a worker may hold a view of the buffer a moment after its digest is done
-        data = memoryview(cluster_mod.decode_nodes(nodes, fill, code_params, padded))[:length]
+        # sliced, not trimmed: a worker may hold a view of the buffer after its digest is done
+        data = memoryview(cluster_mod.decode_nodes(nodes, fill, code_params, length))[:length]
         if _sha256(data) != data_digest:
             raise ValueError(f"extracted bytes do not match data_sha256 in "
                              f"{Path(args.in_dir) / MANIFEST_NAME}")

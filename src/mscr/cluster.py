@@ -5,8 +5,11 @@ independently.  Node j keeps its share bit-sliced: k*m rows of uint64 words, pla
 holding bit b of coordinate l, block 64q + t at bit t of word q.  The 2k nodes are row blocks
 of one (2*k*k*m, words) array of little-endian words, the node store: its first half is the
 zero-padded stream (the systematic nodes' planes in order), its second the parity planes.
+The store is the only node state: `Cluster.planes` is a node's rows, a failed node keeps
+its rows but joins `Cluster.failed`, and a repair writes its newcomers over their rows.
 Ingest copies the stream in and encodes in place, a decode reads the nodes into the bytes it
-returns, a node's words are its shard, and a repair writes its newcomers over their rows.
+returns, and a node's words are its shard.  `block_count`, `plane_words` and `shard_bytes`
+are the one home of this layout, for the store and for the CLI's v4 shards.
 
 Every operation is a fixed linear map, planned once (:meth:`FieldSpec.plan`) and
 applied by the one kernel, :meth:`FieldSpec.scale_array`, to one word window of at
@@ -41,10 +44,12 @@ __all__ = [
     "StepReport",
     "TooManyFailures",
     "VerificationFailure",
+    "block_count",
     "decode_nodes",
     "load_scenario",
     "plane_words",
     "run_scenario",
+    "shard_bytes",
 ]
 
 
@@ -74,17 +79,27 @@ def _windows(words: int) -> list[slice]:
     return [slice(q, min(q + step, words)) for q in range(0, max(words, 1), step)]
 
 
+def block_count(length: int, params: CodeParams) -> int:
+    """Blocks of B symbols in a `length`-byte stream, the last one zero-padded."""
+    return -(-length // (params.block_size * params.field.symbol_bytes))
+
+
 def plane_words(length: int, params: CodeParams) -> int:
-    """Words in each bit plane of a `length`-byte stream, a word per 64 blocks (m = 8 or 16):
-    the one layout rule of the node store and of a v4 shard, k*m such planes."""
+    """Words in each bit plane of a `length`-byte stream, a word per 64 blocks (m = 8 or 16)."""
     spec = params.field
     if spec.degree != 8 * spec.symbol_bytes:  # the planes would hold fewer bytes than blocks
         raise ValueError(f"byte data needs field degree 8 or 16, not {spec.degree}")
-    return -(-length // (64 * params.block_size * spec.symbol_bytes))
+    return -(-block_count(length, params) // 64)
+
+
+def shard_bytes(length: int, params: CodeParams) -> int:
+    """Bytes of a node's k*m planes, its v4 shard, for a `length`-byte stream."""
+    return 8 * params.k * params.field.degree * plane_words(length, params)
 
 
 def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearray:
-    """Rebuild the byte stream (a bytes-like bytearray) from exactly k nodes `ids`.
+    """Rebuild the byte stream from exactly k nodes `ids`: a bytearray of k shards' bytes
+    (`shard_bytes`), whole words, whose first `original_length` bytes are the stream.
 
     fill(nid, out) writes node nid's planes into `out`, its (k, m, words) block of z in the
     stream (`codec.slots`): a systematic node's own, a parity node's a missing one's.  Per
@@ -99,21 +114,19 @@ def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearr
     if len(ids) != params.k:
         raise NotEnoughLiveNodes(f"need exactly k={params.k} nodes, got {len(ids)}")
     k, m, spec = params.k, params.field.degree, params.field
-    words = plane_words(original_length, params)
     missing, rows = codec.collection_matrix(ids, params)
-    buf = bytearray(8 * k * k * m * words)
-    flat = np.frombuffer(buf, "<u8").reshape(k * k * m, words)
-    coord = flat.reshape(k * k, m, words)  # [a*k + b]: X[b][a], coordinate b of node a+1
+    buf = bytearray(k * shard_bytes(original_length, params))
+    flat = np.frombuffer(buf, "<u8").reshape(k * k * m, -1)
+    coord = flat.reshape(k * k, m, -1)  # [a*k + b]: X[b][a], coordinate b of node a+1
     checks = [fill(nid, coord[b * k:(b + 1) * k]) for b, nid in enumerate(codec.slots(ids, k))]
     if rows:
         plan = spec.plan(rows)
-        for w in _windows(words):  # a window's rows, fresh, then over the parity planes
+        for w in _windows(flat.shape[1]):  # a window's rows, fresh, then over the parity planes
             fresh = spec.scale_array(plan, flat[:, w]).reshape(len(rows), m, -1)
             _settle(checks)  # after the first window's kernel call, before any write
             coord[missing, :, w] = fresh
             del fresh  # before the next window's call: one window of output at a time
     _settle(checks)
-    del flat, coord, buf[original_length:]  # trimmed in place: the tail is the pad blocks
     return buf
 
 
@@ -129,14 +142,14 @@ class Cluster:
     """2k nodes, many blocks, scripted failures, verified repairs."""
 
     def __init__(self, params: CodeParams, store: np.ndarray, original_length: int,
-                 oracle: list[np.ndarray] | None):
+                 oracle: np.ndarray | None):
         self.params, self.original_length, self.oracle = params, original_length, oracle
         shape = (2 * params.block_size * params.field.degree,
                  plane_words(original_length, params))
         if not isinstance(store, np.ndarray) or store.dtype != "<u8" or store.shape != shape:
             raise ValueError(f"node store must be a {shape} array of '<u8' words")
         self.store = store  # rows j*k*m.. are node j+1's: the padded stream, then the parity
-        self.node_data: list[np.ndarray | None] = np.split(store, params.n)
+        self.failed: set[int] = set()  # ids of the nodes whose data is gone
 
     # -- construction -----------------------------------------------------------
 
@@ -156,30 +169,25 @@ class Cluster:
         plan = spec.plan(codec.encode_matrix(params).int_rows())  # y = E x, node-major
         for w in _windows(words):
             spec.scale_array(plan, stream[:, w], out=list(parity[:, w]))
-        oracle = np.split(store.copy(), 2 * k) if keep_oracle else None
+        oracle = store.copy() if keep_oracle else None
         return cls(params, store, len(data), oracle)
 
     # -- queries ---------------------------------------------------------------
 
     @property
-    def nblocks(self) -> int:  # blocks of B symbols, the last one zero-padded
-        return -(-self.original_length // (self.params.block_size * self.params.field.symbol_bytes))
+    def nblocks(self) -> int:
+        return block_count(self.original_length, self.params)
 
-    @property
-    def failed(self) -> set[int]:
-        """Ids of the nodes whose data is gone."""
-        return {i + 1 for i, d in enumerate(self.node_data) if d is None}
-
-    @property
-    def live_nodes(self) -> list[int]:
-        return [i + 1 for i, d in enumerate(self.node_data) if d is not None]
+    def planes(self, node_id: int, store: np.ndarray | None = None) -> np.ndarray:
+        """Node node_id's k*m planes: a view of its rows of the store (or of `store`)."""
+        rows = self.params.k * self.params.field.degree
+        return (self.store if store is None else store)[(node_id - 1) * rows:node_id * rows]
 
     def node_symbols_bytes(self, node_id: int) -> bytes:
         """The node's v4 shard payload (a copy): its planes as little-endian uint64 words."""
-        data = self.node_data[node_id - 1]
-        if data is None:
-            raise NotEnoughLiveNodes(f"node {node_id} is failed")
-        return data.tobytes()
+        if not 1 <= node_id <= self.params.n or node_id in self.failed:
+            raise NotEnoughLiveNodes(f"node {node_id} is not live")
+        return self.planes(node_id).tobytes()
 
     # -- operations --------------------------------------------------------------
 
@@ -187,10 +195,12 @@ class Cluster:
         """Rebuild the ingested stream (a bytearray) from any k live nodes."""
         ids = sorted(set(from_nodes))
         for nid in ids:
-            if not 1 <= nid <= self.params.n or self.node_data[nid - 1] is None:
+            if not 1 <= nid <= self.params.n or nid in self.failed:
                 raise NotEnoughLiveNodes(f"node {nid} is not live")
-        return decode_nodes(ids, lambda nid, out: np.copyto(
-            out, self.node_data[nid - 1].reshape(out.shape)), self.params, self.original_length)
+        data = decode_nodes(ids, lambda nid, out: np.copyto(
+            out, self.planes(nid).reshape(out.shape)), self.params, self.original_length)
+        del data[self.original_length:]  # trimmed in place: the tail is the pad blocks
+        return data
 
     def fail(self, nodes) -> "Cluster":
         """Mark the given live nodes lost; the oracle is untouched.  Their rows keep their bytes,
@@ -204,8 +214,7 @@ class Cluster:
         if len(failed | nodes) > self.params.k:
             raise TooManyFailures(
                 f"{len(failed | nodes)} failures exceed the tolerance k={self.params.k}")
-        for nid in nodes:
-            self.node_data[nid - 1] = None
+        self.failed |= nodes
         return self
 
     def run_repair(self, pattern: repair.FailurePattern):
@@ -219,27 +228,24 @@ class Cluster:
         if pattern.failed != self.failed:
             raise ValueError(
                 f"pattern {sorted(pattern.failed)} does not match failed set {sorted(self.failed)}")
-        k, spec, plan = self.params.k, self.params.field, repair.plan_repair(pattern, self.params)
+        spec, plan = self.params.field, repair.plan_repair(pattern, self.params)
         r, d, m, words = len(plan.newcomers), len(plan.helpers), spec.degree, self.store.shape[1]
-        repaired = [self.store[(nc - 1) * k * m:nc * k * m] for nc in plan.newcomers]
         windows = _windows(words)
         phase1 = np.empty((r, d, m, windows[0].stop), dtype=np.uint64)  # newcomer-major edges
         probes = spec.plan([[e.value for e in repair.probe_vector(self.params, nc)]
                             for nc in plan.newcomers])
         rows, report = repair.linear_map(plan, self.params)
-        mix, dst = spec.plan(rows), [p for a in repaired for p in a]
+        mix, dst = spec.plan(rows), [p for nc in plan.newcomers for p in self.planes(nc)]
         for w in windows:
             edges = phase1[..., :w.stop - w.start]
             for i, helper in enumerate(plan.helpers):
-                spec.scale_array(probes, self.node_data[helper - 1][:, w],
+                spec.scale_array(probes, self.planes(helper)[:, w],
                                  out=[p for edge in edges[:, i] for p in edge])
             spec.scale_array(mix, edges.reshape(r * d * m, -1), out=[p[w] for p in dst])
-        for nc, a in zip(plan.newcomers, repaired):
-            self.node_data[nc - 1] = a
-
+        self.failed.clear()  # the newcomers' rows are written
         if self.oracle is not None:
             for nc in plan.newcomers:
-                if not np.array_equal(self.node_data[nc - 1], self.oracle[nc - 1]):
+                if not np.array_equal(self.planes(nc), self.planes(nc, self.oracle)):
                     raise VerificationFailure(
                         f"repaired node {nc} differs from its original content")
         return self, report
@@ -346,9 +352,9 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         entry.optimal_gamma = str(report.optimal_gamma)
         entry.rows = report.to_document()["rows"]
         ok = ok and report.is_optimal
-        if scenario.verify_mode == "mds_also" and not all(  # every k live nodes extract it
+        if scenario.verify_mode == "mds_also" and not all(  # every k nodes, repaired, extract it
                 cluster.extract(ids) == scenario.data
-                for ids in combinations(cluster.live_nodes, scenario.params.k)):
+                for ids in combinations(range(1, scenario.params.n + 1), scenario.params.k)):
             entry.exact = False
             entry.error = "conservation check failed"
             ok = False

@@ -126,10 +126,6 @@ class RepairPlan:
     phase1_edges: tuple[tuple[int, int], ...]  # (helper, newcomer)
     phase2_edges: tuple[tuple[int, int], ...]  # (sender, receiver)
 
-    @property
-    def d(self) -> int:
-        return len(self.helpers)
-
 
 @dataclass(frozen=True)
 class Message:

@@ -103,9 +103,9 @@ def from_planes(planes: np.ndarray, m: int, n: int) -> list[list[int]]:
 
 def block_content(cluster, node_id: int, block: int) -> NodeContent:
     """Scalar view of one node's share of one block of a cluster."""
-    data = cluster.node_data[node_id - 1]
-    if data is None:
+    if node_id in cluster.failed:
         raise NotEnoughLiveNodes(f"node {node_id} is failed")
+    data = cluster.planes(node_id)
     if not 0 <= block < cluster.nblocks:
         raise IndexError(f"block {block} outside 0..{cluster.nblocks - 1}")
     spec, (word, bit) = cluster.params.field, divmod(block, 64)

@@ -334,7 +334,7 @@ def test_encode_writes_manifest_v4(tmp_path):
     for nid, raw in enumerate(shards, 1):
         assert len(raw) == 3 * 8 * 2 * 8  # k*m planes of ceil(blocks/64) uint64 words
         assert manifest["sha256"][str(nid)] == hashlib.sha256(raw).hexdigest()
-        assert raw == cluster.node_data[nid - 1].astype("<u8").tobytes()
+        assert raw == cluster.planes(nid).astype("<u8").tobytes()
         assert raw == cluster.node_symbols_bytes(nid)
     assert b"".join(shards[:3]) == payload.ljust(3 * 3 * 8 * 2 * 8, b"\0")
     params_text = json.dumps(json.loads(params_file.read_text()), sort_keys=True)
@@ -473,12 +473,29 @@ def _without(*keys):
     return edit
 
 
+def _moved_shard(name):
+    """Move node 4's shard (in --nodes) to `name`, a path from the shard directory (`{}` is
+    the directory's parent), and name it so in the manifest: extract reads only plain names."""
+    def edit(shard_dir):
+        target = shard_dir / name.format(shard_dir.parent)
+        target.parent.mkdir(exist_ok=True)
+        (shard_dir / "node_04.shard").rename(target)
+        path = shard_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["shards"]["4"] = name.format(shard_dir.parent)
+        path.write_text(json.dumps(manifest))
+    return edit
+
+
 BAD_INPUTS = {
     "missing manifest": lambda d: (d / "manifest.json").unlink(),
     "unparsable manifest": lambda d: (d / "manifest.json").write_text("{not json"),
     "manifest not an object": lambda d: (d / "manifest.json").write_text("[1, 2]"),
     "manifest misses a shard entry": lambda d: _edit_manifest(shards={"1": "node_01.shard"})(d),
     "missing shard file": lambda d: (d / "node_04.shard").unlink(),
+    "shard named by an absolute path": _moved_shard("{}/elsewhere/x.shard"),
+    "shard named outside the directory": _moved_shard("../elsewhere/x.shard"),
+    "shard named in a subdirectory": _moved_shard("sub/x.shard"),
     "truncated shard": _truncate_shard,
     "v3 shard one word short": lambda d: (_legacy(d), _truncate_shard(d, 8)),
     "v3 manifest relabelled version 2": lambda d: (_legacy(d), _edit_manifest(version=2)(d)),

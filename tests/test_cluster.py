@@ -11,7 +11,7 @@ from conftest import block_content, collection_system, from_planes, to_planes
 from mscr import cluster as cluster_mod
 from mscr.cluster import (AlreadyFailed, Cluster, NotEnoughLiveNodes,
                           Scenario, TooManyFailures, VerificationFailure,
-                          decode_nodes, run_scenario)
+                          block_count, decode_nodes, run_scenario, shard_bytes)
 from mscr.codec import encode, encode_matrix
 from mscr.galois import _GATHER_WORDS, FieldSpec
 from mscr.params import generate
@@ -95,8 +95,8 @@ def test_ingest_single_block(params63):
     c = Cluster.ingest(_data(9), params63)
     assert c.nblocks == 1
     # k*m bit planes of one 64-block word each.
-    assert all(c.node_data[i].shape == (3 * 8, 1) and c.node_data[i].dtype == np.uint64
-               for i in range(6))
+    assert all(c.planes(nid).shape == (3 * 8, 1) and c.planes(nid).dtype == np.uint64
+               for nid in range(1, 7))
     # Pad blocks 1..63 share the word, but only block 0 exists.
     for block in (1, -1):
         with pytest.raises(IndexError):
@@ -129,9 +129,13 @@ def test_extract_validates_nodes(params63):
     for nid in (0, 7):
         with pytest.raises(NotEnoughLiveNodes, match=f"^node {nid} is not live$"):
             c.extract({1, 2, nid})
+        with pytest.raises(NotEnoughLiveNodes, match=f"^node {nid} is not live$"):
+            c.node_symbols_bytes(nid)  # not another node's rows, nor none
     c.fail({2})
     with pytest.raises(NotEnoughLiveNodes):
         c.extract({1, 2, 3})
+    with pytest.raises(NotEnoughLiveNodes, match="^node 2 is not live$"):
+        c.node_symbols_bytes(2)
 
 
 def test_parity_columns_satisfy_encode_relation(params63):
@@ -220,7 +224,7 @@ def test_repair_verifies_against_oracle(params63):
     c.fail({4})
     # Corrupt a helper after the oracle snapshot: the repaired node can no
     # longer match its original content and the simulator must fail loudly.
-    c.node_data[0][0, 0] ^= 1
+    c.planes(1)[0, 0] ^= 1
     with pytest.raises(VerificationFailure):
         c.run_repair(FailurePattern.classify({4}, 3))
 
@@ -229,11 +233,14 @@ def test_production_mode_drops_oracle(params63):
     data = _data(90, seed=8)
     c = Cluster.ingest(data, params63, keep_oracle=False)
     assert c.oracle is None
+    store = c.store
     c.fail({1, 6})
     c.run_repair(FailurePattern.classify({1, 6}, 3))
-    # Every node, the repaired systematic node 1 and parity node 6 too, is its own k*m rows
-    # of the one node store: a repair writes its newcomers in place and allocates none.
-    for nid, d in enumerate(c.node_data, 1):
+    # A repair writes its newcomers in place, and every node's planes, the repaired
+    # systematic node 1 and parity node 6 too, are a view of its own k*m rows of the store.
+    assert c.store is store
+    for nid in range(1, 7):
+        d = c.planes(nid)
         assert d.base is c.store and np.shares_memory(d, c.store)
         assert d.ctypes.data == c.store[(nid - 1) * 3 * 8].ctypes.data and d.shape == (24, 1)
     assert c.extract({1, 2, 3}) == data
@@ -283,11 +290,11 @@ def test_ingest_encodes_all_parity_nodes_in_one_call(params63, params_k4_gf16, w
         c = Cluster.ingest(data, params)
         assert len(plans) == len(calls) == 1
         monkeypatch.undo()
-        x = np.concatenate(c.node_data[:k])  # coordinate a*k + b is X[b][a], node-major
+        x = np.concatenate([c.planes(nid) for nid in range(1, k + 1)])  # X[b][a] at a*k + b
         enc = encode_matrix(params).int_rows()
         for j in range(k):  # equal to one apply per parity node: its row block of E
             rows = enc[j * k:(j + 1) * k]
-            assert np.array_equal(c.node_data[k + j], spec.scale_array(spec.plan(rows), x))
+            assert np.array_equal(c.planes(k + j + 1), spec.scale_array(spec.plan(rows), x))
 
 
 @pytest.mark.parametrize("failed", [{1}, {4}, {1, 2}, {4, 5, 6}, {1, 4}])
@@ -296,7 +303,7 @@ def test_phase1_is_one_call_per_helper(params63, failed, words, monkeypatch):
     m = params63.field.degree
     c = Cluster.ingest(_data(64 * words * params63.block_size - 7, seed=words), params63)
     c.fail(failed)
-    live = {nid: d for nid, d in enumerate(c.node_data, 1) if d is not None}
+    live = {nid: c.planes(nid) for nid in set(range(1, 7)) - failed}
     plans, calls = _kernel_calls(monkeypatch)
     c.run_repair(FailurePattern.classify(failed, 3))  # checked against the oracle
     monkeypatch.undo()
@@ -309,7 +316,8 @@ def test_phase1_is_one_call_per_helper(params63, failed, words, monkeypatch):
     for helper, rows, out in phase1:
         assert rows == [[e.value for e in probe_vector(params63, nc)] for nc in plan.newcomers]
         for t, probe in enumerate(rows):  # equal to one apply per edge
-            edge = params63.field.scale_array(params63.field.plan([probe]), c.oracle[helper - 1])
+            edge = params63.field.scale_array(params63.field.plan([probe]),
+                                              c.planes(helper, c.oracle))
             assert np.array_equal(out[t * m:(t + 1) * m], edge)
 
 
@@ -318,7 +326,7 @@ def test_stream_wider_than_the_kernel_switch(params63):
     # kernel call of ingest, extract and repair takes the XOR-table path.
     data = _data((64 * (_GATHER_WORDS + 1) + 1) * params63.block_size - 4, seed=13)
     c = Cluster.ingest(data, params63)
-    assert c.node_data[0].shape[1] > _GATHER_WORDS
+    assert c.planes(1).shape[1] > _GATHER_WORDS
     for ids in ({1, 2, 3}, {1, 2, 4}, {4, 5, 6}):
         assert c.extract(ids) == data
     for failed in ({1}, {4}, {1, 2}, {4, 5}, {4, 5, 6}, {1, 4}):
@@ -398,7 +406,7 @@ def test_repairs_and_decodes_never_read_a_lost_node(params63, params_k4_gf16, wi
         c.fail(failed)
         for nid in failed:
             c.store[(nid - 1) * k * m:nid * k * m] = ~np.uint64(0)
-        for ids in combinations(c.live_nodes, k):
+        for ids in combinations(sorted(set(range(1, params.n + 1)) - failed), k):
             assert c.extract(ids) == data, (failed, ids)
         c.run_repair(FailurePattern.classify(failed, k))
         for ids in _node_sets(k):
@@ -493,9 +501,16 @@ def test_systematic_shards_are_the_padded_stream_and_every_class_extracts(
     stream = b"".join(c.node_symbols_bytes(nid) for nid in range(1, k + 1))
     assert len(stream) == 8 * k * k * m * -(-c.nblocks // 64)
     assert stream == data.ljust(len(stream), b"\0")
+    # The layout's one home agrees with the store: its block count, a shard's bytes, and a
+    # decode's whole words, k shards of the padded stream.
+    assert block_count(n, params) == c.nblocks
+    assert shard_bytes(n, params) == len(c.node_symbols_bytes(1))
     for ids in _node_sets(k):
         out = c.extract(ids)
         assert isinstance(out, bytearray) and out == data, ids
+        whole = decode_nodes(ids, lambda nid, o: np.copyto(o, c.planes(nid).reshape(o.shape)),
+                             params, n)
+        assert len(whole) == k * shard_bytes(n, params) and whole == stream, ids
 
 
 def _peak(f, *args, **kwargs):
@@ -510,8 +525,9 @@ def _peak(f, *args, **kwargs):
 
 def _decode_peak(cluster, ids):
     def fill(nid, out):
-        out[...] = cluster.node_data[nid - 1].reshape(out.shape)
-    return _peak(decode_nodes, ids, fill, cluster.params, cluster.original_length)
+        out[...] = cluster.planes(nid).reshape(out.shape)
+    out, peak = _peak(decode_nodes, ids, fill, cluster.params, cluster.original_length)
+    return out[:cluster.original_length], peak  # the stream: the tail is the pad blocks
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["k3-gf8", "k4-gf16"])

@@ -54,7 +54,7 @@ def test_plan_parity_pair(params63):
     plan = plan_repair(FailurePattern.classify({4, 5}, 3), params63)
     assert plan.newcomers == (4, 5)
     assert plan.helpers == (1, 2, 3, 6)
-    assert plan.d == 4
+    assert len(plan.helpers) == 4
     # Four phase-1 symbols per newcomer, all taken with its probe u_1.
     to_four = [e for e in plan.phase1_edges if e[1] == 4]
     assert to_four == [(1, 4), (2, 4), (3, 4), (6, 4)]
@@ -64,7 +64,7 @@ def test_plan_parity_pair(params63):
 
 def test_plan_single_failure(params63):
     plan = plan_repair(FailurePattern.classify({1}, 3), params63)
-    assert plan.d == 5
+    assert len(plan.helpers) == 5
     assert plan.phase2_edges == ()
     assert plan.phase1_edges == ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1))
     assert probe_vector(params63, 1) == params63.v.col(0)
@@ -603,7 +603,7 @@ def test_identical_duplicate_counts_against_optimality(params63, failed):
     contents, _, report = apply_repair(plan, msgs + [msgs[0]], params63)
     assert [c.vector for c in contents] == [by_id[nc].vector for nc in plan.newcomers]
     assert not report.is_optimal
-    extra = [r.downloaded - plan.d for r in report.rows]
+    extra = [r.downloaded - len(plan.helpers) for r in report.rows]
     assert extra == [int(nc == msgs[0].receiver) for nc in plan.newcomers]
 
 

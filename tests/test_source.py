@@ -1,7 +1,9 @@
 """Source hygiene of the package: no unused top-level import, no line over 100 characters,
 no import from outside the standard library, numpy (the one dependency) and mscr, no thread
-module imported outside the CLI, and no module-level function, class or `__all__` name that
-nothing in the package calls, unless `UNCALLED_EXPORTS` gives the reason it stays.
+module imported outside the CLI, no module-level function, class or `__all__` name that
+nothing in the package calls, and no method or property of a package class that nothing in
+the package reads, unless `UNCALLED_EXPORTS` gives the reason it stays.  The CLI leaves the
+v4 layout's sizes to `mscr.cluster` (`LAYOUT_NAMES`).
 
 `__init__.py` is exempt from the unused-import check: its imports are the package API.
 """
@@ -78,11 +80,23 @@ def callers(tree: ast.Module) -> set[str]:
     return called
 
 
+def methods(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, name) of each method and property of the module's top-level classes, but the
+    dunder ones, which Python calls."""
+    return {(cls.name, node.name) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
 def unreferenced_definitions(sources: dict[str, str], reasons: dict[str, str]) -> list[str]:
     """`module: name` for each module-level function or class and each `__all__` name of
-    `sources` (name -> text) that no module but `__init__.py` calls and `reasons` lacks."""
+    `sources` (name -> text) that no module but `__init__.py` calls, and `module: Class.name`
+    for each method or property (`methods`) that no such module reads as an attribute
+    (`.name`), where `reasons` lacks it."""
     trees = {name: ast.parse(text) for name, text in sources.items() if name != "__init__.py"}
     called = set().union(*map(callers, trees.values()))
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
     found = []
     for name, tree in trees.items():
         defined = {node.name for node in tree.body
@@ -90,7 +104,8 @@ def unreferenced_definitions(sources: dict[str, str], reasons: dict[str, str]) -
         defined |= {value for node in tree.body if isinstance(node, ast.Assign)
                     and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                     for value in ast.literal_eval(node.value)}
-        found += [f"{name}: {d}" for d in defined - called if f"{name}: {d}" not in reasons]
+        unused = (defined - called) | {f"{cls}.{m}" for cls, m in methods(tree) if m not in read}
+        found += [f"{name}: {d}" for d in unused if f"{name}: {d}" not in reasons]
     return sorted(found)
 
 
@@ -102,6 +117,7 @@ UNCALLED_EXPORTS = {
     "repair.py: apply_repair": "the scalar reference protocol the bulk repair is checked against",
     "repair.py: phase1_messages": "the helper side of the scalar reference protocol",
     "linalg.py: first_singular_minor": "perfbench's linalg.minor_enum_s reads it (ROADMAP item 5)",
+    "cluster.py: Cluster.node_symbols_bytes": "perfbench and the tests read a shard's bytes",
 }
 
 
@@ -124,12 +140,55 @@ def test_export_without_a_caller_is_detected():
     assert unreferenced_definitions(sources, {"codec.py: encode": "a reason"}) == []
 
 
+def test_method_without_a_reader_is_detected():
+    # Any `.name` read counts, `self.` or not, a property's too; a dunder method needs none.
+    sources = {"a.py": "class Box:\n    def __len__(self): return 0\n"
+                       "    @property\n    def size(self): return self.fill()\n"
+                       "    def fill(self): return 1\n    def spill(self): pass\n",
+               "b.py": "from .a import Box\nprint(Box().size)\n"}
+    assert unreferenced_definitions(sources, {}) == ["a.py: Box.spill"]
+    sources["b.py"] += "Box().spill()\n"
+    assert unreferenced_definitions(sources, {}) == []
+
+
 def test_every_definition_is_used_or_exported():
     # Aim: no helper or export that nothing in the package runs, but the listed ones.
     sources = {p.name: p.read_text() for p in MODULES}
     assert unreferenced_definitions(sources, UNCALLED_EXPORTS) == []
     # Each listed reason still names an export that has no caller.
     assert unreferenced_definitions(sources, {}) == sorted(UNCALLED_EXPORTS)
+
+
+# Names of the v4 layout's sizes (and of the per-node list the node store replaced) that the
+# CLI leaves to mscr.cluster: `block_count`, `shard_bytes` and `Cluster.planes`.
+LAYOUT_NAMES = {"block_size", "symbol_bytes", "plane_words", "node_data"}
+
+
+def layout_names(source: str) -> list[str]:
+    """The names of LAYOUT_NAMES a module's code names: a variable, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return sorted(names & LAYOUT_NAMES)
+
+
+def test_layout_name_is_detected():
+    source = ("from . import cluster as cluster_mod\nfrom .x import plane_words as pw\n"
+              "size = 8 * params.k * params.field.degree * cluster_mod.plane_words(n, params)\n"
+              "nblocks = -(-n // (params.block_size * params.field.symbol_bytes))\n"
+              "payloads = [p.tobytes() for p in c.node_data]  # block_size: a comment\n")
+    assert layout_names(source) == ["block_size", "node_data", "plane_words", "symbol_bytes"]
+    assert layout_names("size = cluster_mod.shard_bytes(n, params)  # not plane_words\n") == []
+
+
+def test_cli_leaves_the_layout_to_the_cluster():
+    # One home for the layout: the CLI asks mscr.cluster for every block, word and shard size.
+    assert layout_names((SRC / "cli.py").read_text()) == []
 
 
 def foreign_imports(source: str) -> list[str]:
