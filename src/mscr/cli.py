@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 verification or validation failure, 2 usage error.
 Exit 2 comes from argparse: a bad option, and the ``parser.error`` calls of
 ``gen-params`` (arguments ``generate`` refuses) and ``extract`` (``--nodes``).
-Each command lets OSError, ValueError and ``params.GenerationExhausted``
-propagate, and ``main`` alone turns them into one ``error:`` line and exit 1:
-a bad manifest, shard, params or scenario, or an output that cannot be written.
+Each command lets OSError, ValueError, MemoryError and ``params.GenerationExhausted`` propagate,
+and ``main`` alone turns them into one ``error:`` line and exit 1: a bad manifest, shard, params
+or scenario, an input too large for memory, or an output that cannot be written.
 ``encode`` writes, and ``extract`` reads, manifest version 4 alone: a shard is the node's
 bit planes (``Cluster.planes``) as little-endian uint64 words, node-major, so the systematic
 shards in order are the zero-padded input; ``mscr.cluster`` alone sizes shards and blocks.
@@ -92,8 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output(path: str) -> None:
-    """Refuse, before any work, an output whose directory is missing or not writable."""
+    """Refuse, before any work, an output that is a directory or not in a writable one."""
     folder = Path(path).parent
+    if Path(path).is_dir():
+        raise OSError(f"cannot write {path}: it is a directory")
     if not folder.is_dir() or not os.access(folder, os.W_OK | os.X_OK):
         raise OSError(f"cannot write {path}: {folder} is not a writable directory")
 
@@ -295,8 +297,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:  # the one place a command's input, output or search failure becomes exit 1
         return args.run(args, parser)
-    except (OSError, ValueError, params_mod.GenerationExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError, params_mod.GenerationExhausted) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)  # MemoryError() is ""
         return 1
 
 

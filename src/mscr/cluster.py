@@ -70,6 +70,7 @@ class VerificationFailure(RuntimeError):
 
 
 _WINDOW_WORDS = 8192  # most words a kernel call covers: the best of 2304-16384 in a sweep
+_RANDBYTES_MAX = (1 << 28) - 1  # randbytes(n) draws 8n bits as one C int; past it, in chunks
 
 
 def _windows(words: int) -> list[slice]:
@@ -119,10 +120,10 @@ def decode_nodes(ids, fill, params: CodeParams, original_length: int) -> bytearr
     flat = np.frombuffer(buf, "<u8").reshape(k * k * m, -1)
     coord = flat.reshape(k * k, m, -1)  # [a*k + b]: X[b][a], coordinate b of node a+1
     checks = [fill(nid, coord[b * k:(b + 1) * k]) for b, nid in enumerate(codec.slots(ids, k))]
-    if rows:
-        plan = spec.plan(rows)
+    if missing:
+        plan = spec.plan(rows.array)
         for w in _windows(flat.shape[1]):  # a window's rows, fresh, then over the parity planes
-            fresh = spec.scale_array(plan, flat[:, w]).reshape(len(rows), m, -1)
+            fresh = spec.scale_array(plan, flat[:, w]).reshape(len(missing), m, -1)
             _settle(checks)  # after the first window's kernel call, before any write
             coord[missing, :, w] = fresh
             del fresh  # before the next window's call: one window of output at a time
@@ -166,7 +167,7 @@ class Cluster:
         stream, parity = store[:k * rows], store[k * rows:]  # a node per k*m rows of each half
         flat = stream.reshape(-1).view(np.uint8)
         flat[:len(data)], flat[len(data):] = np.frombuffer(data, dtype=np.uint8), 0
-        plan = spec.plan(codec.encode_matrix(params).int_rows())  # y = E x, node-major
+        plan = spec.plan(codec.encode_matrix(params).array)  # y = E x, node-major
         for w in _windows(words):
             spec.scale_array(plan, stream[:, w], out=list(parity[:, w]))
         oracle = store.copy() if keep_oracle else None
@@ -235,7 +236,7 @@ class Cluster:
         probes = spec.plan([[e.value for e in repair.probe_vector(self.params, nc)]
                             for nc in plan.newcomers])
         rows, report = repair.linear_map(plan, self.params)
-        mix, dst = spec.plan(rows), [p for nc in plan.newcomers for p in self.planes(nc)]
+        mix, dst = spec.plan(rows.array), [p for nc in plan.newcomers for p in self.planes(nc)]
         for w in windows:
             edges = phase1[..., :w.stop - w.start]
             for i, helper in enumerate(plan.helpers):
@@ -287,8 +288,9 @@ class Scenario:
                 data = (base / data_doc["path"]).read_bytes()
             else:
                 rnd = data_doc["random"]
-                seed = json_int(rnd.get("seed", 0), "data.random.seed")
-                data = random.Random(seed).randbytes(json_int(rnd["bytes"], "data.random.bytes"))
+                rng = random.Random(json_int(rnd.get("seed", 0), "data.random.seed"))
+                n, step = json_int(rnd["bytes"], "data.random.bytes"), _RANDBYTES_MAX
+                data = b"".join(rng.randbytes(min(step, n - i)) for i in range(0, max(n, 1), step))
             fails = [step["fail"] for step in doc.get("steps", [])]
             if any(type(fail) is not list for fail in fails):
                 raise TypeError("each step's fail must be a list of node ids")

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .galois import FieldElement
 from .linalg import DimensionMismatch, Matrix, dot
 from .params import CodeParams, Side
@@ -94,23 +96,25 @@ def slots(node_ids, k: int) -> list[int]:
 
 @lru_cache(maxsize=128)
 def encode_matrix(params: CodeParams) -> Matrix:
-    """The k^2 x k^2 matrix E with y = E x, node-major, entry by entry from F.
+    """The k^2 x k^2 matrix E with y = E x, node-major, from F.
 
     X[b][a] = x[ak + b] enters Y[r][c] = y[ck + r] with weight delta V_hat[r][a] U[b][c]
     through the aligned term and epsilon P[a][c] through the mixed one when b = r, so
-    E[ck + r][ak + b] = delta V_hat[r][a] U[b][c] + epsilon [b = r] P[a][c].
+    E[ck + r][ak + b] = delta V_hat[r][a] U[b][c] + epsilon [b = r] P[a][c]: the outer
+    product of V_hat and U, plus epsilon P on the diagonal of (r, b).
     """
-    k, field, mul, side = params.k, params.field, params.field.mul_int, params.parity_side
-    d, e = side.delta.value, side.epsilon.value
-    v_hat, u, p = side.hat.int_rows(), side.probes.int_rows(), side.mix.int_rows()
-    return Matrix(field, [[mul(d, mul(v_hat[r][a], u[b][c])) ^ (mul(e, p[a][c]) if b == r else 0)
-                           for a in range(k) for b in range(k)]
-                          for c in range(k) for r in range(k)])
+    k, field, side = params.k, params.field, params.parity_side
+    outer = (Matrix(field, side.hat.array.reshape(-1, 1))
+             @ Matrix(field, side.probes.array.reshape(1, -1))).scalar_mul(side.delta)
+    aligned = outer.array.reshape(k, k, k, k).transpose(3, 0, 1, 2)  # [r, a, b, c] to [c, r, a, b]
+    mixed = np.einsum("rb,ac->crab", np.eye(k, dtype=np.uint16),
+                      side.mix.scalar_mul(side.epsilon).array)
+    return Matrix(field, (aligned ^ mixed).reshape(k * k, k * k))
 
 
-@lru_cache(maxsize=128)  # bounded: 128 k=8 decoders hold at most 4.5 MiB (8 MiB over GF(2^16))
+@lru_cache(maxsize=128)  # bounded: 128 k=8 decoders hold at most 1.1 MiB, in either field
 def collection_matrix(node_ids: tuple[int, ...],
-                      params: CodeParams) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+                      params: CodeParams) -> tuple[tuple[int, ...], Matrix]:
     """The decoder of a k-node set: the coordinates of x no node in it holds, and their rows.
 
     The rows read z, the set's vectors in their `slots`.  Its s systematic nodes hold
@@ -118,18 +122,15 @@ def collection_matrix(node_ids: tuple[int, ...],
     others, with A and K taken from rows of the encode matrix, so one solve gives
     x_M = A^-1 [K | I] z, in ascending order.  The value is shared by every caller.
     """
-    k, field, enc = params.k, params.field, encode_matrix(params)
-    held = [b * k + l for b, nid in enumerate(slots(node_ids, k)) if nid <= k for l in range(k)]
-    parity = [(b * k + l, (nid - k - 1) * k + l)  # (coordinate of z, row of the encode matrix)
-              for b, nid in enumerate(slots(node_ids, k)) if nid > k for l in range(k)]
-    missing = [at for at, _ in parity]
-    rhs = [[0] * (k * k) for _ in parity]
-    for row, (at, e) in zip(rhs, parity):
-        row[at] = 1
-        for t in held:
-            row[t] = enc.int_at(e, t)
-    a = Matrix(field, [[enc.int_at(e, t) for t in missing] for _, e in parity])
-    return tuple(missing), tuple(map(tuple, a.solve(Matrix(field, rhs)).int_rows()))
+    k, field, enc = params.k, params.field, encode_matrix(params).array
+    blocks = list(enumerate(slots(node_ids, k)))
+    held = [b * k + l for b, nid in blocks if nid <= k for l in range(k)]
+    missing = [b * k + l for b, nid in blocks if nid > k for l in range(k)]
+    equations = [(nid - k - 1) * k + l for _, nid in blocks if nid > k for l in range(k)]  # of E
+    rhs = np.zeros((len(missing), k * k), np.uint16)  # [K | I], in the columns of z
+    rhs[:, held], rhs[range(len(missing)), missing] = enc[np.ix_(equations, held)], 1
+    a = Matrix(field, enc[np.ix_(equations, missing)])
+    return tuple(missing), a.solve(Matrix(field, rhs))
 
 
 def collect(contents: Sequence[NodeContent], params: CodeParams) -> SourceBlock:
@@ -154,6 +155,7 @@ def collect(contents: Sequence[NodeContent], params: CodeParams) -> SourceBlock:
     by_id = {c.node_id: c.vector for c in contents}
     z = [sym for i in slots(ids, k) for sym in by_id[i]]
     x = [sym.value for sym in z]
-    for t, row in zip(*collection_matrix(tuple(sorted(ids)), params)):
-        x[t] = dot([field.element(v) for v in row], z).value
+    missing, rows = collection_matrix(tuple(sorted(ids)), params)
+    for i, t in enumerate(missing):
+        x[t] = dot(rows.row(i), z).value
     return SourceBlock(Matrix(field, [[x[c * k + r] for c in range(k)] for r in range(k)]))

@@ -1,17 +1,23 @@
-"""Dense matrix algebra over GF(2^m).
+"""Dense matrix algebra over GF(2^m), on whole arrays.
 
-Everything here is exact: Gauss-Jordan elimination with first-nonzero
-pivoting (any nonzero pivot is as good as any other in a finite field),
-Cauchy matrices with their closed-form inverse, and super-regularity
-testing by exhaustive enumeration of square minors.
+A `Matrix` is one read-only (r, c) array of symbols.  Its products, sums and eliminations
+run on whole arrays through the field's exp/log table arrays: a product is
+exp[log a + log b], and the log of zero is a sentinel whose sums index a zero tail of exp.
+Everything is exact.  Gauss-Jordan elimination pivots on any nonzero entry of its column
+(any nonzero pivot is as good as any other in a finite field) and clears that column in
+all rows at once.  Also here: Cauchy matrices with their closed-form inverse, and
+super-regularity testing by exhaustive enumeration of square minors.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .galois import FieldElement, FieldSpec
 
@@ -62,19 +68,35 @@ def dot(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
     return FieldElement(acc, spec)
 
 
+@cache
+def _tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The field's exp and log tables as arrays, built on first use.  log[0] is a sentinel
+    z = 2(order - 1), past every sum of two logs of nonzero symbols, and exp is zero from z
+    to 2z, so exp[log a + log b] is a*b for every a and b, zeros included."""
+    z = 2 * (spec.order - 1)
+    exp, log = np.zeros(2 * z + 1, np.uint16), np.array(spec._log, np.intp)
+    exp[:z], log[0] = spec._exp, z
+    return exp, log
+
+
 class Matrix:
-    """Immutable dense matrix over one field, stored row-major as raw ints."""
+    """Immutable dense matrix over one field: `array`, a read-only (r, c) uint16 array.
 
-    __slots__ = ("rows", "cols", "spec", "_m")
+    Equality and hashing cover the field, the shape and the entries, so a Matrix (and the
+    params that hold one) can key a cache."""
 
-    def __init__(self, spec: FieldSpec, int_rows: Sequence[Sequence[int]]):
-        self.spec = spec
-        self.rows = len(int_rows)
-        self.cols = len(int_rows[0]) if self.rows else 0
-        for r in int_rows:
-            if len(r) != self.cols:
-                raise DimensionMismatch("ragged rows")
-        self._m = tuple(tuple(r) for r in int_rows)
+    __slots__ = ("spec", "array", "_det")
+
+    def __init__(self, spec: FieldSpec, rows):
+        """From an (r, c) array or r equal-length rows of symbols, copied."""
+        try:
+            array = np.array(rows, dtype=np.uint16)
+        except ValueError:
+            array = None
+        if array is None or array.ndim != 2:
+            raise DimensionMismatch("ragged rows")
+        array.flags.writeable = False
+        self.spec, self.array, self._det = spec, array, None
 
     # -- constructors ---------------------------------------------------------
 
@@ -91,89 +113,76 @@ class Matrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "Matrix":
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        eye = cls(spec, [[int(i == j) for j in range(n)] for i in range(n)])
+        eye._det = 1
+        return eye
 
     # -- accessors ------------------------------------------------------------
 
     def at(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self._m[i][j], self.spec)
-
-    def int_at(self, i: int, j: int) -> int:
-        return self._m[i][j]
+        return FieldElement(int(self.array[i, j]), self.spec)
 
     def row(self, i: int) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(v, self.spec) for v in self._m[i])
+        return tuple(FieldElement(v, self.spec) for v in self.array[i].tolist())
 
     def col(self, j: int) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(r[j], self.spec) for r in self._m)
-
-    def int_rows(self) -> list[list[int]]:
-        return [list(r) for r in self._m]
+        return tuple(FieldElement(v, self.spec) for v in self.array[:, j].tolist())
 
     # -- algebra --------------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if self.shape != other.shape:
             raise DimensionMismatch(f"add {self.shape} to {other.shape}")
-        return Matrix(self.spec, [[a ^ b for a, b in zip(ra, rb)]
-                                  for ra, rb in zip(self._m, other._m)])
+        return Matrix(self.spec, self.array ^ other.array)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._compat(other)
-        if self.cols != other.rows:
+        if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"matmul {self.shape} by {other.shape}")
-        exp, log = self.spec._exp, self.spec._log
-        out = []
-        for arow in self._m:  # row i of the product: xor over t of arow[t] * row t of other
-            acc = [0] * other.cols
-            for a, brow in zip(arow, other._m):
-                if a:
-                    la = log[a]
-                    acc = [v ^ exp[la + log[b]] if b else v for v, b in zip(acc, brow)]
-            out.append(acc)
-        return Matrix(self.spec, out)
+        exp, log = _tables(self.spec)
+        terms = exp[log[self.array][:, :, None] + log[other.array]]  # [i, t, j]: a_it * b_tj
+        return Matrix(self.spec, np.bitwise_xor.reduce(terms, axis=1))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.spec, [[self._m[i][j] for i in range(self.rows)]
-                                  for j in range(self.cols)])
+        return Matrix(self.spec, self.array.T)
 
     def scalar_mul(self, c: FieldElement) -> "Matrix":
         if c.spec != self.spec:
             raise DimensionMismatch("scalar from a different field")
-        mul = self.spec.mul_int
-        cv = c.value
-        return Matrix(self.spec, [[mul(cv, v) for v in r] for r in self._m])
+        exp, log = _tables(self.spec)
+        return Matrix(self.spec, exp[log[self.array] + log[c.value]])
 
     def invert(self) -> "Matrix":
-        if self.rows != self.cols:
+        if self.shape[0] != self.shape[1]:
             raise DimensionMismatch("only square matrices invert")
-        return self.solve(Matrix.identity(self.spec, self.rows))
+        return self.solve(Matrix.identity(self.spec, self.shape[0]))
 
     def solve(self, rhs: "Matrix") -> "Matrix":
         """Solve self @ X = rhs for X (self square nonsingular)."""
         self._compat(rhs)
-        if self.rows != self.cols:
+        n = self.shape[0]
+        if self.shape[1] != n:
             raise DimensionMismatch("coefficient matrix must be square")
-        if rhs.rows != self.rows:
+        if rhs.shape[0] != n:
             raise DimensionMismatch(f"solve {self.shape} against rhs {rhs.shape}")
-        a = self.int_rows()
-        b = rhs.int_rows()
-        if not _gauss_jordan(self.spec, a, b):
+        augmented = np.concatenate([self.array, rhs.array], axis=1)
+        if not _eliminate(self.spec, augmented):
             raise SingularMatrix("matrix is singular")
-        return Matrix(self.spec, b)
+        return Matrix(self.spec, augmented[:, n:])
 
     def det(self) -> FieldElement:
-        if self.rows != self.cols:
+        if self.shape[0] != self.shape[1]:
             raise DimensionMismatch("determinant of a non-square matrix")
-        det = _gauss_jordan(self.spec, self.int_rows(), [[] for _ in range(self.rows)])
-        return FieldElement(det, self.spec)
+        if self._det is None:  # once: the entries never change
+            self._det = _eliminate(self.spec, np.array(self.array))
+        return FieldElement(self._det, self.spec)
 
     # -- misc -----------------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+        return self.array.shape
 
     def _compat(self, other: "Matrix") -> None:
         if not isinstance(other, Matrix):
@@ -183,53 +192,43 @@ class Matrix:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.spec == other.spec
-                and self._m == other._m)
+                and np.array_equal(self.array, other.array))
 
     def __hash__(self) -> int:
-        return hash((self.spec, self._m))
+        return hash((self.spec, self.array.shape, self.array.tobytes()))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(f"{v:x}" for v in r) for r in self._m)
-        return f"Matrix({self.rows}x{self.cols}, [{body}])"
+        body = "; ".join(" ".join(f"{v:x}" for v in r) for r in self.array.tolist())
+        return f"Matrix({self.shape[0]}x{self.shape[1]}, [{body}])"
 
 
-def _gauss_jordan(spec: FieldSpec, a: list[list[int]], b: list[list[int]]) -> int:
-    """Reduce a to the identity, applying the same row ops to b, in place.
+def _eliminate(spec: FieldSpec, augmented: np.ndarray) -> int:
+    """Reduce the leading square of `augmented` to the identity, in place, by the same row
+    operations on all its columns: per column, the pivot row over its pivot, then one update
+    of every other row, skipped when the column holds no other nonzero entry.
 
-    Returns det(a): the product of the pivots (row swaps only flip a sign,
-    and -1 = 1 here), or 0 as soon as a column has no nonzero pivot.
+    Returns the determinant of that square: the product of the pivots (a row swap only flips
+    a sign, and -1 = 1 here), or 0 as soon as a column has no nonzero pivot.
     """
-    exp, log = spec._exp, spec._log
-    qm1 = spec.order - 1
-    n = len(a)
-    det_log = 0
+    n, qm1, det_log = augmented.shape[0], spec.order - 1, 0
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col]:
-                piv = r
-                break
+        column = augmented[:, col].tolist()
+        piv = next((r for r in range(col, n) if column[r]), None)  # any nonzero entry will do
         if piv is None:
             return 0
         if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-        pv = a[col][col]
-        det_log = (det_log + log[pv]) % qm1
-        if pv != 1:
-            linv = qm1 - log[pv]
-            a[col] = [exp[log[v] + linv] if v else 0 for v in a[col]]
-            b[col] = [exp[log[v] + linv] if v else 0 for v in b[col]]
-        arow, brow = a[col], b[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f:
-                lf = log[f]
-                a[r] = [v ^ exp[lf + log[w]] if w else v for v, w in zip(a[r], arow)]
-                b[r] = [v ^ exp[lf + log[w]] if w else v for v, w in zip(b[r], brow)]
-    return exp[det_log]
+            augmented[[col, piv]] = augmented[[piv, col]]
+        lp = spec._log[column[piv]]
+        det_log += lp
+        if lp:  # a pivot other than 1
+            exp, log = _tables(spec)
+            augmented[col] = exp[log[augmented[col]] + (qm1 - lp)]
+        if column.count(0) < n - 1:  # not yet clear
+            exp, log = _tables(spec)
+            factors = log[augmented[:, col]]
+            factors[col] = log[0]  # the sentinel: the pivot row stays as it is
+            augmented ^= exp[factors[:, None] + log[augmented[col]]]
+    return spec._exp[det_log % qm1]
 
 
 @dataclass(frozen=True)
@@ -265,9 +264,7 @@ class CauchySpec:
 
 def cauchy(cs: CauchySpec) -> Matrix:
     """Cauchy matrix with entries (a_i - b_j)^-1 (i row, j column)."""
-    spec = cs.spec
-    rows = [[spec.inv_int(ai.value ^ bj.value) for bj in cs.b] for ai in cs.a]
-    return Matrix(spec, rows)
+    return Matrix(cs.spec, [[cs.spec.inv_int(a.value ^ b.value) for b in cs.b] for a in cs.a])
 
 
 def cauchy_inverse(cs: CauchySpec) -> Matrix:
@@ -277,11 +274,8 @@ def cauchy_inverse(cs: CauchySpec) -> Matrix:
         (a_i - b_j) * prod_{l!=i}(b_j - a_l)/(a_i - a_l)
                     * prod_{l!=j}(a_i - b_l)/(b_j - b_l).
     """
-    spec = cs.spec
-    mul, div = spec.mul_int, spec.div_int
-    k = cs.k
-    a = [e.value for e in cs.a]
-    b = [e.value for e in cs.b]
+    mul, div, k = cs.spec.mul_int, cs.spec.div_int, cs.k
+    a, b = [e.value for e in cs.a], [e.value for e in cs.b]
     rows = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(k):
@@ -294,7 +288,7 @@ def cauchy_inverse(cs: CauchySpec) -> Matrix:
                     num = mul(num, a[i] ^ b[l])
                     den = mul(den, b[j] ^ b[l])
             rows[j][i] = div(num, den)
-    return Matrix(spec, rows)
+    return Matrix(cs.spec, rows)
 
 
 def first_singular_minor(m: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -302,19 +296,15 @@ def first_singular_minor(m: Matrix) -> tuple[tuple[int, ...], tuple[int, ...]] |
 
     Cost grows as sum_s C(n,s)^2 determinants, hence the size cap.
     """
-    if m.rows != m.cols:
+    n = m.shape[0]
+    if m.shape[1] != n:
         raise DimensionMismatch("super-regularity applies to square matrices")
-    n = m.rows
     if n > SUPER_REGULAR_MAX:
         raise TooLarge(f"minor enumeration capped at {SUPER_REGULAR_MAX}x{SUPER_REGULAR_MAX}")
-    spec = m.spec
-    grid = m.int_rows()
     for s in range(1, n + 1):
         for rsel in combinations(range(n), s):
-            picked = [grid[r] for r in rsel]
             for csel in combinations(range(n), s):
-                sub = [[row[c] for c in csel] for row in picked]
-                if _gauss_jordan(spec, sub, [[] for _ in range(s)]) == 0:
+                if not _eliminate(m.spec, m.array[np.ix_(rsel, csel)]):  # a fresh copy
                     return rsel, csel
     return None
 

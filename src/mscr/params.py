@@ -199,7 +199,8 @@ def generate(k: int, field: FieldSpec | None = None, seed: int = 0,
         vals = rng.sample(range(field.order), 2 * k)
         cs = CauchySpec(tuple(field.element(x) for x in vals[:k]),
                         tuple(field.element(x) for x in vals[k:]))
-        if _product_one(cauchy(cs), cauchy_inverse(cs)):
+        p, q = cauchy(cs), cauchy_inverse(cs)
+        if _product_one(p, q):
             continue
         v = random_nonsingular(field, k, rng) if random_v else Matrix.identity(field, k)
         while True:
@@ -209,17 +210,19 @@ def generate(k: int, field: FieldSpec | None = None, seed: int = 0,
                 break
         delta, epsilon = field.element(d), field.element(e)
         delta_prime, epsilon_prime = solve_dual_constants(delta, epsilon)
-        return CodeParams(k=k, field=field, cauchy=cs, v=v, delta=delta, epsilon=epsilon,
-                          delta_prime=delta_prime, epsilon_prime=epsilon_prime, seed=seed)
+        params = CodeParams(k=k, field=field, cauchy=cs, v=v, delta=delta, epsilon=epsilon,
+                            delta_prime=delta_prime, epsilon_prime=epsilon_prime, seed=seed)
+        params.__dict__.update(p=p, q=q)  # the P and Q just checked, cached: validate reads them
+        return params
     raise GenerationExhausted(
         f"no valid parameters for k={k} over {field!r} within {max_retries} retries")
 
 
 def _product_one(p: Matrix, q: Matrix) -> list[tuple[int, int]]:
     """1-based (i, j) with p_ij * q_ji == 1."""
-    mul = p.spec.mul_int
-    return [(i + 1, j + 1) for i in range(p.rows) for j in range(p.cols)
-            if mul(p.int_at(i, j), q.int_at(j, i)) == 1]
+    mul, p_rows, q_rows = p.spec.mul_int, p.array.tolist(), q.array.tolist()
+    return [(i + 1, j + 1) for i, row in enumerate(p_rows) for j, p_ij in enumerate(row)
+            if mul(p_ij, q_rows[j][i]) == 1]
 
 
 def validate(params: CodeParams) -> list[Violation]:
@@ -262,7 +265,7 @@ def _hex(value: int) -> str:
 
 
 def _matrix_doc(m: Matrix) -> list[list[str]]:
-    return [[_hex(m.int_at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    return [[_hex(v) for v in row] for row in m.array.tolist()]
 
 
 def to_document(params: CodeParams) -> dict:

@@ -261,13 +261,13 @@ def _group_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
     spec, mix_t = params.field, side.mix.transpose()
     inbox = {nc: _received(plan, rows, params, side, nc) for nc in plan.newcomers}
     combos = {nc: mix_t @ s for nc, (s, _) in inbox.items()}
-    phase2 = {(a, b): combos[a].int_rows()[b - side.base - 1] for a, b in plan.phase2_edges}
+    phase2 = {(a, b): combos[a].array[b - side.base - 1] for a, b in plan.phase2_edges}
     probes_t, inv_delta = side.probes.transpose(), side.delta.inverse()
     contents = []
     for nc in plan.newcomers:
         (s, t), c, i = inbox[nc], combos[nc], nc - side.base
-        w = (t + c.scalar_mul(side.epsilon)).scalar_mul(inv_delta).int_rows()
-        w[i - 1] = c.int_rows()[i - 1]
+        w = (t + c.scalar_mul(side.epsilon)).scalar_mul(inv_delta).array.copy()
+        w[i - 1] = c.array[i - 1]
         for a in plan.newcomers:
             if a != nc:
                 w[a - side.base - 1] = phase2[(a, nc)]
@@ -338,16 +338,16 @@ def _mixed_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
         lead = (side.delta + side.epsilon) * side.unmix.at(t - 1, s - 1)
         sent = (Matrix.from_rows([side.unmix.col(s - 1)]) @ y
                 + (Matrix.from_rows([side.mix.col(t - 1)]) @ x).scalar_mul(lead))
-        phase2[(sender, solver)] = sent.int_rows()[0]
+        phase2[(sender, solver)] = sent.array[0]
 
         # The solver peels the known raw-side terms off and inverts its system.
         x, y = _received(plan, rows, params, side, solver)
         c = side.mix.transpose() @ x
-        rest = (y + c.scalar_mul(side.epsilon)).int_rows()
+        rest = (y + c.scalar_mul(side.epsilon)).array
         first = sent + Matrix.from_rows([c.row(t - 1)]).scalar_mul(side.delta)
         try:
             contents.append(_mixed_matrix(params, side, s, t).solve(
-                Matrix(params.field, first.int_rows() + rest[:t - 1] + rest[t:])))
+                Matrix(params.field, [*first.array, *rest[:t - 1], *rest[t:]])))
         except SingularMatrix as exc:
             raise NonsingularityFailure(
                 f"mixed system of newcomer {solver} for (a={a}, b={b}) singular") from exc
@@ -364,15 +364,15 @@ def _run(plan: RepairPlan, rows: Rows, params: CodeParams, downloaded: Counter):
 def linear_map(plan: RepairPlan, params: CodeParams):
     """The repair as one linear map of the phase-1 symbols: (rows, report).
 
-    Entry [x][e] of rows weighs the symbol on edge plan.phase1_edges[e] in
+    Entry (x, e) of the rows, a Matrix, weighs the symbol on edge plan.phase1_edges[e] in
     coordinate x % k of newcomer plan.newcomers[x // k].  One run of the
     core with the message on edge e the e-th unit row; the report is the
     per-block tally of one message per planned edge.
     """
     edges = plan.phase1_edges
-    unit = {edge: [int(e == f) for f in range(len(edges))] for e, edge in enumerate(edges)}
+    unit = dict(zip(edges, Matrix.identity(params.field, len(edges)).array))
     contents, _, report = _run(plan, unit, params, Counter(nc for _, nc in edges))
-    return [row for c in contents for row in c.int_rows()], report
+    return Matrix(params.field, [row for c in contents for row in c.array]), report
 
 
 def apply_repair(plan: RepairPlan, phase1: Sequence[Message], params: CodeParams):
@@ -382,5 +382,5 @@ def apply_repair(plan: RepairPlan, phase1: Sequence[Message], params: CodeParams
     """
     rows = {edge: [sym.value] for edge, sym in _index_messages(plan, phase1).items()}
     contents, sent, report = _run(plan, rows, params, Counter(m.receiver for m in phase1))
-    phase2 = [Message(a, b, FieldElement(row[0], params.field)) for (a, b), row in sent.items()]
+    phase2 = [Message(a, b, params.field.element(int(row[0]))) for (a, b), row in sent.items()]
     return [NodeContent(nc, c.col(0)) for nc, c in zip(plan.newcomers, contents)], phase2, report

@@ -53,7 +53,7 @@ def collection_system(node_ids, params) -> Matrix:
     inverse's columns read z.  Systematic nodes contribute unit rows, parity
     nodes their row block of the encode matrix.
     """
-    k, enc, ids = params.k, encode_matrix(params).int_rows(), sorted(node_ids)
+    k, enc, ids = params.k, encode_matrix(params).array.tolist(), sorted(node_ids)
     lacking = [b for b in range(k) if b + 1 not in ids]
     block = {j: j - 1 for j in ids if j <= k} | dict(zip([j for j in ids if j > k], lacking))
     rows = [None] * (k * k)

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -22,6 +25,7 @@ from mscr.params import load, validate
 # `gen-params --k 3 --seed 7` (the params `_gen` writes) and
 # `gen-params --k 4 --field-degree 16 --seed 3`.
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 LEGACY = {"k3-gf8": 1000, "k4-gf16": 3000}
 
 
@@ -696,8 +700,11 @@ def test_extract_checks_shard_sizes_before_it_allocates_the_claimed_stream(tmp_p
 
 
 def _unwritable_output(tmp_path):
+    """argv per case: an output in a missing directory, an output that is a directory, and
+    for encode a file given as --out-dir."""
     params_file, shard_dir = _encode(tmp_path, b"unwritable output")
-    missing = tmp_path / "no-such-dir"
+    missing, folder = tmp_path / "no-such-dir", tmp_path / "a-dir"
+    folder.mkdir()
     return {
         "gen-params": ["gen-params", "--k", "3", "--out", str(missing / "p.json")],
         "encode": ["encode", "--params", str(params_file), "--in", str(tmp_path / "input.bin"),
@@ -706,10 +713,15 @@ def _unwritable_output(tmp_path):
                     "--nodes", "1,2,3", "--out", str(missing / "o.bin")],
         "simulate": ["simulate", "--scenario", "six-node-all-pairs",
                      "--report", str(missing / "r.json")],
+        "gen-params-dir": ["gen-params", "--k", "3", "--out", str(folder)],
+        "extract-dir": ["extract", "--params", str(params_file), "--in-dir", str(shard_dir),
+                        "--nodes", "1,2,3", "--out", str(folder)],
+        "simulate-dir": ["simulate", "--scenario", "six-node-all-pairs", "--report", str(folder)],
     }
 
 
-@pytest.mark.parametrize("command", ["gen-params", "encode", "extract", "simulate"])
+@pytest.mark.parametrize("command", ["gen-params", "encode", "extract", "simulate",
+                                     "gen-params-dir", "extract-dir", "simulate-dir"])
 def test_output_that_cannot_be_written_exits_1(tmp_path, capsys, monkeypatch, command):
     argv = _unwritable_output(tmp_path)[command]
 
@@ -722,7 +734,38 @@ def test_output_that_cannot_be_written_exits_1(tmp_path, capsys, monkeypatch, co
         monkeypatch.setattr(owner, name, heavy)
     capsys.readouterr()
     assert main(argv) == 1
-    _one_error_line(capsys)
+    line = _one_error_line(capsys)
+    assert ("is a directory" in line) == command.endswith("-dir"), line
+
+
+# Runs `mscr` under an address-space cap of its own size after the imports plus argv[1] MiB.
+CAPPED_MAIN = """
+import resource, sys
+from mscr.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+cap = size + (int(sys.argv[1]) << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmSize from /proc")
+@pytest.mark.parametrize("nbytes, room", [(1 << 28, 96), (1 << 25, 128)],
+                         ids=["past-randbytes", "store-past-the-cap"])
+def test_scenario_larger_than_memory_ends_in_one_error_line(tmp_path, nbytes, room):
+    # 2^28 bytes is more than one randbytes call can draw, and 2^25 bytes leave no room under
+    # this cap for the node store (numpy's _ArrayMemoryError): each ends in a MemoryError,
+    # which main turns into one line.  The cap is the child's own.
+    scenario = tmp_path / "big.json"
+    scenario.write_text(json.dumps({"k": 3, "data": {"random": {"seed": 1, "bytes": nbytes}},
+                                    "steps": [{"fail": [1]}]}))
+    run = subprocess.run([sys.executable, "-c", CAPPED_MAIN, str(room), "simulate",
+                          "--scenario", str(scenario)], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    err = run.stderr.splitlines()
+    assert run.returncode == 1 and len(err) == 1 and err[0].startswith("error: "), run.stderr
+    assert run.stdout == ""
 
 
 def _library_calls(tmp_path):

@@ -291,7 +291,7 @@ def test_ingest_encodes_all_parity_nodes_in_one_call(params63, params_k4_gf16, w
         assert len(plans) == len(calls) == 1
         monkeypatch.undo()
         x = np.concatenate([c.planes(nid) for nid in range(1, k + 1)])  # X[b][a] at a*k + b
-        enc = encode_matrix(params).int_rows()
+        enc = encode_matrix(params).array
         for j in range(k):  # equal to one apply per parity node: its row block of E
             rows = enc[j * k:(j + 1) * k]
             assert np.array_equal(c.planes(k + j + 1), spec.scale_array(spec.plan(rows), x))
@@ -477,7 +477,7 @@ def test_unit_decoder_rows_bypass_the_kernel(params63, params_k4_gf16, wide, mon
         # One plan and one call, over exactly the rows of coordinates no node in the set
         # holds (coordinates (j - 1)*k + l of every missing systematic node j), as they are.
         missing = sorted((j - 1) * k + l for j in set(range(1, k + 1)) - set(ids) for l in range(k))
-        decoder = collection_system(ids, params).invert().int_rows()
+        decoder = collection_system(ids, params).invert().array.tolist()
         assert len(plans) == len(calls) == 1
         assert calls[0][0] == [decoder[t] for t in missing]
 
@@ -659,3 +659,20 @@ def test_scenario_from_files(tmp_path, params63):
     assert sc.data == payload
     result = run_scenario(sc)
     assert result.ok
+
+
+def test_scenario_random_data_is_drawn_in_chunks_past_the_randbytes_limit(monkeypatch):
+    # Up to the limit, one randbytes call (the bundled report's bytes); past it, chunks of
+    # the limit from the same generator, where one call would raise OverflowError.
+    doc = {"k": 3, "data": {"random": {"seed": 5, "bytes": 2500}}, "steps": []}
+    assert Scenario.from_document(doc).data == random.Random(5).randbytes(2500)
+    monkeypatch.setattr(cluster_mod, "_RANDBYTES_MAX", 1000)
+    rng = random.Random(5)
+    chunks = [rng.randbytes(1000), rng.randbytes(1000), rng.randbytes(500)]
+    assert Scenario.from_document(doc).data == b"".join(chunks)
+    for n in (0, 1000):
+        doc["data"]["random"]["bytes"] = n
+        assert Scenario.from_document(doc).data == random.Random(5).randbytes(n)
+    doc["data"]["random"]["bytes"] = -1
+    with pytest.raises(ValueError):
+        Scenario.from_document(doc)

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import collection_system, ground_truth, random_block
@@ -85,7 +86,7 @@ def test_encode_matrix_agrees_with_encode(params63):
     e = encode_matrix(params63)
     for _ in range(20):
         block = random_block(params63, rng)
-        x = Matrix(params63.field, [[block.x.int_at(b, a)] for a in range(k) for b in range(k)])
+        x = Matrix(params63.field, [[block.x.array[b, a]] for a in range(k) for b in range(k)])
         yvec = e @ x  # node-major: coordinate c*k + r is Y[r][c]
         y = encode(block, params63).y
         for r in range(k):
@@ -144,8 +145,8 @@ def _assert_decoder_is_the_inverse(ids, params):
     missing, rows = collection_matrix(ids, params)
     assert missing == tuple((j - 1) * k + l for j in range(1, k + 1) if j not in ids
                             for l in range(k)), ids
-    inverse = collection_system(ids, params).invert().int_rows()
-    assert [list(r) for r in rows] == [inverse[t] for t in missing], ids
+    inverse = collection_system(ids, params).invert().array
+    assert np.array_equal(rows.array, inverse[list(missing)]), ids
 
 
 @pytest.mark.parametrize("degree", [8, 16])
@@ -174,7 +175,7 @@ def test_parity_only_decoder_is_the_dual_map(k, degree, random_v):
     units = [dual_encode(ParityBlock(Matrix(params.field, [[int((i, j) == (r, c)) for j in range(k)]
                                                            for i in range(k)])), params).x
              for c in range(k) for r in range(k)]
-    g = tuple(tuple(x.int_at(b, a) for x in units) for a in range(k) for b in range(k))
+    g = Matrix(params.field, [[x.array[b, a] for x in units] for a in range(k) for b in range(k)])
     assert collection_matrix(tuple(range(k + 1, 2 * k + 1)), params) == (tuple(range(k * k)), g)
 
 
@@ -192,6 +193,15 @@ def test_repeated_node_set_reuses_the_decoder(params_k4, monkeypatch):
     assert c.extract(ids) == data
     assert collect([by_id[i] for i in ids], params_k4).x == block.x
     assert calls == []
+
+
+def test_cached_maps_are_read_only(params63):
+    # Every caller shares the cached maps, so a write raises instead of changing them.
+    missing, rows = collection_matrix((1, 4, 5), params63)
+    for shared in (encode_matrix(params63).array, rows.array):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] ^= 1
+    assert missing == (3, 4, 5, 6, 7, 8)
 
 
 def test_matrix_caches_are_bounded(params_k5):

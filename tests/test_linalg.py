@@ -1,8 +1,12 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import is_super_regular
+from list_oracle import _gauss_jordan, list_product
 from mscr.galois import FieldSpec
 from mscr.linalg import (SUPER_REGULAR_MAX, CauchySpec, DimensionMismatch,
                          DuplicateGenerators, Matrix, SingularMatrix, TooLarge, cauchy,
@@ -46,8 +50,8 @@ def test_matmul_entries_are_dot_products(degree):
     for _ in range(50):
         r, t, c = (rng.randrange(1, 6) for _ in range(3))
         a, b = _rand(spec, r, t, rng), _rand(spec, t, c, rng)
-        a = Matrix(spec, [[v if rng.random() < 0.7 else 0 for v in row] for row in a.int_rows()])
-        assert (a @ b).int_rows() == [[dot(a.row(i), b.col(j)).value for j in range(c)]
+        a = Matrix(spec, [[v if rng.random() < 0.7 else 0 for v in row] for row in a.array])
+        assert (a @ b).array.tolist() == [[dot(a.row(i), b.col(j)).value for j in range(c)]
                                       for i in range(r)]
 
 
@@ -160,7 +164,7 @@ def test_cauchy_inverse_is_inverse(gf256):
 def test_super_regular_rejects_zero_entry(gf256):
     # Start from a Cauchy matrix (all entries nonzero) and force one zero.
     rng = random.Random(10)
-    grid = cauchy(_cauchy_spec(gf256, 3, rng)).int_rows()
+    grid = cauchy(_cauchy_spec(gf256, 3, rng)).array.tolist()
     grid[1][2] = 0
     assert not is_super_regular(Matrix(gf256, grid))
     assert first_singular_minor(Matrix(gf256, grid)) == ((1,), (2,))
@@ -211,3 +215,65 @@ def test_det_multiplicative(gf256):
         a = _rand(gf256, 3, 3, rng)
         b = _rand(gf256, 3, 3, rng)
         assert (a @ b).det() == a.det() * b.det()
+
+
+def test_matrix_holds_a_read_only_copy(gf256):
+    rows = np.array([[1, 2], [3, 4]])
+    m = Matrix(gf256, rows)
+    rows[0, 0] = 9  # the source changes, the matrix does not
+    assert m.array.tolist() == [[1, 2], [3, 4]] and m.array.dtype == np.uint16
+    with pytest.raises(ValueError, match="read-only"):
+        m.array[0, 0] = 9
+
+
+def test_equality_and_hash_cover_field_shape_and_entries(gf256):
+    m = Matrix(gf256, [[1, 2]])
+    assert m == Matrix(gf256, np.array([[1, 2]], dtype=np.uint8))
+    assert hash(m) == hash(Matrix(gf256, [[1, 2]]))
+    assert m != Matrix(gf256, [[1], [2]])  # the same entries in another shape
+    assert m != Matrix(FieldSpec(16), [[1, 2]])
+    assert m != Matrix(gf256, [[1, 3]])
+
+
+@st.composite
+def systems(draw):
+    """(field, a, b): n x n rows a and n x c rows b over GF(2^3), GF(2^8) or GF(2^16).  A
+    third of the cases make a singular (a row a multiple of another, or zero), and a third
+    make the first pivot sit below a column of zeros, so that elimination must swap rows."""
+    spec = FieldSpec(draw(st.sampled_from([3, 8, 16])))
+    n, c = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    symbol = st.integers(0, spec.order - 1)
+    a = draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(symbol, min_size=c, max_size=c), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["random", "singular", "swap"]))
+    if kind == "singular":
+        i, j, scale = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(symbol)
+        a[i] = [0] * n if i == j else [spec.mul_int(scale, v) for v in a[j]]
+    elif kind == "swap" and n > 1:
+        r = draw(st.integers(1, n - 1))
+        for row in a[:r]:
+            row[0] = 0
+        a[r][0] = draw(st.integers(1, spec.order - 1))
+    return spec, a, b
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(systems())
+def test_array_algebra_equals_the_list_oracle(case):
+    spec, a, b = case
+    n, oracle_b = len(a), [row[:] for row in b]
+    det = _gauss_jordan(spec, [row[:] for row in a], oracle_b)
+    m, rhs = Matrix(spec, a), Matrix(spec, b)
+    assert m.det().value == det
+    assert (m @ rhs).array.tolist() == list_product(spec, a, b)
+    assert (m @ m).array.tolist() == list_product(spec, a, a)
+    if det:
+        inverse = [[int(i == j) for j in range(n)] for i in range(n)]
+        _gauss_jordan(spec, [row[:] for row in a], inverse)
+        assert m.solve(rhs).array.tolist() == oracle_b
+        assert m.invert().array.tolist() == inverse
+    else:
+        with pytest.raises(SingularMatrix):
+            m.solve(rhs)
+        with pytest.raises(SingularMatrix):
+            m.invert()

@@ -545,11 +545,11 @@ def _patterns(k):
 def _check_map(failed, params, rng):
     plan = plan_repair(FailurePattern.classify(failed, params.k), params)
     rows, report = linear_map(plan, params)
-    assert (rows, report) == _probing_map(plan, params)
+    assert (rows.array.tolist(), report) == _probing_map(plan, params)
     # Applied to the phase-1 symbols of a block, the map rebuilds the lost nodes.
     _, _, by_id = ground_truth(params, rng)
     msgs = phase1_messages(plan, {h: by_id[h] for h in plan.helpers}, params)
-    rebuilt = Matrix(params.field, rows) @ Matrix(params.field, [[m.symbol.value] for m in msgs])
+    rebuilt = rows @ Matrix(params.field, [[m.symbol.value] for m in msgs])
     assert list(rebuilt.col(0)) == [s for nc in plan.newcomers for s in by_id[nc].vector]
 
 

@@ -3,7 +3,8 @@ no import from outside the standard library, numpy (the one dependency) and mscr
 module imported outside the CLI, no module-level function, class or `__all__` name that
 nothing in the package calls, and no method or property of a package class that nothing in
 the package reads, unless `UNCALLED_EXPORTS` gives the reason it stays.  The CLI leaves the
-v4 layout's sizes to `mscr.cluster` (`LAYOUT_NAMES`).
+v4 layout's sizes to `mscr.cluster` (`LAYOUT_NAMES`), and only galois and linalg read a
+field's tables (`TABLE_NAMES`).
 
 `__init__.py` is exempt from the unused-import check: its imports are the package API.
 """
@@ -163,18 +164,23 @@ def test_every_definition_is_used_or_exported():
 # CLI leaves to mscr.cluster: `block_count`, `shard_bytes` and `Cluster.planes`.
 LAYOUT_NAMES = {"block_size", "symbol_bytes", "plane_words", "node_data"}
 
+# A field's log and exp tables, as galois builds them and as linalg's arrays (`_tables`):
+# galois and linalg alone compute with them, everything else through FieldSpec or Matrix.
+TABLE_NAMES = {"_exp", "_log", "_tables"}
+TABLE_MODULES = ("galois.py", "linalg.py")
 
-def layout_names(source: str) -> list[str]:
-    """The names of LAYOUT_NAMES a module's code names: a variable, an attribute or an import."""
-    names = set()
+
+def names_in(source: str, names: set[str]) -> list[str]:
+    """The names of `names` a module's code names: a variable, an attribute or an import."""
+    found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            found.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            found.add(node.attr)
         elif isinstance(node, ast.alias):
-            names.add(node.asname or node.name)
-    return sorted(names & LAYOUT_NAMES)
+            found.add(node.asname or node.name)
+    return sorted(found & names)
 
 
 def test_layout_name_is_detected():
@@ -182,13 +188,29 @@ def test_layout_name_is_detected():
               "size = 8 * params.k * params.field.degree * cluster_mod.plane_words(n, params)\n"
               "nblocks = -(-n // (params.block_size * params.field.symbol_bytes))\n"
               "payloads = [p.tobytes() for p in c.node_data]  # block_size: a comment\n")
-    assert layout_names(source) == ["block_size", "node_data", "plane_words", "symbol_bytes"]
-    assert layout_names("size = cluster_mod.shard_bytes(n, params)  # not plane_words\n") == []
+    assert names_in(source, LAYOUT_NAMES) == ["block_size", "node_data", "plane_words",
+                                              "symbol_bytes"]
+    assert names_in("size = cluster_mod.shard_bytes(n, params)  # not plane_words\n",
+                    LAYOUT_NAMES) == []
 
 
 def test_cli_leaves_the_layout_to_the_cluster():
     # One home for the layout: the CLI asks mscr.cluster for every block, word and shard size.
-    assert layout_names((SRC / "cli.py").read_text()) == []
+    assert names_in((SRC / "cli.py").read_text(), LAYOUT_NAMES) == []
+
+
+def test_table_read_is_detected():
+    source = ("from .linalg import _tables\nexp, log = _tables(spec)\n"
+              "value = field._exp[field._log[a] + field._log[b]]\n")
+    assert names_in(source, TABLE_NAMES) == ["_exp", "_log", "_tables"]
+    assert names_in("value = field.mul_int(a, b)  # not field._exp\n", TABLE_NAMES) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in TABLE_MODULES],
+                         ids=lambda p: p.name)
+def test_only_galois_and_linalg_read_the_field_tables(path):
+    # Products of whole matrices have one home, linalg, on galois's tables.
+    assert names_in(path.read_text(), TABLE_NAMES) == []
 
 
 def foreign_imports(source: str) -> list[str]:
