@@ -290,6 +290,8 @@ class Scenario:
                 rnd = data_doc["random"]
                 rng = random.Random(json_int(rnd.get("seed", 0), "data.random.seed"))
                 n, step = json_int(rnd["bytes"], "data.random.bytes"), _RANDBYTES_MAX
+                if n < 0:  # randbytes refuses it too, but with OverflowError below -2^28
+                    raise ValueError(f"malformed scenario: data.random.bytes {n} is negative")
                 data = b"".join(rng.randbytes(min(step, n - i)) for i in range(0, max(n, 1), step))
             fails = [step["fail"] for step in doc.get("steps", [])]
             if any(type(fail) is not list for fail in fails):

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .galois import FieldElement
-from .linalg import DimensionMismatch, Matrix, dot
+from .linalg import DimensionMismatch, Matrix
 from .params import CodeParams, Side
 
 __all__ = [
@@ -136,8 +136,8 @@ def collection_matrix(node_ids: tuple[int, ...],
 def collect(contents: Sequence[NodeContent], params: CodeParams) -> SourceBlock:
     """Rebuild the source block from any k distinct node contents.
 
-    The held columns are copied and the decoder rows give the rest.  Any k
-    vectors decode and re-encode to themselves (the MDS property), so a
+    The held coordinates are copied and the decoder rows give the rest, in one product
+    rows @ z.  Any k vectors decode and re-encode to themselves (the MDS property), so a
     corrupted symbol cannot show here, and the CLI checks shard digests instead.
     """
     k, field = params.k, params.field
@@ -153,9 +153,8 @@ def collect(contents: Sequence[NodeContent], params: CodeParams) -> SourceBlock:
             raise DimensionMismatch(f"node {c.node_id} vector does not fit the code")
 
     by_id = {c.node_id: c.vector for c in contents}
-    z = [sym for i in slots(ids, k) for sym in by_id[i]]
-    x = [sym.value for sym in z]
+    z = Matrix(field, [[sym.value] for i in slots(ids, k) for sym in by_id[i]])  # k^2 x 1
     missing, rows = collection_matrix(tuple(sorted(ids)), params)
-    for i, t in enumerate(missing):
-        x[t] = dot(rows.row(i), z).value
-    return SourceBlock(Matrix(field, [[x[c * k + r] for c in range(k)] for r in range(k)]))
+    x = z.array[:, 0].copy()
+    x[list(missing)] = (rows @ z).array[:, 0]
+    return SourceBlock(Matrix(field, x.reshape(k, k).T))  # x[c*k + r] is X[r][c]

@@ -5,7 +5,8 @@ polynomial over GF(2); arithmetic is modulo an irreducible reduction
 polynomial of degree m.  Addition and subtraction are both XOR.
 Multiplication, division and inversion go through log/antilog tables built
 once per field from a primitive element, so the per-symbol cost is two or three
-table lookups.  Tables are cached per (degree, polynomial) pair.
+table lookups.  Tables are cached per (degree, polynomial) pair, and so are their
+array forms (:meth:`FieldSpec.product_tables`), built on a field's first matrix product.
 
 The bulk kernel (:meth:`FieldSpec.scale_array`) applies a matrix of constants,
 compiled once by :meth:`FieldSpec.plan`, to bit-sliced symbols as XORs of whole bit
@@ -18,7 +19,7 @@ input planes (Four Russians) and XORs one entry per group into each output.
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -143,9 +144,10 @@ class FieldSpec:
     """A binary extension field GF(2^m) with an explicit reduction polynomial.
 
     Instances are immutable and compare equal by (degree, reduction_poly).
-    The *_int methods operate on raw integer symbols and are the fast path
-    used by the matrix code; :meth:`element` wraps a symbol as a
-    :class:`FieldElement` for operator-based arithmetic.
+    The *_int methods operate on raw integer symbols, one at a time;
+    :meth:`product_tables` gives the same tables as arrays to whole-array
+    products (:class:`mscr.linalg.Matrix`); :meth:`element` wraps a symbol
+    as a :class:`FieldElement` for operator-based arithmetic.
     """
 
     __slots__ = ("degree", "reduction_poly", "order", "_exp", "_log")
@@ -217,6 +219,17 @@ class FieldSpec:
         return self._exp[self._log[a] + (self.order - 1) - self._log[b]]
 
     # -- vectorized helpers ----------------------------------------------------
+
+    @cache  # once per (degree, poly): equal specs share the arrays
+    def product_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exp and log tables as arrays, built on first use.  log[0] is a sentinel
+        z = 2(order - 1), past every sum of two logs of nonzero symbols, and exp is zero from z
+        to 2z, so exp[log a + log b] is a*b for every a and b, zeros included."""
+        z = 2 * (self.order - 1)
+        exp, log = np.zeros(2 * z + 1, np.uint16), np.array(self._log, np.intp)
+        exp[:z], log[0] = self._exp, z
+        exp.flags.writeable = log.flags.writeable = False  # shared by every caller
+        return exp, log
 
     def plan(self, rows) -> "KernelPlan":
         """Compile an r x s matrix of constants once, for all its :meth:`scale_array` calls:

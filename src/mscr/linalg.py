@@ -1,8 +1,9 @@
 """Dense matrix algebra over GF(2^m), on whole arrays.
 
 A `Matrix` is one read-only (r, c) array of symbols.  Its products, sums and eliminations
-run on whole arrays through the field's exp/log table arrays: a product is
-exp[log a + log b], and the log of zero is a sentinel whose sums index a zero tail of exp.
+run on whole arrays through the field's exp/log table arrays (`FieldSpec.product_tables`): a
+product is exp[log a + log b], and the log of zero is a sentinel whose sums index a zero tail
+of exp.  A vector is a one-row or one-column Matrix, so every product here is one `@`.
 Everything is exact.  Gauss-Jordan elimination pivots on any nonzero entry of its column
 (any nonzero pivot is as good as any other in a finite field) and clears that column in
 all rows at once.  Also here: Cauchy matrices with their closed-form inverse, and
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from typing import Sequence
 
@@ -30,7 +30,6 @@ __all__ = [
     "TooLarge",
     "cauchy",
     "cauchy_inverse",
-    "dot",
     "first_singular_minor",
     "random_nonsingular",
 ]
@@ -52,31 +51,6 @@ class DuplicateGenerators(ValueError):
 
 class TooLarge(ValueError):
     """Matrix exceeds the size cap of a combinatorial check."""
-
-
-def dot(u: Sequence[FieldElement], v: Sequence[FieldElement]) -> FieldElement:
-    """Inner product of two equal-length element sequences."""
-    if len(u) != len(v) or not u:
-        raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
-    spec = u[0].spec
-    exp, log = spec._exp, spec._log
-    acc = 0
-    for x, y in zip(u, v):
-        a, b = x.value, y.value
-        if a and b:
-            acc ^= exp[log[a] + log[b]]
-    return FieldElement(acc, spec)
-
-
-@cache
-def _tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The field's exp and log tables as arrays, built on first use.  log[0] is a sentinel
-    z = 2(order - 1), past every sum of two logs of nonzero symbols, and exp is zero from z
-    to 2z, so exp[log a + log b] is a*b for every a and b, zeros included."""
-    z = 2 * (spec.order - 1)
-    exp, log = np.zeros(2 * z + 1, np.uint16), np.array(spec._log, np.intp)
-    exp[:z], log[0] = spec._exp, z
-    return exp, log
 
 
 class Matrix:
@@ -122,9 +96,6 @@ class Matrix:
     def at(self, i: int, j: int) -> FieldElement:
         return FieldElement(int(self.array[i, j]), self.spec)
 
-    def row(self, i: int) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(v, self.spec) for v in self.array[i].tolist())
-
     def col(self, j: int) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(v, self.spec) for v in self.array[:, j].tolist())
 
@@ -140,7 +111,7 @@ class Matrix:
         self._compat(other)
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"matmul {self.shape} by {other.shape}")
-        exp, log = _tables(self.spec)
+        exp, log = self.spec.product_tables()
         terms = exp[log[self.array][:, :, None] + log[other.array]]  # [i, t, j]: a_it * b_tj
         return Matrix(self.spec, np.bitwise_xor.reduce(terms, axis=1))
 
@@ -150,7 +121,7 @@ class Matrix:
     def scalar_mul(self, c: FieldElement) -> "Matrix":
         if c.spec != self.spec:
             raise DimensionMismatch("scalar from a different field")
-        exp, log = _tables(self.spec)
+        exp, log = self.spec.product_tables()
         return Matrix(self.spec, exp[log[self.array] + log[c.value]])
 
     def invert(self) -> "Matrix":
@@ -210,6 +181,7 @@ def _eliminate(spec: FieldSpec, augmented: np.ndarray) -> int:
     Returns the determinant of that square: the product of the pivots (a row swap only flips
     a sign, and -1 = 1 here), or 0 as soon as a column has no nonzero pivot.
     """
+    exp, log = spec.product_tables()
     n, qm1, det_log = augmented.shape[0], spec.order - 1, 0
     for col in range(n):
         column = augmented[:, col].tolist()
@@ -218,17 +190,15 @@ def _eliminate(spec: FieldSpec, augmented: np.ndarray) -> int:
             return 0
         if piv != col:
             augmented[[col, piv]] = augmented[[piv, col]]
-        lp = spec._log[column[piv]]
+        lp = int(log[column[piv]])
         det_log += lp
         if lp:  # a pivot other than 1
-            exp, log = _tables(spec)
             augmented[col] = exp[log[augmented[col]] + (qm1 - lp)]
         if column.count(0) < n - 1:  # not yet clear
-            exp, log = _tables(spec)
             factors = log[augmented[:, col]]
             factors[col] = log[0]  # the sentinel: the pivot row stays as it is
             augmented ^= exp[factors[:, None] + log[augmented[col]]]
-    return spec._exp[det_log % qm1]
+    return int(exp[det_log % qm1])
 
 
 @dataclass(frozen=True)

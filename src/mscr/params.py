@@ -17,9 +17,11 @@ holds.
 
 `validate` checks only conditions on what a params document sets: k and
 the field size, shapes, V nonsingular, the four scalars and their two
-equations, and the cross-entry condition.  P needs no check: every s x s
-submatrix of a Cauchy matrix is the Cauchy matrix of s of the a's and s of
-the b's; in characteristic 2 its determinant is
+equations, and the cross-entry condition.  delta^2 != epsilon^2 needs no check
+of its own: in characteristic 2 it means delta != epsilon, and with delta =
+epsilon both equations read delta (delta' + epsilon'), which cannot be 1 and 0
+at once.  P needs no check: every s x s submatrix of a Cauchy matrix is the
+Cauchy matrix of s of the a's and s of the b's; in characteristic 2 its determinant is
 prod_{i<j} (a_i+a_j)(b_i+b_j) / prod_{i,j} (a_i+b_j), nonzero because
 CauchySpec rejects repeated generators.  The exhaustive minor enumeration
 (linalg.first_singular_minor) remains as the test oracle for this argument.
@@ -247,8 +249,6 @@ def validate(params: CodeParams) -> list[Violation]:
     dp, ep = params.delta_prime, params.epsilon_prime
     if not (d and e and dp and ep):
         out.append(Violation("nonzero_constants"))
-    if d * d == e * e:
-        out.append(Violation("distinct_squares", (), "delta^2 equals epsilon^2"))
     if d * dp + e * ep != field.one:
         out.append(Violation("dual_constants", (1,), "delta*delta' + epsilon*epsilon' != 1"))
     if e * dp + d * ep != field.zero:

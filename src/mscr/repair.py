@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .codec import NodeContent
 from .galois import FieldElement
-from .linalg import Matrix, SingularMatrix, dot
+from .linalg import Matrix, SingularMatrix
 from .params import CodeParams, Side
 
 Rows = Mapping[tuple[int, int], Sequence[int]]  # (sender, receiver) -> E coefficients
@@ -196,7 +196,8 @@ def plan_repair(pattern: FailurePattern, params: CodeParams) -> RepairPlan:
 def phase1_symbol(helper: NodeContent, newcomer_id: int,
                   params: CodeParams) -> FieldElement:
     """One phase-1 symbol: probe of the newcomer dotted with the helper vector."""
-    return dot(probe_vector(params, newcomer_id), helper.vector)
+    probe = Matrix.from_rows([probe_vector(params, newcomer_id)])
+    return (probe @ Matrix.from_rows([[e] for e in helper.vector])).at(0, 0)
 
 
 def phase1_messages(plan: RepairPlan, helpers: Mapping[int, NodeContent],
@@ -291,22 +292,15 @@ def _mixed_matrix(params: CodeParams, side: Side, s: int, t: int) -> Matrix:
     """The k x k system raw node k - base + s solves when coded node base + t also failed.
 
     Row 1 is c0 probe_t^t + delta mix_st dual_s^t, the remaining rows are
-    delta probe_j^t + epsilon mix_sj dual_s^t for j != t.
+    delta probe_j^t + epsilon mix_sj dual_s^t for j != t: the rows of
+    c probes^t + c' (mix row s)^t (dual column s)^t, with (c, c') = (c0, delta) in row t
+    and (delta, epsilon) in the others.
     """
-    k = params.k
-    c0 = _leading_coeff(side, s, t)
-    probe_t = side.probes.col(t - 1)
-    dual_s = side.dual.col(s - 1)
-    m_st = side.mix.at(s - 1, t - 1)
-    rows = [[c0 * probe_t[x] + side.delta * m_st * dual_s[x] for x in range(k)]]
-    for j in range(1, k + 1):
-        if j == t:
-            continue
-        probe_j = side.probes.col(j - 1)
-        m_sj = side.mix.at(s - 1, j - 1)
-        rows.append([side.delta * probe_j[x] + side.epsilon * m_sj * dual_s[x]
-                     for x in range(k)])
-    return Matrix.from_rows(rows)
+    spec, probes_t = params.field, side.probes.transpose()
+    outer = Matrix(spec, side.mix.array[s - 1:s].T) @ Matrix(spec, side.dual.array[:, s - 1:s].T)
+    first = probes_t.scalar_mul(_leading_coeff(side, s, t)) + outer.scalar_mul(side.delta)
+    rows = (probes_t.scalar_mul(side.delta) + outer.scalar_mul(side.epsilon)).array
+    return Matrix(spec, [first.array[t - 1], *rows[:t - 1], *rows[t:]])
 
 
 def _mixed_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
@@ -329,25 +323,25 @@ def _mixed_rows(plan: RepairPlan, rows: Rows, params: CodeParams):
     Rows from the two newcomers are zero, so sums over all of X or Y skip them.
     """
     a, b = plan.pattern.mixed_pair
-    phase2, contents = {}, []
+    spec, phase2, contents = params.field, {}, []
     for side, s, t in ((params.parity_side, a, b), (params.systematic_side, b, a)):
         solver, sender = params.k - side.base + s, side.base + t
 
         # The sender combines its own phase-1 rows only.
         x, y = _received(plan, rows, params, side, sender)
         lead = (side.delta + side.epsilon) * side.unmix.at(t - 1, s - 1)
-        sent = (Matrix.from_rows([side.unmix.col(s - 1)]) @ y
-                + (Matrix.from_rows([side.mix.col(t - 1)]) @ x).scalar_mul(lead))
+        sent = (Matrix(spec, side.unmix.array[:, s - 1:s].T) @ y
+                + (Matrix(spec, side.mix.array[:, t - 1:t].T) @ x).scalar_mul(lead))
         phase2[(sender, solver)] = sent.array[0]
 
         # The solver peels the known raw-side terms off and inverts its system.
         x, y = _received(plan, rows, params, side, solver)
         c = side.mix.transpose() @ x
         rest = (y + c.scalar_mul(side.epsilon)).array
-        first = sent + Matrix.from_rows([c.row(t - 1)]).scalar_mul(side.delta)
+        first = sent + Matrix(spec, c.array[t - 1:t]).scalar_mul(side.delta)
         try:
             contents.append(_mixed_matrix(params, side, s, t).solve(
-                Matrix(params.field, [*first.array, *rest[:t - 1], *rest[t:]])))
+                Matrix(spec, [*first.array, *rest[:t - 1], *rest[t:]])))
         except SingularMatrix as exc:
             raise NonsingularityFailure(
                 f"mixed system of newcomer {solver} for (a={a}, b={b}) singular") from exc

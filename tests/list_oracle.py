@@ -1,10 +1,13 @@
-"""The list Gauss-Jordan elimination: the oracle of the array elimination in mscr.linalg.
+"""The list Gauss-Jordan elimination and scalar products: the oracles of mscr.linalg's arrays.
 
 `_gauss_jordan` is the package's earlier elimination, kept as it was: one pivot at a time,
-each row rebuilt by a list comprehension.  The tests check `Matrix.solve`, `invert`, `det`
-and `@` against it and against `list_product`.  The module is imported by tests, not
-collected itself.
+each row rebuilt by a list comprehension.  `dot` is the package's earlier inner product of
+two element sequences.  The tests check `Matrix.solve`, `invert`, `det` and `@` against them
+and against `list_product`.  The module is imported by tests, not collected itself.
 """
+
+from mscr.galois import FieldElement
+from mscr.linalg import DimensionMismatch
 
 
 def _gauss_jordan(spec, a: list[list[int]], b: list[list[int]]) -> int:
@@ -55,3 +58,17 @@ def list_product(spec, a: list[list[int]], b: list[list[int]]) -> list[list[int]
             for j, y in enumerate(b[t]):
                 out[-1][j] ^= spec.mul_int(x, y)
     return out
+
+
+def dot(u, v) -> FieldElement:
+    """Inner product of two equal-length element sequences, one scalar product at a time."""
+    if len(u) != len(v) or not u:
+        raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
+    spec = u[0].spec
+    exp, log = spec._exp, spec._log
+    acc = 0
+    for x, y in zip(u, v):
+        a, b = x.value, y.value
+        if a and b:
+            acc ^= exp[log[a] + log[b]]
+    return FieldElement(acc, spec)

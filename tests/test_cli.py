@@ -264,6 +264,9 @@ MALFORMED_SCENARIOS = {
     "field degree a string": lambda doc: {**doc, "field": {"degree": "8"}},
     "random bytes a float": lambda doc: {**doc, "data": {"random": {"bytes": 64.0, "seed": 2}}},
     "random seed a string": lambda doc: {**doc, "data": {"random": {"bytes": 64, "seed": "2"}}},
+    "random bytes negative": lambda doc: {**doc, "data": {"random": {"bytes": -1}}},
+    # below -2^28, randbytes raised OverflowError, which no boundary caught
+    "random bytes below -2^28": lambda doc: {**doc, "data": {"random": {"bytes": -(1 << 40)}}},
 }
 
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import collection_system, ground_truth, random_block
+from list_oracle import dot
 from mscr.cluster import Cluster
 from mscr.codec import (DuplicateNodes, NodeContent, ParityBlock, SourceBlock, collect,
                         collection_matrix, dual_encode, encode, encode_matrix)
 from mscr.galois import FieldSpec
-from mscr.linalg import DimensionMismatch, Matrix, dot
+from mscr.linalg import DimensionMismatch, Matrix
 from mscr.params import generate
 
 

@@ -78,6 +78,19 @@ def test_tables_equal_the_oracle_walk(degree, poly):
     assert list(f._log[1:]) == [log[v] for v in range(1, n + 1)]
 
 
+@pytest.mark.parametrize("degree", [3, 8, 16])
+def test_product_tables_are_one_shared_read_only_copy_per_field(degree):
+    # The array form of a field's tables, built once per (degree, poly) and shared by every
+    # equal FieldSpec: exp[log a + log b] is a * b for every pair, zeros included.
+    f = FieldSpec(degree)
+    exp, log = f.product_tables()
+    assert FieldSpec(degree).product_tables() is f.product_tables()
+    assert not (exp.flags.writeable or log.flags.writeable)
+    a = np.arange(0, f.order, max(1, f.order >> 8))  # zero and 255 others at most
+    got = exp[log[a][:, None] + log[a]]
+    assert got.tolist() == [[f.mul_int(x, y) for y in a.tolist()] for x in a.tolist()]
+
+
 def test_gf2_16_tables_hold_four_bytes_an_entry():
     # 2 x 65 535 exp and 65 536 log entries at 4 bytes are 0.75 MiB; as Python ints they
     # held 5 MiB.  The build may briefly hold about as much again.

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import is_super_regular
-from list_oracle import _gauss_jordan, list_product
+from list_oracle import _gauss_jordan, dot, list_product
 from mscr.galois import FieldSpec
 from mscr.linalg import (SUPER_REGULAR_MAX, CauchySpec, DimensionMismatch,
                          DuplicateGenerators, Matrix, SingularMatrix, TooLarge, cauchy,
-                         cauchy_inverse, dot, first_singular_minor,
+                         cauchy_inverse, first_singular_minor,
                          random_nonsingular)
 
 
@@ -51,8 +51,9 @@ def test_matmul_entries_are_dot_products(degree):
         r, t, c = (rng.randrange(1, 6) for _ in range(3))
         a, b = _rand(spec, r, t, rng), _rand(spec, t, c, rng)
         a = Matrix(spec, [[v if rng.random() < 0.7 else 0 for v in row] for row in a.array])
-        assert (a @ b).array.tolist() == [[dot(a.row(i), b.col(j)).value for j in range(c)]
-                                      for i in range(r)]
+        rows = [a.transpose().col(i) for i in range(r)]
+        assert (a @ b).array.tolist() == [[dot(row, b.col(j)).value for j in range(c)]
+                                          for row in rows]
 
 
 def test_dimension_mismatch(gf256):

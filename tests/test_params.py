@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mscr.linalg as linalg_mod
 from conftest import make_params
+from mscr.cli import main
 from mscr.galois import FieldSpec
 from mscr.linalg import (CauchySpec, Matrix, cauchy, cauchy_inverse,
                          first_singular_minor)
@@ -231,10 +234,48 @@ def test_validate_refuses_huge_k_before_building_matrices(params63, monkeypatch)
 
 
 def test_validate_reports_degenerate_constants(params63):
+    # delta = epsilon is refused by the dual equations alone, in one line fewer than when
+    # validate also reported delta^2 = epsilon^2 as distinct_squares.
     bad = dataclasses.replace(params63, epsilon=params63.delta)
-    conditions = {v.condition for v in validate(bad)}
-    assert "distinct_squares" in conditions
-    assert "dual_constants" in conditions
+    assert {v.condition for v in validate(bad)} == {"dual_constants"}
+
+
+def test_equal_squares_always_break_a_dual_equation():
+    # In characteristic 2, delta^2 = epsilon^2 means delta = epsilon, and then both dual
+    # equations read delta(delta' + epsilon'), which cannot be 1 and 0: dual_constants refuses
+    # every such document, for every delta' and epsilon'.  All of GF(2^3), exhaustively.
+    field = FieldSpec(3)
+    one, zero, elements = field.one, field.zero, [field.element(x) for x in range(field.order)]
+    base = generate(2, field, seed=0)
+    for d, e, dp, ep in itertools.product(elements, repeat=4):
+        if d * d == e * e:
+            assert d == e and (d * dp + e * ep, e * dp + d * ep) != (one, zero)
+            bad = dataclasses.replace(base, delta=d, epsilon=e, delta_prime=dp, epsilon_prime=ep)
+            assert "dual_constants" in {v.condition for v in validate(bad)}
+
+
+def test_setup_builds_no_table_arrays_and_runs_no_elimination(tmp_path, monkeypatch):
+    # Set-up of identity-V params reads galois's scalar tables alone: generate, validate
+    # (V's determinant is the identity's, known) and gen-params build no table arrays
+    # (FieldSpec.product_tables) and run no elimination, whose first call would.
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(FieldSpec, "product_tables",
+                        spy("product_tables", FieldSpec.product_tables))
+    monkeypatch.setattr(linalg_mod, "_eliminate", spy("_eliminate", linalg_mod._eliminate))
+    for k, degree, seed in ((3, 8, 5), (4, 16, 6)):
+        assert validate(generate(k, FieldSpec(degree), seed=seed)) == []
+        assert main(["gen-params", "--k", str(k), "--field-degree", str(degree),
+                     "--seed", str(seed), "--out", str(tmp_path / f"k{k}.json")]) == 0
+    assert calls == []
+    Matrix(FieldSpec(8), [[2]]).det()  # the spies see an elimination and its tables
+    assert calls == ["_eliminate", "product_tables"]
 
 
 def test_document_roundtrip(params63):

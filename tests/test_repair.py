@@ -2,17 +2,18 @@ import dataclasses
 import inspect
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 import mscr.repair as repair_mod
 from conftest import ground_truth, make_params
+from list_oracle import dot
 from mscr.cluster import Cluster
 from mscr.codec import NodeContent
 from mscr.galois import FieldSpec
-from mscr.linalg import CauchySpec, Matrix, SingularMatrix, dot
+from mscr.linalg import CauchySpec, DimensionMismatch, Matrix, SingularMatrix
 from mscr.params import generate, validate
 from mscr.repair import (FailurePattern, InvalidRegime, Message, MissingMessage,
                          MixedPair, NonsingularityFailure, ParityGroup, SystematicGroup,
@@ -95,6 +96,13 @@ def test_phase1_symbol_raw_product(params63):
 def test_phase1_symbol_zero_helper(params63):
     zero = NodeContent(1, tuple(params63.field.zero for _ in range(3)))
     assert phase1_symbol(zero, 4, params63) == params63.field.zero
+
+
+@pytest.mark.parametrize("length", [0, 2, 4])
+def test_phase1_symbol_refuses_a_vector_of_the_wrong_length(params63, length):
+    helper = NodeContent(1, tuple(params63.field.one for _ in range(length)))
+    with pytest.raises(DimensionMismatch):
+        phase1_symbol(helper, 4, params63)
 
 
 def test_phase1_parity_helper_decomposes(params63):
@@ -347,38 +355,45 @@ def test_check_mixed_matrix_all_pairs(params63):
             assert sherman_morrison_check(params63, a, b)
 
 
-def test_mixed_matrix_rows(params63):
-    p = params63
-    a, b = 1, 2
-    m = mixed_repair_matrix(p, a, b)
-    c0 = p.epsilon - (p.epsilon + p.delta) * p.p.at(0, 1) * p.q.at(1, 0)
-    u_b, v_a = p.u.col(1), p.v.col(0)
-    expect_row0 = tuple(c0 * u_b[t] + p.delta * p.p.at(0, 1) * v_a[t]
-                        for t in range(3))
-    assert m.row(0) == expect_row0
+def _mixed_params():
+    """Params of k=3 GF(2^8), k=4 GF(2^16) and k=8 GF(2^8), for the mixed systems."""
+    return [generate(k, FieldSpec(degree), seed=seed)
+            for k, degree, seed in ((3, 8, 7), (4, 16, 3), (8, 8, 5))]
 
 
-def test_mixed_matrix_rows_dual(params63, params_k4):
+def _rows(m):
+    return [m.transpose().col(r) for r in range(m.shape[0])]
+
+
+def test_mixed_matrix_rows():
+    # Newcomer a's system against x_a, in the paper's order: row 0 is
+    # (epsilon - (epsilon+delta) p_ab q_ba) u_b + delta p_ab v_a, then
+    # delta u_j + epsilon p_aj v_a for every j != b.
+    for p in _mixed_params():
+        for a, b in product(range(1, p.k + 1), repeat=2):
+            p_ab, q_ba, v_a = p.p.at(a - 1, b - 1), p.q.at(b - 1, a - 1), p.v.col(a - 1)
+            c0 = p.epsilon - (p.epsilon + p.delta) * p_ab * q_ba
+            expect = [tuple(c0 * u + p.delta * p_ab * v for u, v in zip(p.u.col(b - 1), v_a))]
+            expect += [tuple(p.delta * u + p.epsilon * p.p.at(a - 1, j - 1) * v
+                             for u, v in zip(p.u.col(j - 1), v_a))
+                       for j in range(1, p.k + 1) if j != b]
+            assert _rows(mixed_repair_matrix(p, a, b)) == expect, (p.k, a, b)
+
+
+def test_mixed_matrix_rows_dual():
     # Newcomer k+b's system against y_b: row 0 is c0' v_a + delta' q_ba u_b,
     # then delta' v_i + epsilon' q_bi u_b for every i != a.
-    for p in (params63, params_k4):
-        k = p.k
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                m = repair_mod._mixed_matrix(p, p.systematic_side, b, a)
-                p_ab, q_ba = p.p.at(a - 1, b - 1), p.q.at(b - 1, a - 1)
-                c0p = p.epsilon_prime - (p.epsilon_prime + p.delta_prime) * q_ba * p_ab
-                u_b, v_a = p.u.col(b - 1), p.v.col(a - 1)
-                expect = [tuple(c0p * v_a[t] + p.delta_prime * q_ba * u_b[t]
-                                for t in range(k))]
-                for i in range(1, k + 1):
-                    if i == a:
-                        continue
-                    v_i, q_bi = p.v.col(i - 1), p.q.at(b - 1, i - 1)
-                    expect.append(tuple(p.delta_prime * v_i[t]
-                                        + p.epsilon_prime * q_bi * u_b[t]
-                                        for t in range(k)))
-                assert [m.row(r) for r in range(k)] == expect, (a, b)
+    for p in _mixed_params():
+        for a, b in product(range(1, p.k + 1), repeat=2):
+            p_ab, q_ba, u_b = p.p.at(a - 1, b - 1), p.q.at(b - 1, a - 1), p.u.col(b - 1)
+            c0p = p.epsilon_prime - (p.epsilon_prime + p.delta_prime) * q_ba * p_ab
+            expect = [tuple(c0p * v + p.delta_prime * q_ba * u
+                            for v, u in zip(p.v.col(a - 1), u_b))]
+            expect += [tuple(p.delta_prime * v + p.epsilon_prime * p.q.at(b - 1, i - 1) * u
+                             for v, u in zip(p.v.col(i - 1), u_b))
+                       for i in range(1, p.k + 1) if i != a]
+            m = repair_mod._mixed_matrix(p, p.systematic_side, b, a)
+            assert _rows(m) == expect, (p.k, a, b)
 
 
 def test_determinant_and_rank_one_routes_agree(gf256):

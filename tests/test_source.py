@@ -3,8 +3,8 @@ no import from outside the standard library, numpy (the one dependency) and mscr
 module imported outside the CLI, no module-level function, class or `__all__` name that
 nothing in the package calls, and no method or property of a package class that nothing in
 the package reads, unless `UNCALLED_EXPORTS` gives the reason it stays.  The CLI leaves the
-v4 layout's sizes to `mscr.cluster` (`LAYOUT_NAMES`), and only galois and linalg read a
-field's tables (`TABLE_NAMES`).
+v4 layout's sizes to `mscr.cluster` (`LAYOUT_NAMES`), and only galois reads a field's tables
+(`TABLE_NAMES`).
 
 `__init__.py` is exempt from the unused-import check: its imports are the package API.
 """
@@ -164,10 +164,11 @@ def test_every_definition_is_used_or_exported():
 # CLI leaves to mscr.cluster: `block_count`, `shard_bytes` and `Cluster.planes`.
 LAYOUT_NAMES = {"block_size", "symbol_bytes", "plane_words", "node_data"}
 
-# A field's log and exp tables, as galois builds them and as linalg's arrays (`_tables`):
-# galois and linalg alone compute with them, everything else through FieldSpec or Matrix.
+# A field's log and exp tables, and the name of the array copy linalg kept before FieldSpec
+# owned it (`_tables`): galois alone names them, everything else goes through a FieldSpec
+# method (`mul_int`, `product_tables`, ...) or a Matrix.
 TABLE_NAMES = {"_exp", "_log", "_tables"}
-TABLE_MODULES = ("galois.py", "linalg.py")
+TABLE_MODULES = ("galois.py",)
 
 
 def names_in(source: str, names: set[str]) -> list[str]:
@@ -204,12 +205,16 @@ def test_table_read_is_detected():
               "value = field._exp[field._log[a] + field._log[b]]\n")
     assert names_in(source, TABLE_NAMES) == ["_exp", "_log", "_tables"]
     assert names_in("value = field.mul_int(a, b)  # not field._exp\n", TABLE_NAMES) == []
+    # linalg's pivot logs: through FieldSpec's arrays, not galois's lists as it once read them.
+    assert names_in("lp = spec._log[column[piv]]\n", TABLE_NAMES) == ["_log"]
+    assert names_in("exp, log = spec.product_tables()\nlp = int(log[v])\n", TABLE_NAMES) == []
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name not in TABLE_MODULES],
                          ids=lambda p: p.name)
 def test_only_galois_and_linalg_read_the_field_tables(path):
-    # Products of whole matrices have one home, linalg, on galois's tables.
+    # One home for the tables: galois builds them and alone names them.  linalg's whole-array
+    # products read them too, but only through FieldSpec.product_tables.
     assert names_in(path.read_text(), TABLE_NAMES) == []
 
 

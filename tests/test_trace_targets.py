@@ -65,7 +65,8 @@ def test_per_layer_metric_names_resolve_and_are_traced():
 # must be added here; the next perfbench change drops them from TARGETS.
 STALE_TARGETS = {
     "galois.FieldSpec.sample_distinct", "linalg.solve_vector", "linalg.is_super_regular",
-    "linalg.random_matrix", "linalg.Matrix.int_rows", "codec.z_column", "codec.node_contents",
+    "linalg.random_matrix", "linalg.Matrix.int_rows", "linalg.dot", "codec.z_column",
+    "codec.node_contents",
     "repair.repair_parity_group", "repair.repair_systematic_group",
     "repair.repair_mixed_pair", "repair.mixed_repair_matrix", "repair.check_mixed_matrix",
     "repair.sherman_morrison_scalar", "repair.sherman_morrison_check",
